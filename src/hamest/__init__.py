@@ -11,9 +11,8 @@ from .bounds import (BoundReport, biased_cr_rhs, bound_report, fewparam_time_upp
 from .config import ExperimentConfig, parse_config
 from .constants import DEFAULT_CONSTANTS, TOL, SchemeConstants, Tolerances
 from .estimation import (EstimationRecord, PostselectionFrame, delta_resolution,
-                         invert_theta, postselect, postselection_frame,
-                         run_adaptive, run_many_channel, run_one_channel,
-                         superop_S, tomography)
+                         invert_theta, postselection_frame, run_adaptive,
+                         run_many_channel, run_one_channel, superop_S)
 from .linalg import (PureState, hermitian_expm, hs_inner, su_basis,
                      unitary_principal_log)
 from .model import HamiltonianModel, hamiltonian, make_model, max_energy

@@ -10,32 +10,36 @@ estimate back and halve the search radius.
 Three drivers are provided: :func:`run_one_channel` (fixed radius, classical
 T ~ 1/delta^2 scaling), :func:`run_adaptive` (feedback staging, T ~ 1/delta),
 and :func:`run_many_channel` (entangled channels in the symmetric subspace,
-measurement-side counter-rotation, no feedback during evolution).
+measurement-side counter-rotation, no feedback during evolution).  Each
+driver only plans its stages (n, tau, r, copies) and picks a probe; one
+stage body runs them, and the staged drivers share one stage loop.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, TOL, SchemeConstants
 from .errors import (DegenerateProjectionError, InversionUnstableError,
-                     PostselectionStarvedError, ValidationError)
-from .linalg import PureState, hermitian_expm
+                     PostselectionStarvedError, ResourceLimitError, ValidationError)
+from .linalg import hermitian_expm
 from .model import HamiltonianModel, hamiltonian
 from .probe import Schedule, evolve, mes, trotter_feedback_schedule
-from .symmetric import SymSpace, collective, f2_coeff, occupation_space
+from .symmetric import (LADDER_BUDGET, SymSpace, collective, f2_coeff,
+                        occupation_space, sym_dim)
 
 __all__ = [
     "PostselectionFrame",
     "EstimationRecord",
     "StageRecord",
     "postselection_frame",
+    "frame_projection",
+    "mes_probe_map",
     "superop_S",
-    "postselect",
-    "tomography",
     "sample_haar_outcomes",
     "reconstruct_from_projector_mean",
     "invert_theta",
@@ -59,7 +63,6 @@ class PostselectionFrame:
 
     basis: np.ndarray          # (probe_dim, m + 1), columns orthonormal
     norm_factor: float
-    r: int
 
     def __post_init__(self):
         b = self.basis
@@ -94,8 +97,16 @@ def postselection_frame(model: HamiltonianModel, space: SymSpace | None = None,
     norm = math.sqrt(dim * f2)
     cols += [np.asarray(op, dtype=complex).reshape(-1) / norm for op in ops]
     return PostselectionFrame(basis=np.column_stack(cols),
-                              norm_factor=1.0 / math.sqrt(f2),
-                              r=1 if space is None else space.r)
+                              norm_factor=1.0 / math.sqrt(f2))
+
+
+def frame_projection(frame: PostselectionFrame, psi: np.ndarray):
+    """Normalized frame coefficients of ``psi`` and the projection probability."""
+    coeffs = frame.basis.conj().T @ psi
+    p = float(np.real(np.vdot(coeffs, coeffs)))
+    if p < TOL.min_postselect_p:
+        raise DegenerateProjectionError(f"projection probability {p:.3e} is degenerate")
+    return coeffs / math.sqrt(p), min(p, 1.0)
 
 
 def superop_S(model: HamiltonianModel, a) -> np.ndarray:
@@ -113,43 +124,6 @@ def superop_S(model: HamiltonianModel, a) -> np.ndarray:
     return out
 
 
-def _amplitudes(state) -> np.ndarray:
-    if isinstance(state, PureState):
-        return state.amplitudes
-    return np.asarray(state, dtype=complex).reshape(-1)
-
-
-def postselect(frame: PostselectionFrame, state, rng: np.random.Generator):
-    """Project one copy onto the frame.
-
-    Returns (accepted, reduced, p_success): ``accepted`` is drawn with the
-    projection probability, ``reduced`` is the normalized (m+1)-dimensional
-    coefficient vector.
-    """
-    psi = _amplitudes(state)
-    if psi.size != frame.basis.shape[0]:
-        raise ValidationError("state and frame dimensions do not match")
-    coeffs = frame.basis.conj().T @ psi
-    p = float(np.real(np.vdot(coeffs, coeffs)))
-    if p < TOL.min_postselect_p:
-        raise DegenerateProjectionError(f"projection probability {p:.3e} is degenerate")
-    nrm = math.sqrt(p)
-    p = min(p, 1.0)
-    accepted = bool(rng.random() < p)
-    return accepted, coeffs / nrm, p
-
-
-def _haar_bases(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent Haar-random orthonormal bases (columns of each matrix).
-
-    Column phases are irrelevant downstream (only outcome projectors are
-    used), so no phase correction of the QR factor is needed.
-    """
-    z = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
-    q, _ = np.linalg.qr(z)
-    return q
-
-
 def sample_haar_outcomes(state, n: int, rng: np.random.Generator) -> np.ndarray:
     """Outcome vectors of n Haar-random-basis measurements of ``state``.
 
@@ -158,7 +132,7 @@ def sample_haar_outcomes(state, n: int, rng: np.random.Generator) -> np.ndarray:
     with density D |<b|psi>|^2 on the sphere, i.e. |<b|psi>|^2 ~ Beta(2, D-1)
     with an independent uniform orthogonal component.
     """
-    psi = _amplitudes(state)
+    psi = np.asarray(state, dtype=complex).reshape(-1)
     dim = psi.size
     t = rng.beta(2.0, dim - 1, size=n) if dim > 1 else np.ones(n)
     phase = np.exp(2j * np.pi * rng.random(n))
@@ -183,44 +157,14 @@ def reconstruct_from_projector_mean(mean_projector: np.ndarray) -> np.ndarray:
     return vecs[:, -1]
 
 
-def _measure_and_reconstruct(state, n_copies: int, rng: np.random.Generator) -> np.ndarray:
-    psi = _amplitudes(state)
+def _measure_and_reconstruct(psi: np.ndarray, n_copies: int,
+                             rng: np.random.Generator) -> np.ndarray:
     dim = psi.size
     mean = np.zeros((dim, dim), dtype=complex)
-    done = 0
-    while done < n_copies:
-        k = min(_TOMOGRAPHY_CHUNK, n_copies - done)
-        outs = sample_haar_outcomes(psi, k, rng)
+    for done in range(0, n_copies, _TOMOGRAPHY_CHUNK):
+        outs = sample_haar_outcomes(psi, min(_TOMOGRAPHY_CHUNK, n_copies - done), rng)
         mean += np.einsum("ni,nj->ij", outs, outs.conj())
-        done += k
     return reconstruct_from_projector_mean(mean / n_copies)
-
-
-def tomography(copies, rng: np.random.Generator) -> np.ndarray:
-    """Pure-state estimate from single-copy Haar-random-basis measurements.
-
-    ``copies`` is a sequence of prepared state vectors; each is measured in
-    its own Haar-random orthonormal basis, one outcome is drawn by the Born
-    rule, and the estimate is the top eigenvector of the linear-inversion
-    density matrix.  Requires at least dim copies.
-    """
-    arr = np.asarray([_amplitudes(c) for c in copies])
-    n, dim = arr.shape
-    if n < dim:
-        raise ValidationError(f"tomography needs at least {dim} copies, got {n}")
-    mean = np.zeros((dim, dim), dtype=complex)
-    for start in range(0, n, _TOMOGRAPHY_CHUNK):
-        block = arr[start:start + _TOMOGRAPHY_CHUNK]
-        bases = _haar_bases(block.shape[0], dim, rng)
-        amps = np.einsum("nik,ni->nk", bases.conj(), block)
-        probs = np.abs(amps) ** 2
-        probs /= probs.sum(axis=1, keepdims=True)
-        u = rng.random(block.shape[0])
-        idx = (np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1)
-        idx = np.minimum(idx, dim - 1)
-        outs = np.take_along_axis(bases, idx[:, None, None], axis=2)[:, :, 0]
-        mean += np.einsum("ni,nj->ij", outs, outs.conj())
-    return reconstruct_from_projector_mean(mean / n)
 
 
 def _refine_gauss_newton(family, reduced: np.ndarray, theta0: np.ndarray,
@@ -274,7 +218,7 @@ def _sample_ball(m: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     return u * radius * rng.random() ** (1.0 / m)
 
 
-def _mes_probe_map(model: HamiltonianModel, tau: float, frame=None):
+def mes_probe_map(model: HamiltonianModel, tau: float, frame=None):
     """theta -> probe state (or its normalized frame coefficients)."""
     d = model.d
 
@@ -303,7 +247,7 @@ def delta_resolution(model: HamiltonianModel, tau: float, e_radius: float,
         raise ValidationError(f"need 0 <= delta <= 2E, got delta={delta}, E={e_radius}")
     if n_pairs < 1:
         raise ValidationError("need at least one sample pair")
-    prepare = _mes_probe_map(model, tau, frame)
+    prepare = mes_probe_map(model, tau, frame)
     m = model.m
 
     def infidelity(th, th2):
@@ -371,7 +315,8 @@ class EstimationRecord:
         )
 
 
-def _check_run_inputs(model, theta_true, delta, e_radius):
+def _check_run_inputs(model, theta_true, delta, e_radius, rng, seed):
+    """Validated theta_true as a flat array, and the run's generator."""
     theta_true = np.asarray(theta_true, dtype=float).reshape(-1)
     if theta_true.size != model.m:
         raise ValidationError(f"theta_true has length {theta_true.size}, m = {model.m}")
@@ -379,7 +324,7 @@ def _check_run_inputs(model, theta_true, delta, e_radius):
         raise ValidationError("theta_true lies outside the search radius")
     if delta <= 0 or delta > e_radius / 5 * (1 + 1e-12):
         raise ValidationError(f"need 0 < delta <= E/5, got delta={delta}, E={e_radius}")
-    return theta_true
+    return theta_true, np.random.default_rng(seed) if rng is None else rng
 
 
 def _stage_estimate(reduced_exact, p, copies, tau, frame, family,
@@ -395,12 +340,79 @@ def _stage_estimate(reduced_exact, p, copies, tau, frame, family,
     return theta, rate
 
 
-def _frame_projection(frame, psi):
-    coeffs = frame.basis.conj().T @ psi
-    p = float(np.real(np.vdot(coeffs, coeffs)))
-    if p < TOL.min_postselect_p:
-        raise DegenerateProjectionError(f"projection probability {p:.3e} is degenerate")
-    return coeffs / math.sqrt(p), min(p, 1.0)
+_Stage = namedtuple("_Stage", "n tau r copies")   # r: entangled channels
+
+
+def _mes_probe(model: HamiltonianModel, theta_true: np.ndarray, trotter_slices: int):
+    """MES under H_{theta - theta*}: exact feedback, or Trotterized if slices > 0."""
+    frame = postselection_frame(model)
+    initial = mes(model.d)
+
+    def probe(stage: _Stage, theta_star: np.ndarray):
+        if trotter_slices > 0:
+            state = evolve(model, theta_true, trotter_feedback_schedule(
+                model, theta_star, stage.tau, initial, trotter_slices))
+        else:
+            state = evolve(model, theta_true - theta_star,
+                           Schedule(r=1, initial=initial, steps=((stage.tau, None),)))
+        return state.amplitudes, frame, mes_probe_map(model, stage.tau, frame)
+
+    return probe
+
+
+def _symmetric_probe(model: HamiltonianModel, theta_true: np.ndarray):
+    """Collective MES under exp(+i tau {H_theta*}_r) exp(-i tau {H_theta}_r)."""
+    spaces: dict[int, tuple] = {}
+
+    def probe(stage: _Stage, theta_star: np.ndarray):
+        if stage.r not in spaces:
+            space = occupation_space(model.d, stage.r)
+            ops = [collective(space, x) for x in model.generators]
+            spaces[stage.r] = (space.D, ops,
+                               postselection_frame(model, space, collective_ops=ops))
+        dim, ops, frame = spaces[stage.r]
+
+        def rotation(theta, t):
+            return hermitian_expm(sum(c * op for c, op in zip(theta, ops)), t)
+
+        counter = rotation(theta_star, -stage.tau)   # once per stage
+
+        def state(theta):
+            return (counter @ rotation(theta, stage.tau)).reshape(-1) / math.sqrt(dim)
+
+        def family(inc):
+            c = frame.basis.conj().T @ state(theta_star + inc)
+            return c / np.linalg.norm(c)
+
+        return state(theta_true), frame, family
+
+    return probe
+
+
+def _run_stage(stage: _Stage, probe, theta_star, refine: bool, rng):
+    """Probe -> frame projection -> estimate; returns (increment, accept rate)."""
+    psi, frame, family = probe(stage, theta_star)
+    reduced, p = frame_projection(frame, psi)
+    return _stage_estimate(reduced, p, stage.copies, stage.tau, frame,
+                           family if refine else None, rng)
+
+
+def _run_stages(plan, probe, theta_true, delta, seed, refine, rng) -> EstimationRecord:
+    """Feed each stage's increment back; a failed stage is recorded and skipped."""
+    theta_star = np.zeros(theta_true.size)
+    records = []
+    for stage in plan:
+        try:
+            increment, rate = _run_stage(stage, probe, theta_star, refine, rng)
+            theta_star, failed = theta_star + increment, False
+        except (DegenerateProjectionError, PostselectionStarvedError,
+                InversionUnstableError):
+            rate, failed = 0.0, True
+        records.append(StageRecord(n=stage.n, tau=stage.tau, copies=stage.copies,
+                                   accept_rate=rate, failed=failed))
+    total_time = sum(s.copies * s.r * s.tau for s in plan)
+    return EstimationRecord.build(theta_true, theta_star, records,
+                                  total_time=total_time, delta=delta, seed=seed)
 
 
 def run_one_channel(model: HamiltonianModel, theta_true, delta: float,
@@ -411,21 +423,13 @@ def run_one_channel(model: HamiltonianModel, theta_true, delta: float,
 
     tau = kappa / (E sqrt(c)) keeps tau ||H_theta|| <= kappa over the ball;
     the copy count N = ceil(alpha m d E^2 / delta^2) makes the tomography
-    noise resolvable at scale delta.  Time resource: T = N tau.
+    noise resolvable at scale delta.  T = N tau; a failed stage raises.
     """
-    rng = np.random.default_rng(seed) if rng is None else rng
-    theta_true = _check_run_inputs(model, theta_true, delta, e_radius)
-    scale = math.sqrt(model.c)
-    tau = constants.kappa / (e_radius * scale)
+    theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
+    tau = constants.kappa / (e_radius * math.sqrt(model.c))
     copies = int(math.ceil(constants.alpha * model.m * model.d * e_radius ** 2 / delta ** 2))
-    frame = postselection_frame(model)
-    prepare = _mes_probe_map(model, tau, frame)
-
-    probe = evolve(model, theta_true,
-                   Schedule(r=1, initial=mes(model.d), steps=((tau, None),)))
-    reduced, p = _frame_projection(frame, probe.amplitudes)
-    family = prepare if constants.refine else None
-    theta_hat, rate = _stage_estimate(reduced, p, copies, tau, frame, family, rng)
+    theta_hat, rate = _run_stage(_Stage(0, tau, 1, copies), _mes_probe(model, theta_true, 0),
+                                 np.zeros(model.m), constants.refine, rng)
     stage = StageRecord(n=0, tau=tau, copies=copies, accept_rate=rate)
     return EstimationRecord.build(theta_true, theta_hat, [stage],
                                   total_time=copies * 1 * tau, delta=delta, seed=seed)
@@ -433,6 +437,10 @@ def run_one_channel(model: HamiltonianModel, theta_true, delta: float,
 
 def _staging_depth(e_radius: float, delta: float) -> int:
     return max(1, math.ceil(math.log2(e_radius / delta)))
+
+
+def _staged_copies(model: HamiltonianModel, constants: SchemeConstants, n: int) -> int:
+    return int(math.ceil(constants.alpha * model.m * (1.0 + constants.beta * n)))
 
 
 def run_adaptive(model: HamiltonianModel, theta_true, delta: float,
@@ -448,44 +456,13 @@ def run_adaptive(model: HamiltonianModel, theta_true, delta: float,
     (1 + beta n) factor covering the exponentially small per-stage failure
     budget p_crit / 2^n.  Stage failures are recorded, not raised.
     """
-    rng = np.random.default_rng(seed) if rng is None else rng
-    theta_true = _check_run_inputs(model, theta_true, delta, e_radius)
+    theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
     scale = math.sqrt(model.c)
-    n0 = _staging_depth(e_radius, delta)
-    frame = postselection_frame(model)
-    initial = mes(model.d)
-
-    theta_star = np.zeros(model.m)
-    stages = []
-    total_time = 0.0
-    for n in range(n0, 0, -1):
-        radius = 2.0 ** n * delta
-        tau = constants.kappa / (radius * scale)
-        copies = int(math.ceil(constants.alpha * model.m * (1.0 + constants.beta * n)))
-        total_time += copies * 1 * tau
-        shift = theta_true - theta_star
-        if constants.trotter_slices > 0:
-            sched = trotter_feedback_schedule(model, theta_star, tau, initial,
-                                              constants.trotter_slices)
-            probe = evolve(model, theta_true, sched)
-        else:
-            probe = evolve(model, shift,
-                           Schedule(r=1, initial=initial, steps=((tau, None),)))
-        prepare = _mes_probe_map(model, tau, frame)
-        try:
-            reduced, p = _frame_projection(frame, probe.amplitudes)
-            family = prepare if constants.refine else None
-            increment, rate = _stage_estimate(reduced, p, copies, tau, frame,
-                                              family, rng)
-        except (DegenerateProjectionError, PostselectionStarvedError,
-                InversionUnstableError):
-            stages.append(StageRecord(n=n, tau=tau, copies=copies,
-                                      accept_rate=0.0, failed=True))
-            continue
-        theta_star = theta_star + increment
-        stages.append(StageRecord(n=n, tau=tau, copies=copies, accept_rate=rate))
-    return EstimationRecord.build(theta_true, theta_star, stages,
-                                  total_time=total_time, delta=delta, seed=seed)
+    plan = [_Stage(n, constants.kappa / (2.0 ** n * delta * scale), 1,
+                   _staged_copies(model, constants, n))
+            for n in range(_staging_depth(e_radius, delta), 0, -1)]
+    probe = _mes_probe(model, theta_true, constants.trotter_slices)
+    return _run_stages(plan, probe, theta_true, delta, seed, constants.refine, rng)
 
 
 def run_many_channel(model: HamiltonianModel, theta_true, delta: float,
@@ -498,57 +475,19 @@ def run_many_channel(model: HamiltonianModel, theta_true, delta: float,
     sqrt(c)); stage n instead entangles r_n = min(2^(n0-n) d, r_max) channels
     through the symmetric subspace, and the preceding estimate enters only as
     the measurement-side counter-rotation exp(+i tau {H_theta*}_r).  The
-    time resource of a stage is N_n r_n tau.
+    time resource of a stage is N_n r_n tau.  A plan beyond the symmetric
+    dimension budget raises before any stage runs.
     """
-    rng = np.random.default_rng(seed) if rng is None else rng
-    theta_true = _check_run_inputs(model, theta_true, delta, e_radius)
-    scale = math.sqrt(model.c)
+    theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
     n0 = _staging_depth(e_radius, delta)
-    tau = constants.kappa / (2.0 ** n0 * delta * scale)
+    tau = constants.kappa / (2.0 ** n0 * delta * math.sqrt(model.c))
     r_cap = constants.effective_r_max(model.d)
-
-    theta_star = np.zeros(model.m)
-    stages = []
-    total_time = 0.0
-    spaces: dict[int, tuple] = {}
-    for n in range(n0, 0, -1):
-        r_n = min(2 ** (n0 - n) * model.d, r_cap)
-        copies = int(math.ceil(constants.alpha * model.m * (1.0 + constants.beta * n)))
-        total_time += copies * r_n * tau
-        if r_n not in spaces:
-            space = occupation_space(model.d, r_n)
-            ops = [collective(space, x) for x in model.generators]
-            frame = postselection_frame(model, space, collective_ops=ops)
-            spaces[r_n] = (space, ops, frame)
-        space, ops, frame = spaces[r_n]
-        sqrt_f2 = math.sqrt(space.f2)
-
-        def coll_ham(theta):
-            h = np.zeros((space.D, space.D), dtype=complex)
-            for coeff, op in zip(theta, ops):
-                h += coeff * op
-            return h
-
-        def family(inc, _star=theta_star.copy()):
-            w = (hermitian_expm(coll_ham(_star), -tau)
-                 @ hermitian_expm(coll_ham(_star + inc), tau))
-            c = frame.basis.conj().T @ (w.reshape(-1) / math.sqrt(space.D))
-            return c / np.linalg.norm(c)
-
-        w = (hermitian_expm(coll_ham(theta_star), -tau)
-             @ hermitian_expm(coll_ham(theta_true), tau))
-        psi = w.reshape(-1) / math.sqrt(space.D)
-        try:
-            reduced, p = _frame_projection(frame, psi)
-            increment, rate = _stage_estimate(
-                reduced, p, copies, tau, frame,
-                family if constants.refine else None, rng)
-        except (DegenerateProjectionError, PostselectionStarvedError,
-                InversionUnstableError):
-            stages.append(StageRecord(n=n, tau=tau, copies=copies,
-                                      accept_rate=0.0, failed=True))
-            continue
-        theta_star = theta_star + increment
-        stages.append(StageRecord(n=n, tau=tau, copies=copies, accept_rate=rate))
-    return EstimationRecord.build(theta_true, theta_star, stages,
-                                  total_time=total_time, delta=delta, seed=seed)
+    plan = [_Stage(n, tau, min(2 ** (n0 - n) * model.d, r_cap),
+                   _staged_copies(model, constants, n)) for n in range(n0, 0, -1)]
+    for s in plan:
+        if sym_dim(model.d, s.r) > LADDER_BUDGET:
+            raise ResourceLimitError(f"stage n={s.n} needs r={s.r} channels: symmetric "
+                                     f"dimension D = {sym_dim(model.d, s.r)} exceeds "
+                                     f"{LADDER_BUDGET}")
+    return _run_stages(plan, _symmetric_probe(model, theta_true), theta_true,
+                       delta, seed, constants.refine, rng)

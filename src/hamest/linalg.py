@@ -77,14 +77,6 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def tensor_view(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.factors)
-
-    def overlap(self, other: "PureState") -> complex:
-        if other.dim != self.dim:
-            raise ValidationError("overlap requires equal total dimensions")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def hermitian_expm(h, t: float) -> np.ndarray:
     """exp(-i t H) for Hermitian H, via spectral decomposition.

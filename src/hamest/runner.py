@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -134,6 +135,9 @@ def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict],
         block = _map_trials(cfg, payloads, jobs)
         rows.extend(block)
         stats = summarize(block)
+        if stats["n_errors"] == len(block):
+            raise ValidationError(
+                f"no trial completed at delta {delta}: {stats['errors_by_type']}")
         stats["delta"] = delta
         per_delta.append(stats)
 
@@ -148,7 +152,9 @@ def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict],
 
 
 def summarize(rows) -> dict:
-    times = np.asarray([r["total_time"] for r in rows], dtype=float)
+    """Success rate over all trials; T quartiles over completed ones (NaN if none)."""
+    errors = Counter(r["error"].split(":", 1)[0] for r in rows if r.get("error"))
+    times = [r["total_time"] for r in rows if not r.get("error")] or [math.nan]
     q1, med, q3 = (np.percentile(times, q) for q in (25, 50, 75))
     return {
         "n_trials": len(rows),
@@ -156,6 +162,8 @@ def summarize(rows) -> dict:
         "median_T": float(med),
         "q1_T": float(q1),
         "q3_T": float(q3),
+        "n_errors": sum(errors.values()),
+        "errors_by_type": dict(sorted(errors.items())),
     }
 
 

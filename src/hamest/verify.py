@@ -15,8 +15,8 @@ from . import bounds as bd
 from .config import ExperimentConfig
 from .constants import TOL, SchemeConstants
 from .errors import AuditFailure
-from .estimation import (_frame_projection, _mes_probe_map, delta_resolution,
-                         invert_theta, postselection_frame, superop_S)
+from .estimation import (delta_resolution, frame_projection, invert_theta,
+                         mes_probe_map, postselection_frame, superop_S)
 from .linalg import PureState, haar_state, haar_unitary, hermitian_expm, hs_inner
 from .model import hamiltonian, make_model
 from .probe import Schedule, evolve, growth_audit, mes, qfi_matrix
@@ -278,11 +278,11 @@ def check_estimator_consistency(seed: int = 55):
             tau = 0.05
             probe = evolve(model, theta,
                            Schedule(r=1, initial=mes(d), steps=((tau, None),)))
-            reduced, _ = _frame_projection(frame, probe.amplitudes)
+            reduced, _ = frame_projection(frame, probe.amplitudes)
             est = invert_theta(reduced, tau, frame)
             assert np.linalg.norm(est - theta) <= 0.01, (kind, d)
             est2 = invert_theta(reduced, tau, frame,
-                                family=_mes_probe_map(model, tau, frame))
+                                family=mes_probe_map(model, tau, frame))
             assert np.linalg.norm(est2 - theta) <= 1e-3, (kind, d)
 
 
@@ -298,7 +298,7 @@ def check_first_order_frame_distance(seed: int = 66):
                 theta = rng.standard_normal(model.m)
                 theta /= np.linalg.norm(theta)
                 u = hermitian_expm(hamiltonian(model, theta), tau)
-                reduced, _ = _frame_projection(frame, u.reshape(-1) / math.sqrt(d))
+                reduced, _ = frame_projection(frame, u.reshape(-1) / math.sqrt(d))
                 reduced = reduced * np.exp(-1j * np.angle(reduced[0]))
                 pred = np.concatenate([[1.0], -1j * tau * theta / math.sqrt(d)])
                 pred /= np.linalg.norm(pred)

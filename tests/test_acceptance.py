@@ -13,8 +13,8 @@ from hamest.bounds import biased_cr_rhs
 from hamest.config import ExperimentConfig
 from hamest.constants import DEFAULT_CONSTANTS
 from hamest.errors import AuditFailure
-from hamest.estimation import (_frame_projection, _measure_and_reconstruct,
-                               delta_resolution, invert_theta,
+from hamest.estimation import (_measure_and_reconstruct, delta_resolution,
+                               frame_projection, invert_theta,
                                postselection_frame)
 from hamest.linalg import PureState, haar_state
 from hamest.model import hamiltonian, make_model
@@ -172,7 +172,7 @@ def test_07_tomography_overhead():
 def _tomographic_estimator(model, frame, tau, n_copies, theta, rng):
     probe = evolve(model, theta,
                    Schedule(r=1, initial=mes(model.d), steps=((tau, None),)))
-    reduced, p = _frame_projection(frame, probe.amplitudes)
+    reduced, p = frame_projection(frame, probe.amplitudes)
     accepted = int(rng.binomial(n_copies, p))
     estimate = _measure_and_reconstruct(reduced, accepted, rng)
     return invert_theta(estimate, tau, frame)  # first-order, deliberately biased

@@ -19,6 +19,11 @@ trials = {trials}
 seed = 4242
 """
 
+# many_channel at d = 3, delta = 0.025 needs D = 4753 > 2048 at its last
+# stage, so every trial errors before running any stage
+UNRUNNABLE = MINI.replace("d = 2", "d = 3").replace(
+    "scheme = adaptive", "scheme = many_channel").replace("delta = 0.1", "delta = 0.025")
+
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
@@ -74,7 +79,22 @@ class TestRunner:
                               "total_time,success,stages")
         assert len(text.splitlines()) == 3
         assert set(summary) == {"n_trials", "success_rate", "median_T",
-                                "q1_T", "q3_T"}
+                                "q1_T", "q3_T", "n_errors", "errors_by_type"}
+
+    def test_errored_trials_stay_out_of_time_quartiles(self):
+        cfg = parse_config_text(UNRUNNABLE.format(trials=2))
+        rows, summary = run_experiment(cfg)
+        assert [r["total_time"] for r in rows] == [0.0, 0.0]
+        assert summary["n_errors"] == 2
+        assert summary["errors_by_type"] == {"ResourceLimitError": 2}
+        assert summary["success_rate"] == 0.0
+        for key in ("median_T", "q1_T", "q3_T"):
+            assert np.isnan(summary[key])
+
+    def test_sweep_rejects_delta_without_completed_trial(self):
+        cfg = parse_config_text(UNRUNNABLE.format(trials=1))
+        with pytest.raises(ValidationError, match="no trial completed at delta 0.025"):
+            run_sweep(cfg, [0.025, 0.02, 0.0125])
 
     def test_deterministic_body(self):
         cfg = parse_config_text(MINI.format(trials=3))

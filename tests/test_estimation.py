@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from hamest import estimation
 from hamest.constants import SchemeConstants
 from hamest.errors import (DegenerateProjectionError, InversionUnstableError,
-                           PostselectionStarvedError, ValidationError)
-from hamest.estimation import (EstimationRecord, _frame_projection, _haar_bases,
-                               _measure_and_reconstruct, _mes_probe_map,
-                               _stage_estimate, delta_resolution, invert_theta,
-                               postselect, postselection_frame,
+                           PostselectionStarvedError, ResourceLimitError,
+                           ValidationError)
+from hamest.estimation import (EstimationRecord, _measure_and_reconstruct,
+                               _stage_estimate, delta_resolution, frame_projection,
+                               invert_theta, mes_probe_map, postselection_frame,
                                reconstruct_from_projector_mean,
                                run_adaptive, run_many_channel, run_one_channel,
-                               sample_haar_outcomes, superop_S, tomography)
+                               sample_haar_outcomes, superop_S)
 from hamest.linalg import haar_state, hermitian_expm
 from hamest.model import hamiltonian, make_model
 from hamest.probe import Schedule, evolve, mes
@@ -20,13 +21,53 @@ from hamest.symmetric import collective, sym_space
 
 FULL2 = make_model("full", 2)
 CONST = SchemeConstants()
+_TOMOGRAPHY_CHUNK = 1 << 16
+
+
+def _haar_bases(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """n independent Haar-random orthonormal bases (columns of each matrix).
+
+    Column phases are irrelevant downstream (only outcome projectors are
+    used), so no phase correction of the QR factor is needed.
+    """
+    z = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    q, _ = np.linalg.qr(z)
+    return q
+
+
+def tomography(copies, rng: np.random.Generator) -> np.ndarray:
+    """Pure-state estimate from single-copy Haar-random-basis measurements.
+
+    ``copies`` is a sequence of prepared state vectors; each is measured in
+    its own Haar-random orthonormal basis, one outcome is drawn by the Born
+    rule, and the estimate is the top eigenvector of the linear-inversion
+    density matrix.  Requires at least dim copies.  This literal basis
+    sampler is the test oracle for ``sample_haar_outcomes``.
+    """
+    arr = np.asarray([np.asarray(c, dtype=complex).reshape(-1) for c in copies])
+    n, dim = arr.shape
+    if n < dim:
+        raise ValidationError(f"tomography needs at least {dim} copies, got {n}")
+    mean = np.zeros((dim, dim), dtype=complex)
+    for start in range(0, n, _TOMOGRAPHY_CHUNK):
+        block = arr[start:start + _TOMOGRAPHY_CHUNK]
+        bases = _haar_bases(block.shape[0], dim, rng)
+        amps = np.einsum("nik,ni->nk", bases.conj(), block)
+        probs = np.abs(amps) ** 2
+        probs /= probs.sum(axis=1, keepdims=True)
+        u = rng.random(block.shape[0])
+        idx = (np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1)
+        idx = np.minimum(idx, dim - 1)
+        outs = np.take_along_axis(bases, idx[:, None, None], axis=2)[:, :, 0]
+        mean += np.einsum("ni,nj->ij", outs, outs.conj())
+    return reconstruct_from_projector_mean(mean / n)
 
 
 def exact_reduced(model, theta, tau):
     frame = postselection_frame(model)
     probe = evolve(model, theta,
                    Schedule(r=1, initial=mes(model.d), steps=((tau, None),)))
-    reduced, p = _frame_projection(frame, probe.amplitudes)
+    reduced, p = frame_projection(frame, probe.amplitudes)
     return frame, reduced, p
 
 
@@ -67,9 +108,8 @@ class TestSuperop:
 class TestPostselect:
     def test_frame_member_always_accepted(self):
         frame = postselection_frame(FULL2)
-        rng = np.random.default_rng(0)
-        accepted, reduced, p = postselect(frame, mes(2), rng)
-        assert accepted and p == pytest.approx(1.0)
+        reduced, p = frame_projection(frame, mes(2).amplitudes)
+        assert p == pytest.approx(1.0)
         assert np.allclose(reduced, np.eye(4)[0], atol=1e-10)
 
     def test_orthogonal_state_degenerate(self):
@@ -77,7 +117,7 @@ class TestPostselect:
         # orthogonal to both the MES and Z (x) I applied to it
         psi = np.array([0.0, 1.0, 0.0, 0.0])
         with pytest.raises(DegenerateProjectionError):
-            postselect(frame, psi, np.random.default_rng(0))
+            frame_projection(frame, psi)
 
     def test_first_order_coefficients(self):
         tau, theta = 0.02, np.array([0.4, -0.3, 0.2])
@@ -182,7 +222,7 @@ class TestInvertTheta:
         theta /= np.linalg.norm(theta)
         frame, reduced, _ = exact_reduced(model, theta, 0.05)
         est = invert_theta(reduced, 0.05, frame,
-                           family=_mes_probe_map(model, 0.05, frame))
+                           family=mes_probe_map(model, 0.05, frame))
         assert np.linalg.norm(est - theta) <= 1e-3
 
     def test_unstable_when_c0_small(self):
@@ -335,9 +375,9 @@ class TestRunAdaptive:
                 copies = math.ceil(CONST.alpha * 3 * (1 + CONST.beta * n))
                 probe = evolve(FULL2, theta - theta_star,
                                Schedule(r=1, initial=mes(2), steps=((tau, None),)))
-                reduced, p = _frame_projection(frame, probe.amplitudes)
+                reduced, p = frame_projection(frame, probe.amplitudes)
                 inc, _ = _stage_estimate(reduced, p, copies, tau, frame,
-                                         _mes_probe_map(FULL2, tau, frame), rng)
+                                         mes_probe_map(FULL2, tau, frame), rng)
                 theta_star = theta_star + inc
                 err = np.linalg.norm(theta_star - theta)
                 if prior_ok:
@@ -369,7 +409,7 @@ class TestRunManyChannel:
         frame = postselection_frame(model, space, collective_ops=ops)
         # theta* == theta: counter-rotation cancels, probe -> frame origin
         psi = np.eye(space.D).reshape(-1) / math.sqrt(space.D)
-        reduced, p = _frame_projection(frame, psi)
+        reduced, p = frame_projection(frame, psi)
         assert p == pytest.approx(1.0)
         assert np.allclose(reduced, np.eye(model.m + 1)[0], atol=1e-12)
         inc = invert_theta(reduced, 0.4, frame)
@@ -390,6 +430,17 @@ class TestRunManyChannel:
         const = SchemeConstants(r_max=4)
         rec = run_many_channel(FULL2, [0.1, 0.1, 0.1], 0.1, 1.0, const, seed=12)
         assert rec.success  # capped channels still estimate, just less sharply
+
+    def test_unrunnable_plan_fails_before_any_stage(self, monkeypatch):
+        # d = 3, delta = 0.025: stages n = 6..1 use r = 3..96 channels, and
+        # the last one (r = 96, D = 4753) exceeds the ladder budget
+        def no_space(d, r):
+            raise AssertionError(f"built a space for r = {r} before failing")
+
+        monkeypatch.setattr(estimation, "occupation_space", no_space)
+        model = make_model("full", 3)
+        with pytest.raises(ResourceLimitError, match=r"n=1 .*r=96 .*D = 4753"):
+            run_many_channel(model, np.zeros(model.m), 0.025, 1.0, CONST, seed=13)
 
     def test_succeeds_and_time_comparable_to_adaptive(self):
         t_adapt, t_many, ok = [], [], 0

@@ -1,0 +1,73 @@
+"""Golden records: `hamest run` must reproduce the CSVs stored with each config.
+
+Each ``data/golden/<name>.cfg`` has a ``<name>.csv`` written by
+``hamest run --config <name>.cfg``.  Integer, string and boolean cells, and
+each stage's n, copies and failed flag, compare exactly.  Float cells compare
+to a relative 1e-9, so that BLAS rounding on other hosts does not fail.
+"""
+
+import math
+from pathlib import Path
+
+import pytest
+
+from hamest.config import parse_config
+from hamest.runner import CSV_HEADER, rows_to_csv, run_experiment
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+NAMES = sorted(p.stem for p in GOLDEN.glob("*.cfg"))
+FLOAT_COLUMNS = {"delta", "E", "theta_err", "total_time"}
+
+
+def parse_csv(text):
+    header, *lines = text.splitlines()
+    assert header == CSV_HEADER
+    cols = header.split(",")
+    return [dict(zip(cols, line.split(","))) for line in lines]
+
+
+def same_float(a, b) -> bool:
+    x, y = float(a), float(b)
+    return (math.isnan(x) and math.isnan(y)) or math.isclose(x, y, rel_tol=1e-9)
+
+
+def parse_stages(cell):
+    """`n:tau:copies:accept_rate[:failed]` per stage, `|`-separated."""
+    stages = []
+    for stage in cell.split("|") if cell else []:
+        n, tau, copies, rate, *flag = stage.split(":")
+        stages.append((int(n), tau, int(copies), rate, flag == ["failed"]))
+    return stages
+
+
+def golden_rows(name):
+    return parse_csv((GOLDEN / f"{name}.csv").read_text())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_run_reproduces_golden_csv(name):
+    rows, _ = run_experiment(parse_config(GOLDEN / f"{name}.cfg"))
+    got, want = parse_csv(rows_to_csv(rows)), golden_rows(name)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        where = (name, w["trial"])
+        for col in CSV_HEADER.split(","):
+            if col in FLOAT_COLUMNS:
+                assert same_float(g[col], w[col]), (*where, col, g[col], w[col])
+            elif col != "stages":
+                assert g[col] == w[col], (*where, col, g[col], w[col])
+        g_stages, w_stages = parse_stages(g["stages"]), parse_stages(w["stages"])
+        assert len(g_stages) == len(w_stages), where
+        for (gn, gtau, gcopies, grate, gfailed), (wn, wtau, wcopies, wrate, wfailed) \
+                in zip(g_stages, w_stages):
+            assert (gn, gcopies, gfailed) == (wn, wcopies, wfailed), (*where, wn)
+            assert same_float(gtau, wtau) and same_float(grate, wrate), (*where, wn)
+
+
+def test_golden_set_covers_error_row_and_failed_stage():
+    assert len(NAMES) == 7
+    error_row = golden_rows("one_channel_phase_error_row")[11]
+    assert (error_row["theta_err"], error_row["stages"]) == ("nan", "")
+    failed = [s for s in parse_stages(golden_rows("adaptive_failed_stage")[38]["stages"])
+              if s[4]]
+    assert [s[0] for s in failed] == [1]
