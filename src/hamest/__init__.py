@@ -18,6 +18,6 @@ from .linalg import (PureState, hermitian_expm, hs_inner, su_basis,
 from .model import HamiltonianModel, hamiltonian, make_model, max_energy
 from .probe import QfiReport, Schedule, evolve, growth_audit, mes, qfi_matrix
 from .symmetric import (SymSpace, collective, collective_trace_moments,
-                        magnus_operator, occupation_space, sym_space)
+                        magnus_operator, sym_space)
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command-line harness: `hamest run|sweep|verify`.
 
 run     execute the configured experiment, write a CSV of per-trial records
-        and a JSON summary (success rate, median/quartile time resource).
+        and a JSON summary (success rate, median/quartile time resource);
+        exits 1 when no trial completed.
 sweep   rerun the experiment over a decreasing list of error tolerances and
         fit the log-log scaling of the median time resource.
 verify  run the seeded invariant suites and report PASS/FAIL per property.
@@ -47,6 +48,9 @@ def cmd_run(args) -> int:
     print(f"wrote {len(rows)} trials to {csv_path}; "
           f"success_rate={summary['success_rate']:.3f} "
           f"median_T={summary['median_T']:.6g}")
+    if summary["n_errors"] == summary["n_trials"]:
+        print(f"error: no trial completed: {summary['errors_by_type']}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -69,6 +71,15 @@ class SchemeConstants:
     r_max: int | None = None
     refine: bool = True
     trotter_slices: int = 0
+
+    def __post_init__(self):
+        for name, ok, need in (
+                ("kappa", self.kappa > 0, "> 0"), ("alpha", self.alpha > 0, "> 0"),
+                ("beta", self.beta >= 0, ">= 0"), ("p_crit", 0 < self.p_crit < 1, "in (0, 1)"),
+                ("r_max", self.r_max is None or self.r_max >= 1, "None or >= 1"),
+                ("trotter_slices", self.trotter_slices >= 0, ">= 0")):
+            if not ok:
+                raise ValidationError(f"{name} must be {need}, got {getattr(self, name)!r}")
 
     def effective_r_max(self, d: int) -> int:
         return self.r_max if self.r_max is not None else max(1, 2048 // d)

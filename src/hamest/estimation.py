@@ -25,12 +25,11 @@ import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, TOL, SchemeConstants
 from .errors import (DegenerateProjectionError, InversionUnstableError,
-                     PostselectionStarvedError, ResourceLimitError, ValidationError)
+                     PostselectionStarvedError, ValidationError)
 from .linalg import hermitian_expm
 from .model import HamiltonianModel, hamiltonian
 from .probe import Schedule, evolve, mes, trotter_feedback_schedule
-from .symmetric import (LADDER_BUDGET, SymSpace, collective, f2_coeff,
-                        occupation_space, sym_dim)
+from .symmetric import SymSpace, collective, f2_coeff, sym_frame_coefficients
 
 __all__ = [
     "PostselectionFrame",
@@ -76,8 +75,8 @@ class PostselectionFrame:
         return self.basis.shape[1] - 1
 
 
-def postselection_frame(model: HamiltonianModel, space: SymSpace | None = None,
-                        collective_ops=None) -> PostselectionFrame:
+def postselection_frame(model: HamiltonianModel,
+                        space: SymSpace | None = None) -> PostselectionFrame:
     """Frame spanned by the MES and its generator responses.
 
     With a symmetric subspace the generators are replaced by their r-fold
@@ -90,8 +89,7 @@ def postselection_frame(model: HamiltonianModel, space: SymSpace | None = None,
         f2 = f2_coeff(model.d, 1)           # = 1/d
     else:
         dim = space.D
-        ops = (collective_ops if collective_ops is not None
-               else [collective(space, x) for x in model.generators])
+        ops = [collective(space, x) for x in model.generators]
         f2 = space.f2
     cols = [np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)]
     norm = math.sqrt(dim * f2)
@@ -361,30 +359,26 @@ def _mes_probe(model: HamiltonianModel, theta_true: np.ndarray, trotter_slices: 
 
 
 def _symmetric_probe(model: HamiltonianModel, theta_true: np.ndarray):
-    """Collective MES under exp(+i tau {H_theta*}_r) exp(-i tau {H_theta}_r)."""
-    spaces: dict[int, tuple] = {}
+    """Collective MES under exp(+i tau {H_theta*}_r) exp(-i tau {H_theta}_r).
+
+    That is Sym^r(V), V = exp(+i tau H_theta*) exp(-i tau H_theta); the probe
+    is its frame coefficients, so the frame basis is the (m+1)-identity.
+    """
 
     def probe(stage: _Stage, theta_star: np.ndarray):
-        if stage.r not in spaces:
-            space = occupation_space(model.d, stage.r)
-            ops = [collective(space, x) for x in model.generators]
-            spaces[stage.r] = (space.D, ops,
-                               postselection_frame(model, space, collective_ops=ops))
-        dim, ops, frame = spaces[stage.r]
+        frame = PostselectionFrame(basis=np.eye(model.m + 1, dtype=complex),
+                                   norm_factor=1.0 / math.sqrt(f2_coeff(model.d, stage.r)))
+        counter = hermitian_expm(hamiltonian(model, theta_star), -stage.tau)  # once per stage
 
-        def rotation(theta, t):
-            return hermitian_expm(sum(c * op for c, op in zip(theta, ops)), t)
-
-        counter = rotation(theta_star, -stage.tau)   # once per stage
-
-        def state(theta):
-            return (counter @ rotation(theta, stage.tau)).reshape(-1) / math.sqrt(dim)
+        def coefficients(theta):
+            v = counter @ hermitian_expm(hamiltonian(model, theta), stage.tau)
+            return sym_frame_coefficients(v, model.generators, stage.r)
 
         def family(inc):
-            c = frame.basis.conj().T @ state(theta_star + inc)
+            c = coefficients(theta_star + inc)
             return c / np.linalg.norm(c)
 
-        return state(theta_true), frame, family
+        return coefficients(theta_true), frame, family
 
     return probe
 
@@ -475,8 +469,7 @@ def run_many_channel(model: HamiltonianModel, theta_true, delta: float,
     sqrt(c)); stage n instead entangles r_n = min(2^(n0-n) d, r_max) channels
     through the symmetric subspace, and the preceding estimate enters only as
     the measurement-side counter-rotation exp(+i tau {H_theta*}_r).  The
-    time resource of a stage is N_n r_n tau.  A plan beyond the symmetric
-    dimension budget raises before any stage runs.
+    time resource of a stage is N_n r_n tau.
     """
     theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
     n0 = _staging_depth(e_radius, delta)
@@ -484,10 +477,5 @@ def run_many_channel(model: HamiltonianModel, theta_true, delta: float,
     r_cap = constants.effective_r_max(model.d)
     plan = [_Stage(n, tau, min(2 ** (n0 - n) * model.d, r_cap),
                    _staged_copies(model, constants, n)) for n in range(n0, 0, -1)]
-    for s in plan:
-        if sym_dim(model.d, s.r) > LADDER_BUDGET:
-            raise ResourceLimitError(f"stage n={s.n} needs r={s.r} channels: symmetric "
-                                     f"dimension D = {sym_dim(model.d, s.r)} exceeds "
-                                     f"{LADDER_BUDGET}")
     return _run_stages(plan, _symmetric_probe(model, theta_true), theta_true,
                        delta, seed, constants.refine, rng)

@@ -183,8 +183,11 @@ def rows_to_csv(rows) -> str:
 
 
 def write_outputs(rows, summary, csv_path, json_path) -> None:
+    """CSV rows and JSON summary; time quartiles with no completed trial become null."""
+    summary = {k: None if k in ("median_T", "q1_T", "q3_T") and math.isnan(v) else v
+               for k, v in summary.items()}
     with open(csv_path, "w") as fh:
         fh.write(rows_to_csv(rows))
     with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

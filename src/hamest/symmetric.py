@@ -3,14 +3,12 @@
 The r-fold symmetric subspace of (C^d)^{(x)r} has dimension
 D = (r+d-1)! / (r! (d-1)!); its occupation-number basis is indexed by
 occupation vectors (n_1, ..., n_d) with sum r.  Collective operators
-{A}_r = P sum_j A^(j) are available through two independent routes:
-
-* an explicit isometry into the full tensor space (transparent, and the
-  brute-force oracle for the trace-moment identities), limited to
-  d^r <= 4096 amplitudes;
-* the occupation-basis (bosonic ladder) matrix elements, which need only
-  the D-dimensional space and serve the many-channel estimation scheme at
-  channel counts far beyond the tensor budget.
+{A}_r = P sum_j A^(j) come from an explicit isometry into the full tensor
+space, limited to d^r <= 4096 amplitudes: transparent, and the brute-force
+oracle for the trace-moment identities.  The many-channel estimation scheme
+needs only the frame coefficients of Sym^r(V), which
+:func:`sym_frame_coefficients` computes with d x d algebra at any r through
+the MacMahon master theorem sum_k Tr Sym^k(V) z^k = 1 / det(I - z V).
 
 The closed-form second and fourth trace moments of {X}_r and the Magnus
 generator of combined forward/counter rotations live here as well.
@@ -23,6 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+import scipy.linalg
 
 from .constants import TOL
 from .errors import ResourceLimitError, ValidationError
@@ -33,9 +32,8 @@ __all__ = [
     "sym_dim",
     "occupations",
     "sym_space",
-    "occupation_space",
     "collective",
-    "collective_ladder",
+    "sym_frame_coefficients",
     "f2_coeff",
     "f4_coeff",
     "f22_coeff",
@@ -44,7 +42,6 @@ __all__ = [
 ]
 
 TENSOR_BUDGET = 4096   # max d^r for the explicit isometry
-LADDER_BUDGET = 2048   # max D for the occupation-basis route
 
 
 def sym_dim(d: int, r: int) -> int:
@@ -73,8 +70,7 @@ class SymSpace:
     d: int
     r: int
     D: int
-    occupations: tuple[tuple[int, ...], ...]
-    isometry: np.ndarray | None
+    isometry: np.ndarray
 
     @property
     def f2(self) -> float:
@@ -97,68 +93,25 @@ def _build_isometry(d, r, occs):
 def sym_space(d: int, r: int) -> SymSpace:
     """Symmetric subspace with its explicit tensor-space isometry.
 
-    Guarded by ``d^r <= 4096``; use :func:`occupation_space` beyond that.
+    Guarded by ``d^r <= 4096``; :func:`sym_frame_coefficients` needs no
+    space at all.
     """
     if d < 2 or r < 1:
         raise ValidationError(f"need d >= 2 and r >= 1, got d={d}, r={r}")
     if d ** r > TENSOR_BUDGET:
         raise ResourceLimitError(
             f"d^r = {d**r} exceeds the tensor budget {TENSOR_BUDGET}; "
-            "use occupation_space for the isometry-free route")
+            "use sym_frame_coefficients for the isometry-free route")
     occs = tuple(occupations(d, r))
     iso = _build_isometry(d, r, occs)
     dev = np.max(np.abs(iso.conj().T @ iso - np.eye(len(occs))))
     if dev > TOL.isometry_atol:
         raise ValidationError(f"isometry columns not orthonormal (dev {dev:.2e})")
-    return SymSpace(d=d, r=r, D=len(occs), occupations=occs, isometry=iso)
-
-
-def occupation_space(d: int, r: int) -> SymSpace:
-    """Symmetric subspace without the tensor-space isometry (large r)."""
-    if d < 2 or r < 1:
-        raise ValidationError(f"need d >= 2 and r >= 1, got d={d}, r={r}")
-    dim = sym_dim(d, r)
-    if dim > LADDER_BUDGET:
-        raise ResourceLimitError(f"symmetric dimension D = {dim} exceeds {LADDER_BUDGET}")
-    return SymSpace(d=d, r=r, D=dim, occupations=tuple(occupations(d, r)), isometry=None)
-
-
-def collective_ladder(space: SymSpace, a) -> np.ndarray:
-    """{A}_r in the occupation basis via second-quantized matrix elements.
-
-    <n - e_j + e_i| sum_s A^(s) |n> = A_ij sqrt(n_j (n_i + 1)) for i != j,
-    and the diagonal contributes sum_i A_ii n_i.
-    """
-    a = assert_hermitian(a, name="A")
-    if a.shape[0] != space.d:
-        raise ValidationError(f"operator dimension {a.shape[0]} != d = {space.d}")
-    index = {occ: i for i, occ in enumerate(space.occupations)}
-    out = np.zeros((space.D, space.D), dtype=complex)
-    diag = np.real(np.diagonal(a))
-    for col, occ in enumerate(space.occupations):
-        out[col, col] = np.dot(diag, occ)
-        for j in range(space.d):
-            if occ[j] == 0:
-                continue
-            for i in range(space.d):
-                if i == j or a[i, j] == 0:
-                    continue
-                shifted = list(occ)
-                shifted[j] -= 1
-                shifted[i] += 1
-                row = index[tuple(shifted)]
-                out[row, col] += a[i, j] * math.sqrt(occ[j] * (occ[i] + 1))
-    return out
+    return SymSpace(d=d, r=r, D=len(occs), isometry=iso)
 
 
 def collective(space: SymSpace, a) -> np.ndarray:
-    """r-fold collective operator {A}_r = isometry^dagger (sum_s A^(s)) isometry.
-
-    Falls back to the occupation-basis route when the space was built
-    without an isometry.
-    """
-    if space.isometry is None:
-        return collective_ladder(space, a)
+    """r-fold collective operator {A}_r = isometry^dagger (sum_s A^(s)) isometry."""
     a = assert_hermitian(a, name="A")
     if a.shape[0] != space.d:
         raise ValidationError(f"operator dimension {a.shape[0]} != d = {space.d}")
@@ -169,6 +122,29 @@ def collective(space: SymSpace, a) -> np.ndarray:
     summed = acc.reshape(space.d ** space.r, space.D)
     out = space.isometry.conj().T @ summed
     return 0.5 * (out + out.conj().T)
+
+
+def sym_frame_coefficients(v, ops, r: int) -> np.ndarray:
+    """Coefficients of vec(Sym^r V)/sqrt(D) in the frame of postselection_frame.
+
+    For a d x d unitary V with Schur basis Q and eigenvalues lambda_i,
+    h_k = Tr Sym^k(V) is the convolution of the series lambda_i^k, and
+    {X}_r is diagonal in the occupation basis of Q with entries
+    sum_i (Q^dag X Q)_ii n_i.  Hence c_0 = h_r / D and
+    c_j = sum_i (Q^dag X_j Q)_ii sum_{k=1..r} lambda_i^k h_{r-k} / (D sqrt(F2)).
+    """
+    v = np.asarray(v, dtype=complex)
+    d = v.shape[0]
+    t, q = scipy.linalg.schur(v, output="complex")
+    powers = np.diagonal(t)[:, None] ** np.arange(r + 1)      # (d, r + 1)
+    h = np.ones(1, dtype=complex)
+    for series in powers:
+        h = np.convolve(h, series)[:r + 1]
+    weights = powers[:, 1:] @ h[r - 1::-1]                     # sum_k lambda_i^k h_{r-k}
+    diag = np.real(np.einsum("ai,jab,bi->ji", q.conj(), np.asarray(ops), q))
+    dim = sym_dim(d, r)
+    return np.concatenate([[h[r] / dim],
+                           diag @ weights / (dim * math.sqrt(f2_coeff(d, r)))])
 
 
 def f2_coeff(d: int, r: int) -> float:

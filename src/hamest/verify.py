@@ -8,6 +8,7 @@ back the pytest suite, so the CLI and the tests cannot disagree.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -21,8 +22,8 @@ from .linalg import PureState, haar_state, haar_unitary, hermitian_expm, hs_inne
 from .model import hamiltonian, make_model
 from .probe import Schedule, evolve, growth_audit, mes, qfi_matrix
 from .runner import rows_to_csv, run_experiment
-from .symmetric import (collective, collective_ladder, collective_trace_moments,
-                        f2_coeff, magnus_operator, occupation_space, sym_space)
+from .symmetric import (collective, collective_trace_moments, f2_coeff,
+                        magnus_operator, sym_frame_coefficients, sym_space)
 
 __all__ = ["SUITES", "run_suite", "random_schedule"]
 
@@ -191,15 +192,17 @@ def check_cross_orthogonality():
                     assert abs(val - expect) < 1e-9, (d, r, j, k)
 
 
-def check_ladder_matches_isometry(seed: int = 11):
+def check_frame_coefficients_match_isometry(seed: int = 11):
     rng = np.random.default_rng(seed)
     for d, r in [(2, 3), (2, 4), (3, 2), (3, 4)]:
-        dense = sym_space(d, r)
-        ladder = occupation_space(d, r)
+        model = make_model("full", d)
+        space = sym_space(d, r)
+        frame = postselection_frame(model, space)
         for _ in range(5):
-            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            h = 0.5 * (z + z.conj().T)
-            dev = np.max(np.abs(collective(dense, h) - collective_ladder(ladder, h)))
+            v = haar_unitary(d, rng)
+            w = space.isometry.conj().T @ reduce(np.kron, [v] * r) @ space.isometry
+            dense = frame.basis.conj().T @ w.reshape(-1) / math.sqrt(space.D)
+            dev = np.max(np.abs(sym_frame_coefficients(v, model.generators, r) - dense))
             assert dev < 1e-10, (d, r, dev)
 
 
@@ -418,7 +421,7 @@ SUITES = {
         ("restriction_identity", check_restriction_identity),
         ("hs_norm_scaling", check_hs_norm_scaling),
         ("cross_orthogonality", check_cross_orthogonality),
-        ("ladder_matches_isometry", check_ladder_matches_isometry),
+        ("frame_coefficients_match_isometry", check_frame_coefficients_match_isometry),
         ("magnus_small_time_distance", check_magnus_small_time),
     ],
     "resolution": [

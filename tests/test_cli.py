@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from hamest import runner
 from hamest.cli import main
 from hamest.config import ExperimentConfig, parse_config_text
-from hamest.errors import ValidationError
+from hamest.errors import InversionUnstableError, ValidationError
 from hamest.runner import (CSV_HEADER, rows_to_csv, run_experiment, run_sweep,
                            trial_seed)
 
@@ -19,16 +20,19 @@ trials = {trials}
 seed = 4242
 """
 
-# many_channel at d = 3, delta = 0.025 needs D = 4753 > 2048 at its last
-# stage, so every trial errors before running any stage
-UNRUNNABLE = MINI.replace("d = 2", "d = 3").replace(
-    "scheme = adaptive", "scheme = many_channel").replace("delta = 0.1", "delta = 0.025")
-
-
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+@pytest.fixture
+def failing_adaptive(monkeypatch):
+    """Every adaptive trial raises, as a trial whose inversion is unstable does."""
+    def fail(*args, **kwargs):
+        raise InversionUnstableError("|c_0| below the inversion threshold")
+
+    monkeypatch.setitem(runner._SCHEME_RUNNERS, "adaptive", fail)
 
 
 class TestConfig:
@@ -68,6 +72,19 @@ class TestConfig:
         assert cfg.constants.r_max == 16
         assert cfg.constants.refine is False
 
+    @pytest.mark.parametrize("override", ["kappa=0", "alpha=0", "beta=-1", "p_crit=0",
+                                          "p_crit=1", "r_max=0", "r_max=-3",
+                                          "trotter_slices=-1"])
+    def test_bad_constants_rejected_before_any_trial(self, override, tmp_path, capsys):
+        field = override.split("=")[0]
+        text = MINI.format(trials=1) + override + "\n"
+        with pytest.raises(ValidationError, match=field):
+            parse_config_text(text)
+        assert main(["run", "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "res.csv")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "res.csv").exists()
+
 
 class TestRunner:
     def test_csv_schema(self):
@@ -81,18 +98,18 @@ class TestRunner:
         assert set(summary) == {"n_trials", "success_rate", "median_T",
                                 "q1_T", "q3_T", "n_errors", "errors_by_type"}
 
-    def test_errored_trials_stay_out_of_time_quartiles(self):
-        cfg = parse_config_text(UNRUNNABLE.format(trials=2))
+    def test_errored_trials_stay_out_of_time_quartiles(self, failing_adaptive):
+        cfg = parse_config_text(MINI.format(trials=2))
         rows, summary = run_experiment(cfg)
         assert [r["total_time"] for r in rows] == [0.0, 0.0]
         assert summary["n_errors"] == 2
-        assert summary["errors_by_type"] == {"ResourceLimitError": 2}
+        assert summary["errors_by_type"] == {"InversionUnstableError": 2}
         assert summary["success_rate"] == 0.0
         for key in ("median_T", "q1_T", "q3_T"):
             assert np.isnan(summary[key])
 
-    def test_sweep_rejects_delta_without_completed_trial(self):
-        cfg = parse_config_text(UNRUNNABLE.format(trials=1))
+    def test_sweep_rejects_delta_without_completed_trial(self, failing_adaptive):
+        cfg = parse_config_text(MINI.format(trials=1))
         with pytest.raises(ValidationError, match="no trial completed at delta 0.025"):
             run_sweep(cfg, [0.025, 0.02, 0.0125])
 
@@ -150,6 +167,18 @@ class TestCli:
         assert out.read_text().splitlines()[0] == CSV_HEADER
         summary = json.loads((tmp_path / "res.summary.json").read_text())
         assert 0.0 <= summary["success_rate"] <= 1.0
+
+    def test_run_without_completed_trial_exits_1(self, tmp_path, capsys,
+                                                 failing_adaptive):
+        cfg_path = write_cfg(tmp_path, MINI.format(trials=2))
+        out = tmp_path / "res.csv"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "no trial completed" in capsys.readouterr().err
+        assert len(out.read_text().splitlines()) == 3
+        text = (tmp_path / "res.summary.json").read_text()
+        summary = json.loads(text, parse_constant=lambda c: pytest.fail(f"bare {c}"))
+        assert summary["n_errors"] == 2
+        assert [summary[k] for k in ("median_T", "q1_T", "q3_T")] == [None, None, None]
 
     def test_rerun_identical(self, tmp_path):
         cfg_path = write_cfg(tmp_path, MINI.format(trials=2))

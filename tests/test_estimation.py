@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hamest import estimation
+from hamest.config import ExperimentConfig
 from hamest.constants import SchemeConstants
 from hamest.errors import (DegenerateProjectionError, InversionUnstableError,
-                           PostselectionStarvedError, ResourceLimitError,
-                           ValidationError)
+                           PostselectionStarvedError, ValidationError)
 from hamest.estimation import (EstimationRecord, _measure_and_reconstruct,
                                _stage_estimate, delta_resolution, frame_projection,
                                invert_theta, mes_probe_map, postselection_frame,
@@ -17,7 +16,8 @@ from hamest.estimation import (EstimationRecord, _measure_and_reconstruct,
 from hamest.linalg import haar_state, hermitian_expm
 from hamest.model import hamiltonian, make_model
 from hamest.probe import Schedule, evolve, mes
-from hamest.symmetric import collective, sym_space
+from hamest.runner import run_experiment
+from hamest.symmetric import sym_space
 
 FULL2 = make_model("full", 2)
 CONST = SchemeConstants()
@@ -405,8 +405,7 @@ class TestRunManyChannel:
     def test_perfect_prior_gives_zero_increment(self):
         model = FULL2
         space = sym_space(2, 4)
-        ops = [collective(space, x) for x in model.generators]
-        frame = postselection_frame(model, space, collective_ops=ops)
+        frame = postselection_frame(model, space)
         # theta* == theta: counter-rotation cancels, probe -> frame origin
         psi = np.eye(space.D).reshape(-1) / math.sqrt(space.D)
         reduced, p = frame_projection(frame, psi)
@@ -431,16 +430,14 @@ class TestRunManyChannel:
         rec = run_many_channel(FULL2, [0.1, 0.1, 0.1], 0.1, 1.0, const, seed=12)
         assert rec.success  # capped channels still estimate, just less sharply
 
-    def test_unrunnable_plan_fails_before_any_stage(self, monkeypatch):
-        # d = 3, delta = 0.025: stages n = 6..1 use r = 3..96 channels, and
-        # the last one (r = 96, D = 4753) exceeds the ladder budget
-        def no_space(d, r):
-            raise AssertionError(f"built a space for r = {r} before failing")
-
-        monkeypatch.setattr(estimation, "occupation_space", no_space)
-        model = make_model("full", 3)
-        with pytest.raises(ResourceLimitError, match=r"n=1 .*r=96 .*D = 4753"):
-            run_many_channel(model, np.zeros(model.m), 0.025, 1.0, CONST, seed=13)
+    def test_full_d3_plan_runs_every_trial(self):
+        # d = 3, delta = 0.025: stages n = 6..1 use r = 3..96 channels, up to
+        # a symmetric dimension D = 4753
+        cfg = ExperimentConfig(model_kind="full", d=3, scheme="many_channel",
+                               delta=0.025, e_radius=1.0, trials=40, master_seed=95014)
+        _, summary = run_experiment(cfg)
+        assert summary["n_errors"] == 0
+        assert summary["success_rate"] >= 0.95
 
     def test_succeeds_and_time_comparable_to_adaptive(self):
         t_adapt, t_many, ok = [], [], 0

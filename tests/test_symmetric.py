@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from hamest.errors import BranchCutError, ResourceLimitError, ValidationError
-from hamest.linalg import hermitian_expm, hs_inner
+from hamest.estimation import postselection_frame
+from hamest.linalg import haar_unitary, hermitian_expm, hs_inner
 from hamest.model import hamiltonian, make_model
-from hamest.symmetric import (collective, collective_ladder,
-                              collective_trace_moments, f2_coeff, f4_coeff,
-                              f22_coeff, magnus_operator, occupation_space,
-                              occupations, sym_dim, sym_space)
+from hamest.symmetric import (collective, collective_trace_moments, f2_coeff,
+                              f4_coeff, f22_coeff, magnus_operator, occupations,
+                              sym_dim, sym_frame_coefficients, sym_space)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -39,12 +39,6 @@ class TestSymSpace:
     def test_tensor_budget_guard(self):
         with pytest.raises(ResourceLimitError):
             sym_space(2, 13)
-        # the occupation route keeps working far beyond the tensor budget
-        assert occupation_space(2, 64).D == 65
-
-    def test_ladder_budget_guard(self):
-        with pytest.raises(ResourceLimitError):
-            occupation_space(2, 5000)
 
 
 class TestCollective:
@@ -65,16 +59,6 @@ class TestCollective:
         lhs = collective(space, a + b)
         assert np.max(np.abs(lhs - collective(space, a) - collective(space, b))) < 1e-12
 
-    def test_ladder_matches_isometry(self):
-        rng = np.random.default_rng(1)
-        for d, r in [(2, 2), (2, 4), (3, 2), (3, 4)]:
-            dense = sym_space(d, r)
-            sparse = occupation_space(d, r)
-            for _ in range(5):
-                h = random_hermitian(d, rng)
-                assert np.max(np.abs(collective(dense, h)
-                                     - collective_ladder(sparse, h))) < 1e-10
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             collective(sym_space(2, 2), np.eye(3))
@@ -92,6 +76,59 @@ class TestCollective:
                 ur = np.kron(ur, u)
             rhs = space.isometry.conj().T @ ur @ space.isometry
             assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+def brute_force_coefficients(lam, xt, occ):
+    """Frame coefficients of Sym^r V summed over the occupation vectors ``occ``.
+
+    ``lam`` are V's eigenvalues and ``xt`` the diagonals of the X_j in V's
+    eigenbasis: Tr Sym^r V = sum_n prod_i lam_i^n_i, and
+    Tr({X}_r Sym^r V) = sum_n (sum_i xt_i n_i) prod_i lam_i^n_i.
+    """
+    dim, d = occ.shape
+    r = int(occ[0].sum())
+    terms = np.exp(occ @ np.log(lam.astype(complex)))
+    return np.concatenate([[terms.sum() / dim],
+                           (xt @ occ.T) @ terms / (dim * math.sqrt(f2_coeff(d, r)))])
+
+
+class TestFrameCoefficients:
+    # (2, 1024) and (3, 682) are the largest r that the default r_max allows
+    @pytest.mark.parametrize("d,r", [(2, 1024), (3, 96), (3, 682), (4, 40)])
+    def test_matches_occupation_sum(self, d, r):
+        rng = np.random.default_rng(100 * d + r)
+        model = make_model("full", d)
+        gens = np.array(model.generators)
+        occ = np.array(occupations(d, r), dtype=float)
+        v = haar_unitary(d, rng)
+        lam, vecs = np.linalg.eig(v)
+        vecs /= np.linalg.norm(vecs, axis=0)
+        xt = np.real(np.einsum("ai,jab,bi->ji", vecs.conj(), gens, vecs))
+        assert np.max(np.abs(sym_frame_coefficients(v, gens, r)
+                             - brute_force_coefficients(lam, xt, occ))) < 1e-12
+        # near the identity, as in a stage whose estimate is close
+        h = random_hermitian(d, rng)
+        w, vecs = np.linalg.eigh(h)
+        xt = np.real(np.einsum("ai,jab,bi->ji", vecs.conj(), gens, vecs))
+        v = hermitian_expm(h, 0.3 / r)
+        assert np.max(np.abs(sym_frame_coefficients(v, gens, r)
+                             - brute_force_coefficients(np.exp(-0.3j / r * w), xt, occ))) < 1e-12
+
+    def test_single_channel_matches_frame(self):
+        rng = np.random.default_rng(8)
+        for d in (2, 3, 4):
+            model = make_model("full", d)
+            frame = postselection_frame(model)
+            v = haar_unitary(d, rng)
+            expect = frame.basis.conj().T @ v.reshape(-1) / math.sqrt(d)
+            assert np.max(np.abs(sym_frame_coefficients(v, model.generators, 1)
+                                 - expect)) < 1e-12
+
+    def test_identity_gives_frame_origin(self):
+        for d, r in [(2, 64), (3, 96)]:
+            model = make_model("full", d)
+            c = sym_frame_coefficients(np.eye(d), model.generators, r)
+            assert np.max(np.abs(c - np.eye(model.m + 1)[0])) < 1e-12
 
 
 class TestTraceMoments:
