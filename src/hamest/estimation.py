@@ -127,17 +127,23 @@ def sample_haar_outcomes(state, n: int, rng: np.random.Generator) -> np.ndarray:
 
     Sampled directly from the outcome distribution: picking a Haar basis and
     clicking outcome k with probability |<b_k|psi>|^2 gives an outcome vector
-    with density D |<b|psi>|^2 on the sphere, i.e. |<b|psi>|^2 ~ Beta(2, D-1)
-    with an independent uniform orthogonal component.
+    o with density D |<o|psi>|^2 on the sphere.  In a basis B whose first
+    column is psi, o = B x / |x|: x_1 .. x_{D-1} are iid complex Gaussians,
+    and x_0 has their density times |x_0|^2, drawn as the phase of a complex
+    Gaussian a with |x_0|^2 = |a|^2 + |b|^2 for a second one b.  So
+    |<o|psi>|^2 ~ Beta(2, D-1), and one Gaussian draw covers all n outcomes.
     """
     psi = np.asarray(state, dtype=complex).reshape(-1)
-    dim = psi.size
-    t = rng.beta(2.0, dim - 1, size=n) if dim > 1 else np.ones(n)
-    phase = np.exp(2j * np.pi * rng.random(n))
-    w = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-    w -= np.outer(w @ psi.conj(), psi)
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    return (np.sqrt(t) * phase)[:, None] * psi[None, :] + np.sqrt(1.0 - t)[:, None] * w
+    basis, _ = np.linalg.qr(np.column_stack([psi, np.eye(psi.size)]))
+    g = rng.standard_normal((n, 2 * psi.size + 2))
+    norm = np.sqrt(np.einsum("ij,ij->i", g, g))       # |x|, as |x_0|^2 = |a|^2 + |b|^2
+    z = g.view(complex)                               # columns a, b, x_1 .. x_{D-1}
+    abs_a = np.abs(z[:, 0])
+    phase = np.divide(z[:, 0], abs_a, out=np.ones(n, dtype=complex), where=abs_a > 0)
+    z[:, 1] = phase * np.sqrt(abs_a ** 2 + np.abs(z[:, 1]) ** 2)
+    outs = z[:, 1:] @ basis.T
+    outs /= norm[:, None]
+    return outs
 
 
 def reconstruct_from_projector_mean(mean_projector: np.ndarray) -> np.ndarray:
@@ -161,7 +167,7 @@ def _measure_and_reconstruct(psi: np.ndarray, n_copies: int,
     mean = np.zeros((dim, dim), dtype=complex)
     for done in range(0, n_copies, _TOMOGRAPHY_CHUNK):
         outs = sample_haar_outcomes(psi, min(_TOMOGRAPHY_CHUNK, n_copies - done), rng)
-        mean += np.einsum("ni,nj->ij", outs, outs.conj())
+        mean += outs.T @ outs.conj()
     return reconstruct_from_projector_mean(mean / n_copies)
 
 

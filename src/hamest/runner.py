@@ -152,9 +152,13 @@ def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict],
 
 
 def summarize(rows) -> dict:
-    """Success rate over all trials; T quartiles over completed ones (NaN if none)."""
+    """Success rate over all trials; T quartiles and failed stages over completed ones.
+
+    The quartiles are NaN when no trial completed.
+    """
     errors = Counter(r["error"].split(":", 1)[0] for r in rows if r.get("error"))
-    times = [r["total_time"] for r in rows if not r.get("error")] or [math.nan]
+    completed = [r for r in rows if not r.get("error")]
+    times = [r["total_time"] for r in completed] or [math.nan]
     q1, med, q3 = (np.percentile(times, q) for q in (25, 50, 75))
     return {
         "n_trials": len(rows),
@@ -164,6 +168,7 @@ def summarize(rows) -> dict:
         "q3_T": float(q3),
         "n_errors": sum(errors.values()),
         "errors_by_type": dict(sorted(errors.items())),
+        "stage_failures": sum(r["stages"].count(":failed") for r in completed),
     }
 
 

@@ -1,14 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hamest import runner
 from hamest.cli import main
-from hamest.config import ExperimentConfig, parse_config_text
+from hamest.config import ExperimentConfig, parse_config, parse_config_text
 from hamest.errors import InversionUnstableError, ValidationError
 from hamest.runner import (CSV_HEADER, rows_to_csv, run_experiment, run_sweep,
                            trial_seed)
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 MINI = """
 model = full
@@ -96,7 +99,16 @@ class TestRunner:
                               "total_time,success,stages")
         assert len(text.splitlines()) == 3
         assert set(summary) == {"n_trials", "success_rate", "median_T",
-                                "q1_T", "q3_T", "n_errors", "errors_by_type"}
+                                "q1_T", "q3_T", "n_errors", "errors_by_type",
+                                "stage_failures"}
+
+    def test_summary_counts_failed_stages(self):
+        cfg = parse_config(GOLDEN / "adaptive_failed_stage.cfg")
+        rows, summary = run_experiment(cfg)
+        cells = [cell.split(":") for r in rows for cell in r["stages"].split("|") if cell]
+        failed = sum(cell[4:] == ["failed"] for cell in cells)
+        assert failed >= 1
+        assert summary["stage_failures"] == failed
 
     def test_errored_trials_stay_out_of_time_quartiles(self, failing_adaptive):
         cfg = parse_config_text(MINI.format(trials=2))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from hamest.config import ExperimentConfig
 from hamest.constants import SchemeConstants
@@ -189,6 +190,53 @@ class TestTomography:
 
         assert np.max(np.abs(direct - expect)) < 0.02
         assert np.max(np.abs(literal - expect)) < 0.02
+
+    @staticmethod
+    def _outcomes(dim, n=200_000):
+        psi = haar_state(dim, np.random.default_rng(40 + dim))
+        return psi, sample_haar_outcomes(psi, n, np.random.default_rng(41 + dim))
+
+    @pytest.mark.parametrize("dim", [2, 4, 9])
+    def test_sampler_outcomes_are_unit_vectors(self, dim):
+        _, outs = self._outcomes(dim)
+        assert np.all(np.isfinite(outs))
+        assert np.allclose(np.linalg.norm(outs, axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 4, 9])
+    def test_sampler_overlap_is_beta(self, dim):
+        # density D |<o|psi>|^2 on the sphere: |<o|psi>|^2 ~ Beta(2, D-1)
+        psi, outs = self._outcomes(dim)
+        overlap = np.abs(outs @ psi.conj()) ** 2
+        assert scipy.stats.kstest(overlap, scipy.stats.beta(2, dim - 1).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("dim", [2, 4, 9])
+    def test_sampler_orthogonal_weight(self, dim):
+        # E|<o|e>|^2 = <e|(psi psi^+ + I)|e> / (D+1) = 1/(D+1) for e orthogonal to psi
+        psi, outs = self._outcomes(dim)
+        e = np.eye(dim, dtype=complex)[0] - np.conj(psi[0]) * psi
+        e /= np.linalg.norm(e)
+        weight = np.abs(outs @ e.conj()) ** 2
+        stderr = weight.std(ddof=1) / math.sqrt(weight.size)
+        assert abs(weight.mean() - 1 / (dim + 1)) <= 5 * stderr
+
+    def test_sampler_zero_gaussian_gives_no_nan(self):
+        class ZeroFirstDraw:
+            """Draws whose first complex Gaussian (the phase source) is exactly 0."""
+            def standard_normal(self, size):
+                g = np.random.default_rng(9).standard_normal(size)
+                g[:, :2] = 0.0
+                return g
+
+        psi = haar_state(3, np.random.default_rng(10))
+        outs = sample_haar_outcomes(psi, 100, ZeroFirstDraw())
+        assert np.all(np.isfinite(outs))
+        assert np.allclose(np.linalg.norm(outs, axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_sampler_one_dimension_keeps_state(self):
+        psi = np.array([np.exp(0.7j)])
+        outs = sample_haar_outcomes(psi, 1000, np.random.default_rng(8))
+        assert outs.shape == (1000, 1)
+        assert np.allclose(np.abs(outs[:, 0]), 1.0, rtol=0, atol=1e-12)
 
 
 class TestInvertTheta:
@@ -426,9 +474,15 @@ class TestRunManyChannel:
         assert rec.total_time == pytest.approx(total)
 
     def test_r_max_cap(self):
-        const = SchemeConstants(r_max=4)
-        rec = run_many_channel(FULL2, [0.1, 0.1, 0.1], 0.1, 1.0, const, seed=12)
-        assert rec.success  # capped channels still estimate, just less sharply
+        # r = 2, 4, 8, 16 capped to 2, 4, 4, 4: the last stage resolves less
+        # sharply, so a trial may miss delta but stays within a few delta
+        const, delta, n0 = SchemeConstants(r_max=4), 0.1, 4
+        for seed in range(40):
+            rec = run_many_channel(FULL2, [0.1, 0.1, 0.1], delta, 1.0, const, seed=seed)
+            assert [s.n for s in rec.stages] == list(range(n0, 0, -1))
+            total = sum(s.copies * min(2 ** (n0 - s.n) * 2, 4) * s.tau for s in rec.stages)
+            assert rec.total_time == pytest.approx(total)
+            assert rec.error <= 4 * delta
 
     def test_full_d3_plan_runs_every_trial(self):
         # d = 3, delta = 0.025: stages n = 6..1 use r = 3..96 channels, up to

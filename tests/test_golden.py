@@ -66,8 +66,6 @@ def test_run_reproduces_golden_csv(name):
 
 def test_golden_set_covers_error_row_and_failed_stage():
     assert len(NAMES) == 7
-    error_row = golden_rows("one_channel_phase_error_row")[11]
-    assert (error_row["theta_err"], error_row["stages"]) == ("nan", "")
-    failed = [s for s in parse_stages(golden_rows("adaptive_failed_stage")[38]["stages"])
-              if s[4]]
-    assert [s[0] for s in failed] == [1]
+    rows = [row for name in NAMES for row in golden_rows(name)]
+    assert any((row["theta_err"], row["stages"]) == ("nan", "") for row in rows)
+    assert any(stage[4] for row in rows for stage in parse_stages(row["stages"]))
