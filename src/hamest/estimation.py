@@ -134,7 +134,7 @@ def sample_haar_outcomes(state, n: int, rng: np.random.Generator) -> np.ndarray:
     |<o|psi>|^2 ~ Beta(2, D-1), and one Gaussian draw covers all n outcomes.
     """
     psi = np.asarray(state, dtype=complex).reshape(-1)
-    basis, _ = np.linalg.qr(np.column_stack([psi, np.eye(psi.size)]))
+    basis = np.linalg.qr(psi[:, None], mode="complete")[0]   # one reflector: smooth in psi
     g = rng.standard_normal((n, 2 * psi.size + 2))
     norm = np.sqrt(np.einsum("ij,ij->i", g, g))       # |x|, as |x_0|^2 = |a|^2 + |b|^2
     z = g.view(complex)                               # columns a, b, x_1 .. x_{D-1}

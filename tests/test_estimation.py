@@ -232,6 +232,17 @@ class TestTomography:
         assert np.all(np.isfinite(outs))
         assert np.allclose(np.linalg.norm(outs, axis=1), 1.0, rtol=0, atol=1e-12)
 
+    def test_sampler_basis_is_continuous_in_state(self):
+        # a rounding-level change of psi must not redraw the outcomes
+        psi = np.array([1.0, 0.1j, -0.05j, 0.02j])
+        psi /= np.linalg.norm(psi)
+        base = sample_haar_outcomes(psi, 1000, np.random.default_rng(12))
+        for phase in np.exp(2j * np.pi * np.random.default_rng(13).random(20)):
+            moved = psi.copy()
+            moved[1] += 1e-12 * phase
+            outs = sample_haar_outcomes(moved, 1000, np.random.default_rng(12))
+            assert np.max(np.abs(outs - base)) < 1e-9
+
     def test_sampler_one_dimension_keeps_state(self):
         psi = np.array([np.exp(0.7j)])
         outs = sample_haar_outcomes(psi, 1000, np.random.default_rng(8))
