@@ -19,15 +19,12 @@ class Tolerances:
     """Numeric tolerances, grouped in one place."""
 
     hermitian_atol: float = 1e-12      # max-abs deviation from A == A^dagger
-    traceless_atol: float = 1e-12      # |Tr X| for basis generators
     unitary_atol: float = 1e-10        # max-abs deviation of U^dagger U from I
     state_norm_atol: float = 1e-10     # deviation of a pure state from unit norm
     generator_trace_atol: float = 1e-10  # model generators: |Tr X_j|
     gram_atol: float = 1e-8            # model generator Gram matrix vs identity
-    bigx_atol: float = 1e-10           # cached sum of squares vs direct sum
     spherical_atol: float = 1e-8       # max-abs of X_sum - (m/d) I
     branch_cut_atol: float = 1e-8      # eigenphase distance from -pi
-    log_roundtrip_atol: float = 1e-9   # exp(-i log U) vs U
     frame_gram_atol: float = 1e-9      # postselection frame orthonormality
     psd_atol: float = 1e-8             # QFI matrix positive semidefiniteness
     g_hermitian_atol: float = 1e-10    # correlation matrix Hermiticity
@@ -58,10 +55,13 @@ class SchemeConstants:
             1 - p_crit / 2^n, which costs O(n) extra copies.
     p_crit  tolerated overall failure probability of a full estimation run.
     r_max   cap on the number of parallel channels; ``None`` means 2048 // d.
+            A cap below the plan's largest r = 2^(n0-1) d keeps every later
+            stage at the cap, so those stages stop sharpening the estimate.
     refine  apply one Gauss-Newton fidelity refinement after the first-order
             inversion (removes the O(kappa^2) inversion bias).
-    trotter_slices  0 = apply feedback fields exactly; k > 0 = approximate
-            each stage evolution by k symmetric splitting slices.
+    trotter_slices  adaptive only.  0 = exact feedback, V = exp(-i tau H_{theta-theta*});
+            k > 0 = kicks exp(+i s H_theta*) between k slices exp(-i s H_theta),
+            s = tau / k, in the symmetric d x d splitting (error O(tau^3 / k^2)).
     """
 
     kappa: float = 0.5

@@ -11,8 +11,11 @@ Three drivers are provided: :func:`run_one_channel` (fixed radius, classical
 T ~ 1/delta^2 scaling), :func:`run_adaptive` (feedback staging, T ~ 1/delta),
 and :func:`run_many_channel` (entangled channels in the symmetric subspace,
 measurement-side counter-rotation, no feedback during evolution).  Each
-driver only plans its stages (n, tau, r, copies) and picks a probe; one
-stage body runs them, and the staged drivers share one stage loop.
+driver only plans its stages (n, tau, r, copies) and picks a probe, a d x d
+stage unitary V whose collective MES Sym^r(V) is measured (the MES is r = 1).
+One stage body takes its frame coefficients from :func:`sym_frame_coefficients`; the
+staged drivers share one stage loop; :func:`postselection_frame` is the dense
+reference.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .errors import (DegenerateProjectionError, InversionUnstableError,
                      PostselectionStarvedError, ValidationError)
 from .linalg import hermitian_expm
 from .model import HamiltonianModel, hamiltonian
-from .probe import Schedule, evolve, mes, trotter_feedback_schedule
 from .symmetric import SymSpace, collective, f2_coeff, sym_frame_coefficients
 
 __all__ = [
@@ -69,10 +71,6 @@ class PostselectionFrame:
         dev = np.max(np.abs(gram - np.eye(b.shape[1])))
         if dev > TOL.frame_gram_atol:
             raise ValidationError(f"frame is not orthonormal (max deviation {dev:.2e})")
-
-    @property
-    def m(self) -> int:
-        return self.basis.shape[1] - 1
 
 
 def postselection_frame(model: HamiltonianModel,
@@ -191,26 +189,27 @@ def _refine_gauss_newton(family, reduced: np.ndarray, theta0: np.ndarray,
     return theta0 + step
 
 
-def invert_theta(reduced, tau: float, frame: PostselectionFrame,
+def invert_theta(reduced, tau: float, norm_factor: float,
                  family=None) -> np.ndarray:
-    """First-order inversion of frame coefficients to parameters.
+    """First-order inversion of frame coefficients (c_0, c_1 .. c_m) to parameters.
 
-    After fixing the phase of c_0 to be real positive,
+    ``norm_factor`` is 1/sqrt(F2(d, r)) of the probe's frame, sqrt(d) for a
+    single channel.  After fixing the phase of c_0 to be real positive,
     theta_j = -(norm_factor / tau) Im(c_j / c_0), exact to first order in
     tau * ||theta||.  When ``family`` (a callable theta -> exact normalized
     frame coefficients) is supplied, one Gauss-Newton fidelity refinement is
     applied on top.
     """
     c = np.asarray(reduced, dtype=complex).reshape(-1)
-    if c.size != frame.m + 1:
-        raise ValidationError(f"reduced state has dimension {c.size}, "
-                              f"frame has m + 1 = {frame.m + 1}")
+    if c.size < 2:
+        raise ValidationError(f"reduced state has dimension {c.size}; "
+                              "need c_0 and at least one c_j")
     c0 = c[0]
     if abs(c0) < TOL.min_c0:
         raise InversionUnstableError(
             f"|c_0| = {abs(c0):.3f} < {TOL.min_c0}; inversion unstable, reduce tau")
     c = c * (c0.conj() / abs(c0))
-    theta = -(frame.norm_factor / tau) * np.imag(c[1:] / c[0].real)
+    theta = -(norm_factor / tau) * np.imag(c[1:] / c[0].real)
     if family is not None:
         theta = _refine_gauss_newton(family, c, theta)
     return theta
@@ -238,8 +237,7 @@ def mes_probe_map(model: HamiltonianModel, tau: float, frame=None):
 
 
 def delta_resolution(model: HamiltonianModel, tau: float, e_radius: float,
-                     delta: float, n_pairs: int, rng: np.random.Generator,
-                     frame: PostselectionFrame | None = None) -> float:
+                     delta: float, n_pairs: int, rng: np.random.Generator) -> float:
     """Sampled infimum of the infidelity over parameter pairs >= delta apart.
 
     Pairs (theta, theta') are drawn with both inside the search ball and
@@ -251,7 +249,7 @@ def delta_resolution(model: HamiltonianModel, tau: float, e_radius: float,
         raise ValidationError(f"need 0 <= delta <= 2E, got delta={delta}, E={e_radius}")
     if n_pairs < 1:
         raise ValidationError("need at least one sample pair")
-    prepare = mes_probe_map(model, tau, frame)
+    prepare = mes_probe_map(model, tau)
     m = model.m
 
     def infidelity(th, th2):
@@ -331,16 +329,16 @@ def _check_run_inputs(model, theta_true, delta, e_radius, rng, seed):
     return theta_true, np.random.default_rng(seed) if rng is None else rng
 
 
-def _stage_estimate(reduced_exact, p, copies, tau, frame, family,
+def _stage_estimate(reduced_exact, p, copies, tau, norm_factor, family,
                     rng: np.random.Generator):
     """Postselect `copies` prepared copies, reconstruct, invert."""
     n_accepted = int(rng.binomial(copies, p))
     rate = n_accepted / copies if copies else 0.0
-    if rate < TOL.starvation_rate or n_accepted < frame.m + 1:
+    if rate < TOL.starvation_rate or n_accepted < reduced_exact.size:
         raise PostselectionStarvedError(
             f"postselection starved: accepted {n_accepted} of {copies}")
     estimate = _measure_and_reconstruct(reduced_exact, n_accepted, rng)
-    theta = invert_theta(estimate, tau, frame, family=family)
+    theta = invert_theta(estimate, tau, norm_factor, family=family)
     return theta, rate
 
 
@@ -348,62 +346,71 @@ _Stage = namedtuple("_Stage", "n tau r copies")   # r: entangled channels
 
 
 def _mes_probe(model: HamiltonianModel, theta_true: np.ndarray, trotter_slices: int):
-    """MES under H_{theta - theta*}: exact feedback, or Trotterized if slices > 0."""
-    frame = postselection_frame(model)
-    initial = mes(model.d)
+    """(V_true, inc -> V) of the MES (r = 1), V = exp(-i tau H_{theta - theta*}).
+
+    With k = trotter_slices > 0, V is the symmetric splitting half (U_s full)^(k-1)
+    U_s half, s = tau / k, half = exp(+i (s/2) H*), full = half^2, U_s =
+    exp(-i s H_theta): feedback kicks between slices, error O(tau^3 / k^2).
+    """
 
     def probe(stage: _Stage, theta_star: np.ndarray):
-        if trotter_slices > 0:
-            state = evolve(model, theta_true, trotter_feedback_schedule(
-                model, theta_star, stage.tau, initial, trotter_slices))
-        else:
-            state = evolve(model, theta_true - theta_star,
-                           Schedule(r=1, initial=initial, steps=((stage.tau, None),)))
-        return state.amplitudes, frame, mes_probe_map(model, stage.tau, frame)
+        def unitary(inc):
+            return hermitian_expm(hamiltonian(model, inc), stage.tau)
+
+        if trotter_slices == 0:
+            return unitary(theta_true - theta_star), unitary
+        s = stage.tau / trotter_slices
+        half = hermitian_expm(hamiltonian(model, theta_star), -0.5 * s)
+        u_s = hermitian_expm(hamiltonian(model, theta_true), s)
+        steps = np.linalg.matrix_power(u_s @ half @ half, trotter_slices - 1)
+        return half @ steps @ u_s @ half, unitary
 
     return probe
 
 
 def _symmetric_probe(model: HamiltonianModel, theta_true: np.ndarray):
-    """Collective MES under exp(+i tau {H_theta*}_r) exp(-i tau {H_theta}_r).
+    """(V_true, inc -> V) of the collective MES, V = exp(+i tau H_theta*) exp(-i tau H_theta).
 
-    That is Sym^r(V), V = exp(+i tau H_theta*) exp(-i tau H_theta); the probe
-    is its frame coefficients, so the frame basis is the (m+1)-identity.
+    Sym^r(V) is exp(+i tau {H_theta*}_r) exp(-i tau {H_theta}_r); the
+    counter-rotation is computed once per stage.
     """
 
     def probe(stage: _Stage, theta_star: np.ndarray):
-        frame = PostselectionFrame(basis=np.eye(model.m + 1, dtype=complex),
-                                   norm_factor=1.0 / math.sqrt(f2_coeff(model.d, stage.r)))
-        counter = hermitian_expm(hamiltonian(model, theta_star), -stage.tau)  # once per stage
+        counter = hermitian_expm(hamiltonian(model, theta_star), -stage.tau)
 
-        def coefficients(theta):
-            v = counter @ hermitian_expm(hamiltonian(model, theta), stage.tau)
-            return sym_frame_coefficients(v, model.generators, stage.r)
+        def unitary(inc):
+            return counter @ hermitian_expm(hamiltonian(model, theta_star + inc), stage.tau)
 
-        def family(inc):
-            c = coefficients(theta_star + inc)
-            return c / np.linalg.norm(c)
-
-        return coefficients(theta_true), frame, family
+        return counter @ hermitian_expm(hamiltonian(model, theta_true), stage.tau), unitary
 
     return probe
 
 
-def _run_stage(stage: _Stage, probe, theta_star, refine: bool, rng):
-    """Probe -> frame projection -> estimate; returns (increment, accept rate)."""
-    psi, frame, family = probe(stage, theta_star)
-    reduced, p = frame_projection(frame, psi)
-    return _stage_estimate(reduced, p, stage.copies, stage.tau, frame,
+def _run_stage(model, stage: _Stage, probe, theta_star, refine: bool, rng):
+    """Stage unitary -> frame coefficients -> estimate; returns (increment, accept rate)."""
+    v_true, unitary = probe(stage, theta_star)
+    ops = np.asarray(model.generators)             # stacked once per stage
+    c = sym_frame_coefficients(v_true, ops, stage.r)
+    p = float(np.real(np.vdot(c, c)))          # the postselection probability
+    if p < TOL.min_postselect_p:
+        raise DegenerateProjectionError(f"projection probability {p:.3e} is degenerate")
+
+    def family(inc):
+        c = sym_frame_coefficients(unitary(inc), ops, stage.r)
+        return c / np.linalg.norm(c)
+
+    return _stage_estimate(c / math.sqrt(p), min(p, 1.0), stage.copies, stage.tau,
+                           1.0 / math.sqrt(f2_coeff(model.d, stage.r)),
                            family if refine else None, rng)
 
 
-def _run_stages(plan, probe, theta_true, delta, seed, refine, rng) -> EstimationRecord:
+def _run_stages(model, plan, probe, theta_true, delta, seed, refine, rng) -> EstimationRecord:
     """Feed each stage's increment back; a failed stage is recorded and skipped."""
     theta_star = np.zeros(theta_true.size)
     records = []
     for stage in plan:
         try:
-            increment, rate = _run_stage(stage, probe, theta_star, refine, rng)
+            increment, rate = _run_stage(model, stage, probe, theta_star, refine, rng)
             theta_star, failed = theta_star + increment, False
         except (DegenerateProjectionError, PostselectionStarvedError,
                 InversionUnstableError):
@@ -428,8 +435,9 @@ def run_one_channel(model: HamiltonianModel, theta_true, delta: float,
     theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
     tau = constants.kappa / (e_radius * math.sqrt(model.c))
     copies = int(math.ceil(constants.alpha * model.m * model.d * e_radius ** 2 / delta ** 2))
-    theta_hat, rate = _run_stage(_Stage(0, tau, 1, copies), _mes_probe(model, theta_true, 0),
-                                 np.zeros(model.m), constants.refine, rng)
+    theta_hat, rate = _run_stage(model, _Stage(0, tau, 1, copies),
+                                 _mes_probe(model, theta_true, 0), np.zeros(model.m),
+                                 constants.refine, rng)
     stage = StageRecord(n=0, tau=tau, copies=copies, accept_rate=rate)
     return EstimationRecord.build(theta_true, theta_hat, [stage],
                                   total_time=copies * 1 * tau, delta=delta, seed=seed)
@@ -462,7 +470,7 @@ def run_adaptive(model: HamiltonianModel, theta_true, delta: float,
                    _staged_copies(model, constants, n))
             for n in range(_staging_depth(e_radius, delta), 0, -1)]
     probe = _mes_probe(model, theta_true, constants.trotter_slices)
-    return _run_stages(plan, probe, theta_true, delta, seed, constants.refine, rng)
+    return _run_stages(model, plan, probe, theta_true, delta, seed, constants.refine, rng)
 
 
 def run_many_channel(model: HamiltonianModel, theta_true, delta: float,
@@ -483,5 +491,5 @@ def run_many_channel(model: HamiltonianModel, theta_true, delta: float,
     r_cap = constants.effective_r_max(model.d)
     plan = [_Stage(n, tau, min(2 ** (n0 - n) * model.d, r_cap),
                    _staged_copies(model, constants, n)) for n in range(n0, 0, -1)]
-    return _run_stages(plan, _symmetric_probe(model, theta_true), theta_true,
+    return _run_stages(model, plan, _symmetric_probe(model, theta_true), theta_true,
                        delta, seed, constants.refine, rng)

@@ -32,7 +32,6 @@ __all__ = [
     "evolve",
     "qfi_matrix",
     "growth_audit",
-    "trotter_feedback_schedule",
 ]
 
 
@@ -245,40 +244,3 @@ def growth_audit(model: HamiltonianModel, theta, schedule: Schedule,
             raise AuditFailure(
                 f"sqrt(TrJ) increment {inc:.6e} exceeds {allowed:.6e} at t = {t1}", time=t1)
     return rows
-
-
-TROTTER_ERROR_BUDGET = 1e-6
-
-
-def trotter_feedback_schedule(model: HamiltonianModel, theta_star, tau: float,
-                              initial: PureState, slices: int | None = None,
-                              driven_norm_bound: float | None = None) -> Schedule:
-    """Schedule realizing evolution under H_theta - H_theta* by splitting.
-
-    The feedback field -H_theta* is applied as parameter-independent unitary
-    kicks exp(+i s H_theta*) between free-evolution slices, in the symmetric
-    (half-kick) arrangement whose error is O(tau^3 / slices^2).  With
-    ``slices=None`` the count is chosen so the conservative splitting bound
-    tau^3 a b (a + b) / slices^2 stays below ``TROTTER_ERROR_BUDGET``, where
-    a is the feedback-field norm and b bounds the driven Hamiltonian
-    (default a + sqrt(c), covering a unit search radius).
-    """
-    h_star = hamiltonian(model, theta_star)
-    if slices is None:
-        a = float(np.linalg.norm(h_star, 2))
-        b = driven_norm_bound if driven_norm_bound is not None \
-            else a + math.sqrt(model.c)
-        slices = max(1, math.ceil(math.sqrt(
-            tau ** 3 * max(a, 1e-9) * b * (a + b) / TROTTER_ERROR_BUDGET)))
-    if slices < 1:
-        raise ValidationError("need at least one splitting slice")
-    s = tau / slices
-    half = hermitian_expm(h_star, -0.5 * s)  # exp(+i (s/2) H*)
-    full = hermitian_expm(h_star, -s)
-    dim_a = initial.dim // model.d
-    kick_half = np.kron(half, np.eye(dim_a))
-    kick_full = np.kron(full, np.eye(dim_a))
-    steps = [(s, kick_half)]
-    steps += [(s, kick_full)] * (slices - 1)
-    steps += [(0.0, kick_half)]
-    return Schedule(r=1, initial=initial, steps=tuple(steps))

@@ -5,8 +5,8 @@ D = (r+d-1)! / (r! (d-1)!); its occupation-number basis is indexed by
 occupation vectors (n_1, ..., n_d) with sum r.  Collective operators
 {A}_r = P sum_j A^(j) come from an explicit isometry into the full tensor
 space, limited to d^r <= 4096 amplitudes: transparent, and the brute-force
-oracle for the trace-moment identities.  The many-channel estimation scheme
-needs only the frame coefficients of Sym^r(V), which
+oracle for the trace-moment identities.  Every estimation stage needs only
+the frame coefficients of Sym^r(V) (r = 1 for the single-channel MES), which
 :func:`sym_frame_coefficients` computes with d x d algebra at any r through
 the MacMahon master theorem sum_k Tr Sym^k(V) z^k = 1 / det(I - z V).
 
@@ -132,16 +132,21 @@ def sym_frame_coefficients(v, ops, r: int) -> np.ndarray:
     {X}_r is diagonal in the occupation basis of Q with entries
     sum_i (Q^dag X Q)_ii n_i.  Hence c_0 = h_r / D and
     c_j = sum_i (Q^dag X_j Q)_ii sum_{k=1..r} lambda_i^k h_{r-k} / (D sqrt(F2)).
+    At r = 1, Sym^1(V) = V is the single-channel MES probe, and the trace
+    form c_0 = Tr V / d, c_j = Tr(X_j V) / sqrt(d) skips the Schur form.
     """
-    v = np.asarray(v, dtype=complex)
+    v, ops = np.asarray(v, dtype=complex), np.asarray(ops)
     d = v.shape[0]
+    if r == 1:                       # Tr(X_j V) = vec(X_j) . vec(V^T)
+        return np.concatenate(([v.trace() / d],
+                               ops.reshape(len(ops), -1) @ v.T.reshape(-1) / math.sqrt(d)))
     t, q = scipy.linalg.schur(v, output="complex")
     powers = np.diagonal(t)[:, None] ** np.arange(r + 1)      # (d, r + 1)
     h = np.ones(1, dtype=complex)
     for series in powers:
         h = np.convolve(h, series)[:r + 1]
     weights = powers[:, 1:] @ h[r - 1::-1]                     # sum_k lambda_i^k h_{r-k}
-    diag = np.real(np.einsum("ai,jab,bi->ji", q.conj(), np.asarray(ops), q))
+    diag = np.real(np.einsum("ai,jab,bi->ji", q.conj(), ops, q))
     dim = sym_dim(d, r)
     return np.concatenate([[h[r] / dim],
                            diag @ weights / (dim * math.sqrt(f2_coeff(d, r)))])

@@ -194,7 +194,7 @@ def check_cross_orthogonality():
 
 def check_frame_coefficients_match_isometry(seed: int = 11):
     rng = np.random.default_rng(seed)
-    for d, r in [(2, 3), (2, 4), (3, 2), (3, 4)]:
+    for d, r in [(2, 1), (3, 1), (2, 3), (2, 4), (3, 2), (3, 4)]:
         model = make_model("full", d)
         space = sym_space(d, r)
         frame = postselection_frame(model, space)
@@ -282,9 +282,9 @@ def check_estimator_consistency(seed: int = 55):
             probe = evolve(model, theta,
                            Schedule(r=1, initial=mes(d), steps=((tau, None),)))
             reduced, _ = frame_projection(frame, probe.amplitudes)
-            est = invert_theta(reduced, tau, frame)
+            est = invert_theta(reduced, tau, frame.norm_factor)
             assert np.linalg.norm(est - theta) <= 0.01, (kind, d)
-            est2 = invert_theta(reduced, tau, frame,
+            est2 = invert_theta(reduced, tau, frame.norm_factor,
                                 family=mes_probe_map(model, tau, frame))
             assert np.linalg.norm(est2 - theta) <= 1e-3, (kind, d)
 

@@ -175,7 +175,7 @@ def _tomographic_estimator(model, frame, tau, n_copies, theta, rng):
     reduced, p = frame_projection(frame, probe.amplitudes)
     accepted = int(rng.binomial(n_copies, p))
     estimate = _measure_and_reconstruct(reduced, accepted, rng)
-    return invert_theta(estimate, tau, frame)  # first-order, deliberately biased
+    return invert_theta(estimate, tau, frame.norm_factor)  # first-order, deliberately biased
 
 
 def test_08_biased_cramer_rao():

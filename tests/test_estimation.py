@@ -253,14 +253,14 @@ class TestTomography:
 class TestInvertTheta:
     def test_unperturbed_probe(self):
         frame = postselection_frame(FULL2)
-        theta = invert_theta(np.eye(4)[0], 0.3, frame)
+        theta = invert_theta(np.eye(4)[0], 0.3, frame.norm_factor)
         assert np.allclose(theta, 0.0)
 
     def test_single_parameter_formula(self):
         frame = postselection_frame(make_model("phase", 2))
         eps, tau = 0.01, 0.1
         reduced = np.array([1.0, -1j * eps]) / math.sqrt(1 + eps * eps)
-        theta = invert_theta(reduced, tau, frame)
+        theta = invert_theta(reduced, tau, frame.norm_factor)
         assert theta[0] == pytest.approx(eps * math.sqrt(2) / tau)
 
     def test_bias_sweep_first_order(self):
@@ -271,7 +271,7 @@ class TestInvertTheta:
                 theta = rng.standard_normal(model.m)
                 theta /= np.linalg.norm(theta)
                 frame, reduced, _ = exact_reduced(model, theta, 0.05)
-                est = invert_theta(reduced, 0.05, frame)
+                est = invert_theta(reduced, 0.05, frame.norm_factor)
                 assert np.linalg.norm(est - theta) <= 0.01
 
     def test_refinement_tightens(self):
@@ -280,7 +280,7 @@ class TestInvertTheta:
         theta = rng.standard_normal(model.m)
         theta /= np.linalg.norm(theta)
         frame, reduced, _ = exact_reduced(model, theta, 0.05)
-        est = invert_theta(reduced, 0.05, frame,
+        est = invert_theta(reduced, 0.05, frame.norm_factor,
                            family=mes_probe_map(model, 0.05, frame))
         assert np.linalg.norm(est - theta) <= 1e-3
 
@@ -288,7 +288,7 @@ class TestInvertTheta:
         frame = postselection_frame(make_model("phase", 2))
         reduced = np.array([0.05, 1.0]) / math.sqrt(1.0025)
         with pytest.raises(InversionUnstableError):
-            invert_theta(reduced, 0.1, frame)
+            invert_theta(reduced, 0.1, frame.norm_factor)
 
 
 class TestDeltaResolution:
@@ -310,13 +310,6 @@ class TestDeltaResolution:
         tau, delta = 0.3, 0.1
         val = delta_resolution(model, tau, 1.0, delta, 250, rng)
         assert 0.5 <= val * val * 2 / (tau * delta) ** 2 <= 4.0
-
-    def test_frame_projection_variant(self):
-        model = make_model("full", 2)
-        frame = postselection_frame(model)
-        rng = np.random.default_rng(12)
-        val = delta_resolution(model, 0.3, 1.0, 0.1, 100, rng, frame=frame)
-        assert 0.0 < val < 1.0
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValidationError):
@@ -381,7 +374,7 @@ class TestRunOneChannel:
     def test_starvation_raises(self):
         frame = postselection_frame(FULL2)
         with pytest.raises(PostselectionStarvedError):
-            _stage_estimate(np.eye(4)[0], 0.001, 1000, 0.3, frame, None,
+            _stage_estimate(np.eye(4)[0], 0.001, 1000, 0.3, frame.norm_factor, None,
                             np.random.default_rng(0))
 
 
@@ -435,7 +428,7 @@ class TestRunAdaptive:
                 probe = evolve(FULL2, theta - theta_star,
                                Schedule(r=1, initial=mes(2), steps=((tau, None),)))
                 reduced, p = frame_projection(frame, probe.amplitudes)
-                inc, _ = _stage_estimate(reduced, p, copies, tau, frame,
+                inc, _ = _stage_estimate(reduced, p, copies, tau, frame.norm_factor,
                                          mes_probe_map(FULL2, tau, frame), rng)
                 theta_star = theta_star + inc
                 err = np.linalg.norm(theta_star - theta)
@@ -470,7 +463,7 @@ class TestRunManyChannel:
         reduced, p = frame_projection(frame, psi)
         assert p == pytest.approx(1.0)
         assert np.allclose(reduced, np.eye(model.m + 1)[0], atol=1e-12)
-        inc = invert_theta(reduced, 0.4, frame)
+        inc = invert_theta(reduced, 0.4, frame.norm_factor)
         assert np.allclose(inc, 0.0)
 
     def test_channel_doubling_sequence(self):

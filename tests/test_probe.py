@@ -5,10 +5,10 @@ import pytest
 
 from hamest.constants import TOL
 from hamest.errors import ValidationError
-from hamest.linalg import PureState, haar_state
+from hamest.estimation import _mes_probe, _Stage
+from hamest.linalg import PureState, haar_state, hermitian_expm
 from hamest.model import hamiltonian, make_model
-from hamest.probe import (Schedule, evolve, growth_audit, mes, qfi_matrix,
-                          trotter_feedback_schedule)
+from hamest.probe import Schedule, evolve, growth_audit, mes, qfi_matrix
 from hamest.verify import random_schedule
 
 
@@ -173,20 +173,47 @@ class TestGrowthAudit:
             growth_audit(make_model("full", 2), np.zeros(3), free_schedule(2, 1.0), 1)
 
 
+def kick_schedule(model, theta_star, tau, slices):
+    """Feedback -H_theta* as exp(+i s H*) kicks on the driven factor of the MES."""
+    h_star = hamiltonian(model, theta_star)
+    s = tau / slices
+    eye = np.eye(model.d)
+    half = np.kron(hermitian_expm(h_star, -0.5 * s), eye)
+    full = np.kron(hermitian_expm(h_star, -s), eye)
+    steps = ((s, half),) + ((s, full),) * (slices - 1) + ((0.0, half),)
+    return Schedule(r=1, initial=mes(model.d), steps=steps)
+
+
+def trotter_unitary(model, theta, theta_star, tau, slices):
+    """Stage unitary of the adaptive scheme's MES probe with split feedback."""
+    probe = _mes_probe(model, np.asarray(theta), slices)
+    return probe(_Stage(n=1, tau=tau, r=1, copies=0), np.asarray(theta_star))[0]
+
+
 class TestTrotter:
     def test_matches_exact_shifted_evolution(self):
+        # symmetric splitting: error <= tau^3 a b (a + b) / k^2, second order in 1/k
         model = make_model("full", 2)
         rng = np.random.default_rng(9)
         theta = rng.standard_normal(3) * 0.5
         theta_star = theta + rng.standard_normal(3) * 0.1
-        tau = 1.2
-        sched = trotter_feedback_schedule(model, theta_star, tau, mes(2))
-        approx = evolve(model, theta, sched)
-        exact = evolve(model, theta - theta_star, free_schedule(2, tau))
-        assert np.max(np.abs(approx.amplitudes - exact.amplitudes)) < 1e-6
+        a = np.linalg.norm(hamiltonian(model, theta_star), 2)
+        b = np.linalg.norm(hamiltonian(model, theta), 2)
+        for tau in (0.3, 1.2):
+            exact = hermitian_expm(hamiltonian(model, theta - theta_star), tau)
+            errs = [np.linalg.norm(trotter_unitary(model, theta, theta_star, tau, k) - exact, 2)
+                    for k in (4, 8, 16)]
+            for k, err in zip((4, 8, 16), errs):
+                assert err <= tau ** 3 * a * b * (a + b) / k ** 2, (tau, k, err)
+            assert 3.5 < errs[0] / errs[1] < 4.5 and 3.5 < errs[1] / errs[2] < 4.5, errs
 
-    def test_explicit_slice_count(self):
-        model = make_model("phase", 2)
-        sched = trotter_feedback_schedule(model, [0.3], 0.5, mes(2), slices=4)
-        assert len(sched.steps) == 5  # k slices plus the closing half kick
-        assert sched.total_time == pytest.approx(0.5)
+    @pytest.mark.parametrize("kind,d,slices", [("full", 2, 1), ("full", 2, 8),
+                                               ("full", 3, 5), ("phase", 3, 4)])
+    def test_matches_kick_schedule(self, kind, d, slices):
+        model = make_model(kind, d)
+        rng = np.random.default_rng(10 * d + slices)
+        theta = rng.standard_normal(model.m) * 0.5
+        theta_star = theta + rng.standard_normal(model.m) * 0.1
+        v = trotter_unitary(model, theta, theta_star, 0.9, slices)
+        state = evolve(model, theta, kick_schedule(model, theta_star, 0.9, slices))
+        assert np.max(np.abs(v.reshape(-1) / math.sqrt(d) - state.amplitudes)) < 1e-12

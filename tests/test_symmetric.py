@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hamest.errors import BranchCutError, ResourceLimitError, ValidationError
-from hamest.estimation import postselection_frame
+from hamest.estimation import frame_projection, postselection_frame
 from hamest.linalg import haar_unitary, hermitian_expm, hs_inner
 from hamest.model import hamiltonian, make_model
 from hamest.symmetric import (collective, collective_trace_moments, f2_coeff,
@@ -115,14 +115,19 @@ class TestFrameCoefficients:
                              - brute_force_coefficients(np.exp(-0.3j / r * w), xt, occ))) < 1e-12
 
     def test_single_channel_matches_frame(self):
+        # r = 1 is the MES probe (V (x) I)|MES> = vec(V)/sqrt(d) of the dense frame
         rng = np.random.default_rng(8)
-        for d in (2, 3, 4):
-            model = make_model("full", d)
+        for kind, d in [("full", 2), ("full", 3), ("full", 4), ("phase", 3), ("offdiag", 4)]:
+            model = make_model(kind, d)
             frame = postselection_frame(model)
-            v = haar_unitary(d, rng)
-            expect = frame.basis.conj().T @ v.reshape(-1) / math.sqrt(d)
-            assert np.max(np.abs(sym_frame_coefficients(v, model.generators, 1)
-                                 - expect)) < 1e-12
+            for v in (haar_unitary(d, rng),
+                      hermitian_expm(hamiltonian(model, rng.standard_normal(model.m)), 0.2)):
+                psi = v.reshape(-1) / math.sqrt(d)
+                c = sym_frame_coefficients(v, model.generators, 1)
+                assert np.max(np.abs(c - frame.basis.conj().T @ psi)) < 1e-12
+                reduced, p = frame_projection(frame, psi)
+                assert np.max(np.abs(c / np.linalg.norm(c) - reduced)) < 1e-12
+                assert min(np.vdot(c, c).real, 1.0) == pytest.approx(p, abs=1e-12)
 
     def test_identity_gives_frame_origin(self):
         for d, r in [(2, 64), (3, 96)]:
