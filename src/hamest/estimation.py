@@ -389,7 +389,7 @@ def _symmetric_probe(model: HamiltonianModel, theta_true: np.ndarray):
 def _run_stage(model, stage: _Stage, probe, theta_star, refine: bool, rng):
     """Stage unitary -> frame coefficients -> estimate; returns (increment, accept rate)."""
     v_true, unitary = probe(stage, theta_star)
-    ops = np.asarray(model.generators)             # stacked once per stage
+    ops = np.asarray(model.generators)         # stacked once per stage
     c = sym_frame_coefficients(v_true, ops, stage.r)
     p = float(np.real(np.vdot(c, c)))          # the postselection probability
     if p < TOL.min_postselect_p:
