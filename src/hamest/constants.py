@@ -28,7 +28,6 @@ class Tolerances:
     frame_gram_atol: float = 1e-9      # postselection frame orthonormality
     psd_atol: float = 1e-8             # QFI matrix positive semidefiniteness
     g_hermitian_atol: float = 1e-10    # correlation matrix Hermiticity
-    qfi_step: float = 1e-5             # central finite-difference step for QFI
     trj_bound_slack: float = 1e-4      # relative slack on Tr J <= 4 c t^2
     increment_slack: float = 1e-3      # relative slack on the growth-rate audit
     isometry_atol: float = 1e-10       # symmetric-subspace isometry orthonormality

@@ -29,9 +29,10 @@ import numpy as np
 from .constants import DEFAULT_CONSTANTS, TOL, SchemeConstants
 from .errors import (DegenerateProjectionError, InversionUnstableError,
                      PostselectionStarvedError, ValidationError)
-from .linalg import hermitian_expm
+from .linalg import hermitian_expm, hermitian_expm_derivatives
 from .model import HamiltonianModel, hamiltonian
-from .symmetric import SymSpace, collective, f2_coeff, sym_frame_coefficients
+from .symmetric import (SymSpace, collective, f2_coeff, sym_frame_coefficients,
+                        sym_frame_tangents)
 
 __all__ = [
     "PostselectionFrame",
@@ -169,20 +170,13 @@ def _measure_and_reconstruct(psi: np.ndarray, n_copies: int,
     return reconstruct_from_projector_mean(mean / n_copies)
 
 
-def _refine_gauss_newton(family, reduced: np.ndarray, theta0: np.ndarray,
-                         fd_step: float = 1e-6) -> np.ndarray:
+def _refine_gauss_newton(family, reduced: np.ndarray, theta0: np.ndarray) -> np.ndarray:
     """One Gauss-Newton step maximizing fidelity of family(theta) to reduced."""
-    m = theta0.size
-    c0 = family(theta0)
+    c0, jac = family(theta0)
     phase = np.vdot(reduced, c0)
     if abs(phase) < 1e-12:
         return theta0
     phi = phase.conj() / abs(phase)
-    jac = np.empty((c0.size, m), dtype=complex)
-    for j in range(m):
-        dj = np.zeros(m)
-        dj[j] = fd_step
-        jac[:, j] = (family(theta0 + dj) - family(theta0 - dj)) / (2 * fd_step)
     a = np.concatenate([np.real(phi * jac), np.imag(phi * jac)])
     b = np.concatenate([np.real(reduced - phi * c0), np.imag(reduced - phi * c0)])
     step, *_ = np.linalg.lstsq(a, b, rcond=None)
@@ -196,9 +190,9 @@ def invert_theta(reduced, tau: float, norm_factor: float,
     ``norm_factor`` is 1/sqrt(F2(d, r)) of the probe's frame, sqrt(d) for a
     single channel.  After fixing the phase of c_0 to be real positive,
     theta_j = -(norm_factor / tau) Im(c_j / c_0), exact to first order in
-    tau * ||theta||.  When ``family`` (a callable theta -> exact normalized
-    frame coefficients) is supplied, one Gauss-Newton fidelity refinement is
-    applied on top.
+    tau * ||theta||.  When ``family`` is supplied, a callable theta -> (f, df)
+    with f the exact normalized frame coefficients and df = df/dtheta their
+    (m+1, m) Jacobian, one Gauss-Newton fidelity refinement is applied on top.
     """
     c = np.asarray(reduced, dtype=complex).reshape(-1)
     if c.size < 2:
@@ -221,17 +215,12 @@ def _sample_ball(m: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     return u * radius * rng.random() ** (1.0 / m)
 
 
-def mes_probe_map(model: HamiltonianModel, tau: float, frame=None):
-    """theta -> probe state (or its normalized frame coefficients)."""
+def mes_probe_map(model: HamiltonianModel, tau: float):
+    """theta -> MES probe state (U_theta (x) I)|MES> = vec(U_theta) / sqrt(d)."""
     d = model.d
 
     def prepare(theta):
-        u = hermitian_expm(hamiltonian(model, theta), tau)
-        psi = u.reshape(-1) / math.sqrt(d)
-        if frame is None:
-            return psi
-        c = frame.basis.conj().T @ psi
-        return c / np.linalg.norm(c)
+        return hermitian_expm(hamiltonian(model, theta), tau).reshape(-1) / math.sqrt(d)
 
     return prepare
 
@@ -346,19 +335,21 @@ _Stage = namedtuple("_Stage", "n tau r copies")   # r: entangled channels
 
 
 def _mes_probe(model: HamiltonianModel, theta_true: np.ndarray, trotter_slices: int):
-    """(V_true, inc -> V) of the MES (r = 1), V = exp(-i tau H_{theta - theta*}).
+    """(V_true, inc -> (V, dV)) of the MES (r = 1), V = exp(-i tau H_{theta - theta*}).
 
-    With k = trotter_slices > 0, V is the symmetric splitting half (U_s full)^(k-1)
+    With k = trotter_slices > 0, V_true is the symmetric splitting half (U_s full)^(k-1)
     U_s half, s = tau / k, half = exp(+i (s/2) H*), full = half^2, U_s =
     exp(-i s H_theta): feedback kicks between slices, error O(tau^3 / k^2).
+    The refinement family stays the exact V with its m derivatives dV.
     """
+    ops = np.asarray(model.generators)
 
     def probe(stage: _Stage, theta_star: np.ndarray):
         def unitary(inc):
-            return hermitian_expm(hamiltonian(model, inc), stage.tau)
+            return hermitian_expm_derivatives(hamiltonian(model, inc), stage.tau, ops)
 
         if trotter_slices == 0:
-            return unitary(theta_true - theta_star), unitary
+            return hermitian_expm(hamiltonian(model, theta_true - theta_star), stage.tau), unitary
         s = stage.tau / trotter_slices
         half = hermitian_expm(hamiltonian(model, theta_star), -0.5 * s)
         u_s = hermitian_expm(hamiltonian(model, theta_true), s)
@@ -369,21 +360,40 @@ def _mes_probe(model: HamiltonianModel, theta_true: np.ndarray, trotter_slices: 
 
 
 def _symmetric_probe(model: HamiltonianModel, theta_true: np.ndarray):
-    """(V_true, inc -> V) of the collective MES, V = exp(+i tau H_theta*) exp(-i tau H_theta).
+    """(V_true, inc -> (V, dV)) of the collective MES, V = exp(+i tau H_theta*) exp(-i tau H_theta).
 
     Sym^r(V) is exp(+i tau {H_theta*}_r) exp(-i tau {H_theta}_r); the
-    counter-rotation is computed once per stage.
+    counter-rotation is computed once per stage, and dV = counter dU.
     """
+    ops = np.asarray(model.generators)
 
     def probe(stage: _Stage, theta_star: np.ndarray):
         counter = hermitian_expm(hamiltonian(model, theta_star), -stage.tau)
 
         def unitary(inc):
-            return counter @ hermitian_expm(hamiltonian(model, theta_star + inc), stage.tau)
+            u, du = hermitian_expm_derivatives(hamiltonian(model, theta_star + inc),
+                                               stage.tau, ops)
+            return counter @ u, counter @ du
 
         return counter @ hermitian_expm(hamiltonian(model, theta_true), stage.tau), unitary
 
     return probe
+
+
+def _frame_family(unitary, ops, r: int):
+    """inc -> (f, df): normalized frame coefficients of Sym^r(V(inc)) and their Jacobian.
+
+    With c, dc from :func:`sym_frame_tangents`, f = c / |c| and
+    df = dc / |c| - f Re(f^dag dc) / |c|.
+    """
+
+    def family(inc):
+        c, dc = sym_frame_tangents(*unitary(inc), ops, r)
+        norm = np.linalg.norm(c)
+        f = c / norm
+        return f, (dc - np.outer(f, np.real(f.conj() @ dc))) / norm
+
+    return family
 
 
 def _run_stage(model, stage: _Stage, probe, theta_star, refine: bool, rng):
@@ -394,14 +404,9 @@ def _run_stage(model, stage: _Stage, probe, theta_star, refine: bool, rng):
     p = float(np.real(np.vdot(c, c)))          # the postselection probability
     if p < TOL.min_postselect_p:
         raise DegenerateProjectionError(f"projection probability {p:.3e} is degenerate")
-
-    def family(inc):
-        c = sym_frame_coefficients(unitary(inc), ops, stage.r)
-        return c / np.linalg.norm(c)
-
     return _stage_estimate(c / math.sqrt(p), min(p, 1.0), stage.copies, stage.tau,
                            1.0 / math.sqrt(f2_coeff(model.d, stage.r)),
-                           family if refine else None, rng)
+                           _frame_family(unitary, ops, stage.r) if refine else None, rng)
 
 
 def _run_stages(model, plan, probe, theta_true, delta, seed, refine, rng) -> EstimationRecord:

@@ -22,6 +22,7 @@ __all__ = [
     "assert_hermitian",
     "assert_unitary",
     "hermitian_expm",
+    "hermitian_expm_derivatives",
     "unitary_principal_log",
     "su_basis",
     "hs_inner",
@@ -87,6 +88,26 @@ def hermitian_expm(h, t: float) -> np.ndarray:
     h = assert_hermitian(h, name="H")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
+def hermitian_expm_derivatives(h, t: float, directions) -> tuple[np.ndarray, np.ndarray]:
+    """U = exp(-i t H) and its derivatives dU_k along the Hermitian directions[k].
+
+    Daleckii-Krein form in the eigenbasis W of H: dU_k = W [(W^dag X_k W) o G] W^dag
+    with G_ab = -i t exp(-i t (w_a + w_b) / 2) sinc(t (w_a - w_b) / 2), the
+    divided difference of exp(-i t w) written with no difference quotient of
+    exponentials, so it stays exact at degenerate and nearly degenerate
+    spectra.  ``directions`` is an (m, d, d) stack; dU is too.
+    """
+    h = assert_hermitian(h, name="H")
+    w, v = np.linalg.eigh(h)
+    phases = np.exp(-0.5j * t * w)
+    x = 0.5 * t * np.subtract.outer(w, w)
+    sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+    gamma = (-1j * t) * np.outer(phases, phases) * sinc
+    vh = v.conj().T
+    du = v @ ((vh @ np.asarray(directions) @ v) * gamma) @ vh
+    return (v * np.exp(-1j * t * w)) @ vh, du
 
 
 def unitary_principal_log(u) -> np.ndarray:

@@ -3,9 +3,11 @@
 A :class:`Schedule` alternates free evolution under the unknown Hamiltonian
 (acting identically on each of r driven channels) with arbitrary
 parameter-independent feedback unitaries on the total space.  The quantum
-Fisher information of the evolved probe is computed by central finite
-differences of the evolution map, and :func:`growth_audit` checks the
-square-root growth law Tr J(t) <= 4 c t_eff^2 on a time grid.
+Fisher information of the evolved probe is computed exactly: m tangent
+vectors are pushed forward through the schedule with the state, each
+evolution step contributing the Frechet derivative of exp(-i t H_theta) slot
+by slot.  :func:`growth_audit` checks the square-root growth law
+Tr J(t) <= 4 c t_eff^2 on a time grid.
 
 For r > 1 the information-bearing time is the one-channel equivalent
 t_eff = r * t (an r-channel interval of length t can be reproduced by one
@@ -22,7 +24,8 @@ import numpy as np
 
 from .constants import TOL
 from .errors import AuditFailure, ValidationError
-from .linalg import PureState, assert_unitary, hermitian_expm
+from .linalg import (PureState, assert_unitary, hermitian_expm,
+                     hermitian_expm_derivatives)
 from .model import HamiltonianModel, hamiltonian
 
 __all__ = [
@@ -95,25 +98,47 @@ def _check_schedule(model: HamiltonianModel, schedule: Schedule):
                               f"model has d = {model.d}")
 
 
-def evolve(model: HamiltonianModel, theta, schedule: Schedule) -> PureState:
-    """Run the schedule: feedbacks interleaved with (e^{-i t H_theta})^{(x)r} (x) I."""
+def _propagate(model: HamiltonianModel, theta, schedule: Schedule, tangents: bool):
+    """Evolved amplitudes and, if asked, their (m, dim) derivatives in theta.
+
+    A feedback step maps psi -> V psi and each tangent dpsi_k -> V dpsi_k.
+    An evolution step applies U = exp(-i t H_theta) slot by slot; at each slot
+    the product rule gives dpsi_k -> U dpsi_k + dU_k psi, where dU_k is the
+    Frechet derivative along X_k, so a tangent ends as U^(x)r dpsi_k +
+    sum_slots (dU_k in that slot) psi.
+    """
     _check_schedule(model, schedule)
     h = hamiltonian(model, theta)
-    psi = schedule.initial.amplitudes.copy()
     shape = schedule.initial.factors
+    psi = schedule.initial.amplitudes.reshape(shape)
+    dpsi = np.zeros((model.m,) + shape, dtype=complex) if tangents else None
+    ops = np.asarray(model.generators)
     for interval, v in schedule.steps:
         if v is not None:
-            psi = v @ psi
+            psi = (v @ psi.reshape(-1)).reshape(shape)
+            if tangents:
+                dpsi = (dpsi.reshape(model.m, -1) @ v.T).reshape(dpsi.shape)
         if interval > 0.0:
-            u = hermitian_expm(h, interval)
-            tensor = psi.reshape(shape)
+            if tangents:
+                u, du = hermitian_expm_derivatives(h, interval, ops)
+            else:
+                u = hermitian_expm(h, interval)
             for slot in range(schedule.r):
-                tensor = _apply_to_slot(u, tensor, slot)
-            psi = tensor.reshape(-1)
+                if tangents:
+                    moved = np.moveaxis(np.tensordot(du, psi, axes=([2], [slot])), 1, slot + 1)
+                    dpsi = _apply_to_slot(u, dpsi, slot + 1) + moved
+                psi = _apply_to_slot(u, psi, slot)
+    psi = psi.reshape(-1)
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > TOL.state_norm_atol:
         raise ValidationError(f"evolution lost normalization: |psi| = {nrm}")
-    return PureState(factors=shape, amplitudes=psi / nrm)
+    return psi / nrm, None if dpsi is None else dpsi.reshape(model.m, -1) / nrm
+
+
+def evolve(model: HamiltonianModel, theta, schedule: Schedule) -> PureState:
+    """Run the schedule: feedbacks interleaved with (e^{-i t H_theta})^{(x)r} (x) I."""
+    psi, _ = _propagate(model, theta, schedule, tangents=False)
+    return PureState(factors=schedule.initial.factors, amplitudes=psi)
 
 
 @dataclass(frozen=True)
@@ -150,41 +175,30 @@ def _collective_apply(model, tensor, j, r):
     return out
 
 
-def qfi_matrix(model: HamiltonianModel, theta, schedule: Schedule,
-               step: float | None = None) -> QfiReport:
-    """QFI by central finite differences of the evolution map.
+def _qfi_from_tangents(amps, tangents) -> np.ndarray:
+    """J_jk = 4 Re(<d_j q|d_k q> - <d_j q|q><q|d_k q>) from (m, dim) tangents."""
+    overlaps = tangents.conj() @ amps
+    j = 4.0 * np.real(tangents.conj() @ tangents.T - np.outer(overlaps, overlaps.conj()))
+    return 0.5 * (j + j.T)
 
-    J_jk = 4 Re(<d_j q|d_k q> - <d_j q|q><q|d_k q>), with tangents from a
-    symmetric difference of half-width ``step`` in each parameter.  The
-    gauge-invariant form makes the result insensitive to global phases of
-    the evolved states.  G_jk = <q| C_j C_k |q> with C_j the (collective, for
-    r > 1) generator of the theta_j dependence.
+
+def qfi_matrix(model: HamiltonianModel, theta, schedule: Schedule) -> QfiReport:
+    """QFI of the evolved probe from its exact tangent vectors.
+
+    J_jk = 4 Re(<d_j q|d_k q> - <d_j q|q><q|d_k q>), with the m tangents
+    pushed forward through the schedule alongside the state (no finite
+    differences).  The gauge-invariant form makes the result insensitive to
+    global phases of the evolved states.  G_jk = <q| C_j C_k |q> with C_j
+    the (collective, for r > 1) generator of the theta_j dependence.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != model.m:
         raise ValidationError(f"theta has length {theta.size}, model has m = {model.m}")
-    h = TOL.qfi_step if step is None else float(step)
     m = model.m
+    amps, tangents = _propagate(model, theta, schedule, tangents=True)
 
-    q0 = evolve(model, theta, schedule)
-    tangents = []
-    for j in range(m):
-        dtheta = np.zeros(m)
-        dtheta[j] = h
-        qp = evolve(model, theta + dtheta, schedule).amplitudes
-        qm = evolve(model, theta - dtheta, schedule).amplitudes
-        tangents.append((qp - qm) / (2.0 * h))
-
-    amps = q0.amplitudes
-    jmat = np.empty((m, m))
-    for j in range(m):
-        oj = np.vdot(tangents[j], amps)
-        for k in range(j, m):
-            ok = np.vdot(amps, tangents[k])
-            val = 4.0 * (np.vdot(tangents[j], tangents[k]) - oj * ok).real
-            jmat[j, k] = jmat[k, j] = val
-
-    tensor = amps.reshape(q0.factors)
+    jmat = _qfi_from_tangents(amps, tangents)
+    tensor = amps.reshape(schedule.initial.factors)
     cvecs = [_collective_apply(model, tensor, j, schedule.r).reshape(-1) for j in range(m)]
     gmat = np.empty((m, m), dtype=complex)
     for j in range(m):

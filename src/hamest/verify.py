@@ -14,18 +14,18 @@ import numpy as np
 
 from . import bounds as bd
 from .config import ExperimentConfig
-from .constants import TOL, SchemeConstants
 from .errors import AuditFailure
-from .estimation import (delta_resolution, frame_projection, invert_theta,
-                         mes_probe_map, postselection_frame, superop_S)
-from .linalg import PureState, haar_state, haar_unitary, hermitian_expm, hs_inner
+from .estimation import (_frame_family, delta_resolution, frame_projection,
+                         invert_theta, postselection_frame, superop_S)
+from .linalg import (PureState, haar_state, haar_unitary, hermitian_expm,
+                     hermitian_expm_derivatives, hs_inner)
 from .model import hamiltonian, make_model
-from .probe import Schedule, evolve, growth_audit, mes, qfi_matrix
+from .probe import Schedule, _qfi_from_tangents, evolve, growth_audit, mes, qfi_matrix
 from .runner import rows_to_csv, run_experiment
 from .symmetric import (collective, collective_trace_moments, f2_coeff,
                         magnus_operator, sym_frame_coefficients, sym_space)
 
-__all__ = ["SUITES", "run_suite", "random_schedule"]
+__all__ = ["SUITES", "run_suite", "random_schedule", "richardson_derivative"]
 
 # Caps on the fitted constants of the quadratic state-distance audits,
 # frozen from measured values (~0.12 and ~1.0 on the test grid).
@@ -105,14 +105,39 @@ def check_gauge_invariance():
     assert np.max(np.abs(rep0.J - rep1.J)) < 1e-8
 
 
-def check_fd_step_stability():
-    model = make_model("full", 2)
-    theta = [0.3, 0.1, -0.2]
-    sched = Schedule(r=1, initial=mes(2), steps=((1.0, None),))
-    j1 = qfi_matrix(model, theta, sched, step=TOL.qfi_step).J
-    j2 = qfi_matrix(model, theta, sched, step=TOL.qfi_step / 2).J
-    rel = np.max(np.abs(j1 - j2)) / np.max(np.abs(j1))
-    assert rel < 1e-6, f"relative change {rel:.2e}"
+def richardson_derivative(f, x, step: float) -> np.ndarray:
+    """(m, ...) derivatives of f along each coordinate of x, fourth order in step.
+
+    Richardson extrapolation of two central differences:
+    [8 (f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))] / (12 h).
+    """
+    x = np.asarray(x, dtype=float)
+    out = []
+    for k in range(x.size):
+        e = np.zeros(x.size)
+        e[k] = step
+        out.append((8 * (f(x + e) - f(x - e)) - (f(x + 2 * e) - f(x - 2 * e))) / (12 * step))
+    return np.array(out)
+
+
+def check_qfi_exact_vs_richardson(seed: int = 12):
+    """Exact-tangent QFI against a fourth-order difference of the evolution map."""
+    rng = np.random.default_rng(seed)
+    cases = [(make_model("full", 2), [0.3, 0.1, -0.2],
+              Schedule(r=1, initial=mes(2), steps=((1.0, None),)))]
+    for d in (2, 3):
+        model = make_model("full", d)
+        cases.append((model, 0.3 * rng.standard_normal(model.m), random_schedule(model, rng)))
+    two = PureState(factors=(2, 2, 2), amplitudes=haar_state(8, rng))   # two driven slots
+    cases.append((make_model("full", 2), [0.2, -0.4, 0.1],
+                  Schedule(r=2, initial=two, steps=((0.6, None), (0.4, haar_unitary(8, rng))))))
+    for model, theta, sched in cases:
+        amps = evolve(model, theta, sched).amplitudes
+        tangents = richardson_derivative(lambda t: evolve(model, t, sched).amplitudes,
+                                         theta, 1e-3)
+        exact = qfi_matrix(model, theta, sched).J
+        rel = np.max(np.abs(exact - _qfi_from_tangents(amps, tangents))) / np.max(np.abs(exact))
+        assert rel < 1e-8, f"relative deviation {rel:.2e}"
 
 
 def check_mes_correlation_identity():
@@ -275,17 +300,19 @@ def check_estimator_consistency(seed: int = 55):
     for kind, d in [("full", 2), ("full", 3), ("phase", 4)]:
         model = make_model(kind, d)
         frame = postselection_frame(model)
+        ops = np.asarray(model.generators)
+        tau = 0.05
+        family = _frame_family(
+            lambda inc: hermitian_expm_derivatives(hamiltonian(model, inc), tau, ops), ops, 1)
         for _ in range(5):
             theta = rng.standard_normal(model.m)
             theta /= np.linalg.norm(theta)
-            tau = 0.05
             probe = evolve(model, theta,
                            Schedule(r=1, initial=mes(d), steps=((tau, None),)))
             reduced, _ = frame_projection(frame, probe.amplitudes)
             est = invert_theta(reduced, tau, frame.norm_factor)
             assert np.linalg.norm(est - theta) <= 0.01, (kind, d)
-            est2 = invert_theta(reduced, tau, frame.norm_factor,
-                                family=mes_probe_map(model, tau, frame))
+            est2 = invert_theta(reduced, tau, frame.norm_factor, family=family)
             assert np.linalg.norm(est2 - theta) <= 1e-3, (kind, d)
 
 
@@ -412,7 +439,7 @@ SUITES = {
         ("offdiag_free_evolution_saturates", check_offdiag_saturation),
         ("growth_bound_random_schedules", check_growth_bound_random_schedules),
         ("gauge_invariance_global_phase", check_gauge_invariance),
-        ("finite_difference_step_stability", check_fd_step_stability),
+        ("qfi_exact_vs_richardson", check_qfi_exact_vs_richardson),
         ("mes_correlation_identity", check_mes_correlation_identity),
     ],
     "collective": [

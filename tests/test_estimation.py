@@ -8,21 +8,29 @@ from hamest.config import ExperimentConfig
 from hamest.constants import SchemeConstants
 from hamest.errors import (DegenerateProjectionError, InversionUnstableError,
                            PostselectionStarvedError, ValidationError)
-from hamest.estimation import (EstimationRecord, _measure_and_reconstruct,
-                               _stage_estimate, delta_resolution, frame_projection,
-                               invert_theta, mes_probe_map, postselection_frame,
+from hamest.estimation import (EstimationRecord, _frame_family, _measure_and_reconstruct,
+                               _mes_probe, _refine_gauss_newton, _Stage, _stage_estimate,
+                               _symmetric_probe, delta_resolution,
+                               frame_projection, invert_theta, postselection_frame,
                                reconstruct_from_projector_mean,
                                run_adaptive, run_many_channel, run_one_channel,
                                sample_haar_outcomes, superop_S)
-from hamest.linalg import haar_state, hermitian_expm
+from hamest.linalg import haar_state, hermitian_expm, hermitian_expm_derivatives
 from hamest.model import hamiltonian, make_model
 from hamest.probe import Schedule, evolve, mes
 from hamest.runner import run_experiment
-from hamest.symmetric import sym_space
+from hamest.symmetric import sym_frame_coefficients, sym_space
 
 FULL2 = make_model("full", 2)
 CONST = SchemeConstants()
 _TOMOGRAPHY_CHUNK = 1 << 16
+
+
+def mes_family(model, tau):
+    """theta -> (f, df) of the single-channel MES probe exp(-i tau H_theta)."""
+    ops = np.asarray(model.generators)
+    return _frame_family(
+        lambda theta: hermitian_expm_derivatives(hamiltonian(model, theta), tau, ops), ops, 1)
 
 
 def _haar_bases(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -280,9 +288,31 @@ class TestInvertTheta:
         theta = rng.standard_normal(model.m)
         theta /= np.linalg.norm(theta)
         frame, reduced, _ = exact_reduced(model, theta, 0.05)
-        est = invert_theta(reduced, 0.05, frame.norm_factor,
-                           family=mes_probe_map(model, 0.05, frame))
+        est = invert_theta(reduced, 0.05, frame.norm_factor, family=mes_family(model, 0.05))
         assert np.linalg.norm(est - theta) <= 1e-3
+
+    @pytest.mark.parametrize("kind,d,r", [("full", 3, 1), ("full", 2, 8), ("full", 3, 6),
+                                          ("offdiag", 4, 4)])
+    def test_refine_gauss_newton_converges_quadratically(self, kind, d, r):
+        # noiseless coefficients (any global phase): one exact Gauss-Newton
+        # step from inc + eps u lands within O(eps^2) of the true increment
+        model = make_model(kind, d)
+        rng = np.random.default_rng(40 + r)
+        theta = rng.standard_normal(model.m)
+        theta /= np.linalg.norm(theta)
+        star = theta + 0.2 * rng.standard_normal(model.m)
+        probe = _mes_probe(model, theta, 0) if r == 1 else _symmetric_probe(model, theta)
+        v, unitary = probe(_Stage(1, 0.3 / r, r, 0), star)
+        c = sym_frame_coefficients(v, model.generators, r)
+        reduced = np.exp(0.7j) * c / np.linalg.norm(c)
+        family = _frame_family(unitary, np.asarray(model.generators), r)
+        u = rng.standard_normal(model.m)
+        u /= np.linalg.norm(u)
+        errs = [np.linalg.norm(_refine_gauss_newton(family, reduced, theta - star + eps * u)
+                               - (theta - star)) for eps in (1e-1, 1e-2, 1e-3)]
+        for eps, err in zip((1e-1, 1e-2, 1e-3), errs):
+            assert err <= 0.01 * eps ** 2, (eps, err)
+        assert 0.005 <= errs[2] / errs[1] <= 0.02, errs
 
     def test_unstable_when_c0_small(self):
         frame = postselection_frame(make_model("phase", 2))
@@ -429,7 +459,7 @@ class TestRunAdaptive:
                                Schedule(r=1, initial=mes(2), steps=((tau, None),)))
                 reduced, p = frame_projection(frame, probe.amplitudes)
                 inc, _ = _stage_estimate(reduced, p, copies, tau, frame.norm_factor,
-                                         mes_probe_map(FULL2, tau, frame), rng)
+                                         mes_family(FULL2, tau), rng)
                 theta_star = theta_star + inc
                 err = np.linalg.norm(theta_star - theta)
                 if prior_ok:

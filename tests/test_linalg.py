@@ -5,7 +5,9 @@ import pytest
 
 from hamest.errors import BranchCutError, ValidationError
 from hamest.linalg import (PureState, haar_state, haar_unitary, hermitian_expm,
-                           hs_inner, su_basis, unitary_principal_log)
+                           hermitian_expm_derivatives, hs_inner, su_basis,
+                           unitary_principal_log)
+from hamest.verify import richardson_derivative
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -41,6 +43,34 @@ class TestHermitianExpm:
         z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         u = hermitian_expm(0.5 * (z + z.conj().T), 3.3)
         assert np.max(np.abs(u.conj().T @ u - np.eye(5))) < 1e-12
+
+
+class TestExpmDerivatives:
+    def test_value_is_hermitian_expm(self):
+        h = 0.5 * (SX + SZ)
+        u, _ = hermitian_expm_derivatives(h, 0.7, np.array([SX, SY]))
+        assert np.array_equal(u, hermitian_expm(h, 0.7))
+
+    def test_zero_hamiltonian(self):
+        # fully degenerate spectrum: dU_k = -i t X_k
+        ops = np.array(su_basis(3))
+        _, du = hermitian_expm_derivatives(np.zeros((3, 3)), 1.9, ops)
+        assert np.max(np.abs(du + 1.9j * ops)) < 1e-15
+
+    def test_commuting_direction(self):
+        # [H, X] = 0 with a repeated eigenvalue: dU = -i t X U
+        h, x = np.diag([0.4, 0.4, -0.8]), np.diag([1.0, -1.0, 0.0]).astype(complex)
+        u, du = hermitian_expm_derivatives(h, 2.3, x[None])
+        assert np.max(np.abs(du[0] + 2.3j * x @ u)) < 1e-14
+
+    def test_matches_richardson(self):
+        rng = np.random.default_rng(5)
+        ops = np.array(su_basis(3))
+        theta = rng.standard_normal(8)
+        _, du = hermitian_expm_derivatives(np.tensordot(theta, ops, 1), 1.3, ops)
+        ref = richardson_derivative(
+            lambda t: hermitian_expm(np.tensordot(t, ops, 1), 1.3), theta, 1e-3)
+        assert np.max(np.abs(du - ref)) < 1e-11
 
 
 class TestPrincipalLog:

@@ -8,8 +8,9 @@ from hamest.errors import ValidationError
 from hamest.estimation import _mes_probe, _Stage
 from hamest.linalg import PureState, haar_state, hermitian_expm
 from hamest.model import hamiltonian, make_model
-from hamest.probe import Schedule, evolve, growth_audit, mes, qfi_matrix
-from hamest.verify import random_schedule
+from hamest.probe import (Schedule, _qfi_from_tangents, evolve, growth_audit, mes,
+                          qfi_matrix)
+from hamest.verify import random_schedule, richardson_derivative
 
 
 def free_schedule(d, tau, r=1, initial=None):
@@ -113,13 +114,18 @@ class TestQfi:
         rep1 = qfi_matrix(model, theta, phased)
         assert np.max(np.abs(rep0.J - rep1.J)) < 1e-8
 
-    def test_fd_step_halving(self):
+    def test_exact_matches_richardson(self):
+        # exact tangents against a fourth-order difference of the evolution map,
+        # whose own error at step 1e-3 is about 1e-13 relative here
         model = make_model("full", 3)
         theta = np.linspace(-0.3, 0.4, model.m)
-        sched = free_schedule(3, 1.1)
-        j1 = qfi_matrix(model, theta, sched).J
-        j2 = qfi_matrix(model, theta, sched, step=TOL.qfi_step / 2).J
-        assert np.max(np.abs(j1 - j2)) / np.max(np.abs(j1)) < 1e-6
+        rng = np.random.default_rng(13)
+        for sched in (free_schedule(3, 1.1), random_schedule(model, rng)):
+            exact = qfi_matrix(model, theta, sched).J
+            tangents = richardson_derivative(
+                lambda t: evolve(model, t, sched).amplitudes, theta, 1e-3)
+            fd = _qfi_from_tangents(evolve(model, theta, sched).amplitudes, tangents)
+            assert np.max(np.abs(exact - fd)) / np.max(np.abs(exact)) < 1e-8
 
     def test_mes_correlation_matrix(self):
         model = make_model("full", 3)

@@ -5,11 +5,13 @@ import pytest
 
 from hamest.errors import BranchCutError, ResourceLimitError, ValidationError
 from hamest.estimation import frame_projection, postselection_frame
-from hamest.linalg import haar_unitary, hermitian_expm, hs_inner
+from hamest.linalg import haar_unitary, hermitian_expm, hermitian_expm_derivatives, hs_inner
 from hamest.model import hamiltonian, make_model
 from hamest.symmetric import (collective, collective_trace_moments, f2_coeff,
                               f4_coeff, f22_coeff, magnus_operator, occupations,
-                              sym_dim, sym_frame_coefficients, sym_space)
+                              sym_dim, sym_frame_coefficients, sym_frame_tangents,
+                              sym_space)
+from hamest.verify import richardson_derivative
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -134,6 +136,139 @@ class TestFrameCoefficients:
             model = make_model("full", d)
             c = sym_frame_coefficients(np.eye(d), model.generators, r)
             assert np.max(np.abs(c - np.eye(model.m + 1)[0])) < 1e-12
+
+
+# (d, r) of the Jacobian oracle; (3, 682) and (2, 1024) are the largest r that
+# the default r_max allows
+JACOBIAN_PAIRS = [(2, 1), (3, 1), (2, 2), (2, 5), (2, 64), (3, 12), (4, 9), (3, 682), (2, 1024)]
+
+
+def stage_path(case, d, r):
+    """(model, x, star, tau) of a path x -> V = exp(+i tau H_star) exp(-i tau H_x).
+
+    generic: Haar-like star, x near it; identity: H = 0 and no counter, so
+    V = I; phase: the commuting diagonal model; counter: x = star, so
+    V = counter U = I up to rounding while dV is not 0.  tau is of order 1 / r.
+    """
+    model = make_model("phase" if case == "phase" else "full", d)
+    rng = np.random.default_rng(1000 * d + r)
+    star = rng.standard_normal(model.m)
+    star /= np.linalg.norm(star)
+    x = star + 0.3 * rng.standard_normal(model.m)
+    tau = 0.5 if r == 1 else 1.0 / r
+    if case == "identity":
+        return model, np.zeros(model.m), None, tau
+    if case == "counter":
+        return model, star, star, tau
+    return model, x, star, tau
+
+
+def numpy_path(model, star, tau):
+    ops = np.asarray(model.generators)
+    counter = np.eye(model.d) if star is None else hermitian_expm(hamiltonian(model, star), -tau)
+
+    def v_and_dv(x):
+        u, du = hermitian_expm_derivatives(hamiltonian(model, x), tau, ops)
+        return counter @ u, counter @ du
+
+    return v_and_dv
+
+
+def mp_stage(mp, model, star, tau, r):
+    """x -> frame coefficients of Sym^r(V) at mpmath precision, with no eigendecomposition.
+
+    The e_i of V's eigenvalues follow from Tr V^i (Newton's identities), and
+    the h_k from sum_i (-1)^i e_i h_{k-i} = 0.  By Cayley-Hamilton,
+    V^k = sum_{i<d} a_ki V^i with a scalar recurrence on a_k, so
+    c_j = sum_{i<d} b_i Tr(X_j V^i) / (D sqrt(F2)), b_i = sum_{k=1..r} h_{r-k} a_ki.
+    """
+    d = model.d
+    gens = [mp.matrix(g.tolist()) for g in model.generators]
+
+    def ham(theta):
+        out = mp.zeros(d)
+        for t, g in zip(theta, gens):
+            out += mp.mpf(t) * g
+        return out
+
+    counter = mp.eye(d) if star is None else mp.expm(1j * mp.mpf(tau) * ham(star))
+    dim = sym_dim(d, r)
+    scale = dim * mp.sqrt(mp.mpf(r * (d + r)) / (d * (d + 1)))
+    return lambda x: _mp_coefficients(mp, gens, counter * mp.expm(-1j * mp.mpf(tau) * ham(x)),
+                                      r, dim, scale)
+
+
+def _mp_coefficients(mp, gens, v, r, dim, scale):
+    d = v.rows
+    powers = [mp.eye(d)]
+    for _ in range(d):
+        powers.append(powers[-1] * v)
+    p = [sum(w[a, a] for a in range(d)) for w in powers[1:]]
+    e = [mp.mpc(1)]
+    for i in range(1, d + 1):
+        e.append(sum((-1) ** (j - 1) * e[i - j] * p[j - 1] for j in range(1, i + 1)) / i)
+    h = [mp.mpc(1)]
+    for k in range(1, r + 1):
+        h.append(sum((-1) ** (i + 1) * e[i] * h[k - i] for i in range(1, min(k, d) + 1)))
+    a, b = [mp.mpc(1)] + [mp.mpc(0)] * (d - 1), [mp.mpc(0)] * d
+    for k in range(1, r + 1):         # a <- coefficients of V^k
+        top = a[-1]
+        a = [mp.mpc(0)] + a[:-1]
+        for i in range(1, d + 1):
+            a[d - i] += (-1) ** (i + 1) * e[i] * top
+        b = [bi + h[r - k] * ai for bi, ai in zip(b, a)]
+    return [h[r] / dim] + [sum(bi * sum((g * w)[a_, a_] for a_ in range(d))
+                               for bi, w in zip(b, powers)) / scale for g in gens]
+
+
+class TestFrameJacobian:
+    """sym_frame_tangents on V = counter exp(-i tau H_x) with dV from the Frechet derivative."""
+
+    CASES = ("generic", "identity", "phase", "counter")
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("d,r", JACOBIAN_PAIRS)
+    def test_matches_mpmath(self, d, r, case):
+        mp = pytest.importorskip("mpmath")
+        model, x, star, tau = stage_path(case, d, r)
+        v, dv = numpy_path(model, star, tau)(x)
+        c, dc = sym_frame_tangents(v, dv, model.generators, r)
+        step = mp.mpf("1e-10")
+        with mp.workdps(30):
+            coefficients = mp_stage(mp, model, star, tau, r)
+            ref_c = np.array(coefficients(x), dtype=complex)
+            ref = np.empty(dc.shape, dtype=complex)
+            for k in range(model.m):
+                xs = [mp.mpf(t) for t in x]
+                up = xs[:k] + [xs[k] + step] + xs[k + 1:]
+                dn = xs[:k] + [xs[k] - step] + xs[k + 1:]
+                ref[:, k] = [complex((a - b) / (2 * step))
+                             for a, b in zip(coefficients(up), coefficients(dn))]
+        assert np.max(np.abs(c - ref_c)) < 5e-12
+        rel = np.max(np.abs(dc - ref)) / np.max(np.abs(ref))
+        assert rel < 1e-9, rel
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("d,r", JACOBIAN_PAIRS)
+    def test_matches_richardson(self, d, r, case):
+        # the step-1e-3 difference carries the coefficients' rounding divided
+        # by the step, which grows with r: its own error, not the Jacobian's
+        model, x, star, tau = stage_path(case, d, r)
+        path = numpy_path(model, star, tau)
+        c, dc = sym_frame_tangents(*path(x), model.generators, r)
+        ref = richardson_derivative(
+            lambda y: sym_frame_coefficients(path(y)[0], model.generators, r), x, 1e-3)
+        rel = np.max(np.abs(dc - ref.T)) / np.max(np.abs(dc))
+        assert rel < 2e-11 * r, rel
+
+    def test_value_matches_frame_coefficients(self):
+        rng = np.random.default_rng(12)
+        for d, r in JACOBIAN_PAIRS:
+            model = make_model("full", d)
+            v = haar_unitary(d, rng)
+            c, dc = sym_frame_tangents(v, np.zeros((2, d, d)), model.generators, r)
+            assert np.max(np.abs(c - sym_frame_coefficients(v, model.generators, r))) < 1e-12
+            assert dc.shape == (model.m + 1, 2) and not np.any(dc)
 
 
 class TestTraceMoments:
