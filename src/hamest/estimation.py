@@ -410,12 +410,20 @@ def _run_stage(model, stage: _Stage, probe, theta_star, refine: bool, rng):
 
 
 def _run_stages(model, plan, probe, theta_true, delta, seed, refine, rng) -> EstimationRecord:
-    """Feed each stage's increment back; a failed stage is recorded and skipped."""
+    """Feed each stage's increment back; a failed stage is recorded and skipped.
+
+    An increment longer than the stage's search radius 2^n delta is projected
+    onto that ball, so a starved stage cannot throw theta* out of the region
+    the later stages search.
+    """
     theta_star = np.zeros(theta_true.size)
     records = []
     for stage in plan:
         try:
             increment, rate = _run_stage(model, stage, probe, theta_star, refine, rng)
+            radius, norm = 2.0 ** stage.n * delta, np.linalg.norm(increment)
+            if norm > radius:
+                increment = increment * (radius / norm)
             theta_star, failed = theta_star + increment, False
         except (DegenerateProjectionError, PostselectionStarvedError,
                 InversionUnstableError):

@@ -472,6 +472,22 @@ class TestRunAdaptive:
             assert tot > 0
             assert hit / tot >= 1 - 0.05 / 2 ** n - 0.01, (n, hit, tot)
 
+    @pytest.mark.parametrize("driver", [run_adaptive, run_many_channel])
+    def test_starved_run_stays_in_stage_balls(self, driver):
+        # alpha = 0.2 starves the late stages (as in the adaptive_failed_stage
+        # golden); each increment is projected onto its ball of radius 2^n delta
+        const, delta = SchemeConstants(alpha=0.2), 0.05
+        bound = sum(2.0 ** n * delta for n in range(1, 6))
+        worst = 0.0
+        for seed in range(40):
+            rng = np.random.default_rng((12, seed))
+            theta = rng.standard_normal(3)
+            theta *= rng.random() ** (1 / 3) / np.linalg.norm(theta)
+            rec = driver(FULL2, theta, delta, 1.0, const, rng=rng, seed=seed)
+            assert [s.n for s in rec.stages] == [5, 4, 3, 2, 1]
+            worst = max(worst, np.linalg.norm(rec.theta_hat))
+        assert worst <= bound * (1 + 1e-12), worst
+
     def test_trotter_mode_succeeds(self):
         const = SchemeConstants(trotter_slices=128)
         rec = run_adaptive(FULL2, [0.25, 0.1, -0.3], 0.1, 1.0, const, seed=9)
