@@ -57,7 +57,10 @@ class SchemeConstants:
             A cap below the plan's largest r = 2^(n0-1) d keeps every later
             stage at the cap, so those stages stop sharpening the estimate.
     refine  apply one Gauss-Newton fidelity refinement after the first-order
-            inversion (removes the O(kappa^2) inversion bias).
+            inversion (removes the O(kappa^2) inversion bias).  The step uses
+            the exact Jacobian of the stage's normalized frame coefficients:
+            the Frechet derivative of exp(-i tau H) pushed through the
+            frame-coefficient map, with no finite differences.
     trotter_slices  adaptive only.  0 = exact feedback, V = exp(-i tau H_{theta-theta*});
             k > 0 = kicks exp(+i s H_theta*) between k slices exp(-i s H_theta),
             s = tau / k, in the symmetric d x d splitting (error O(tau^3 / k^2)).

@@ -261,15 +261,6 @@ class TestFrameJacobian:
         rel = np.max(np.abs(dc - ref.T)) / np.max(np.abs(dc))
         assert rel < 2e-11 * r, rel
 
-    def test_value_matches_frame_coefficients(self):
-        rng = np.random.default_rng(12)
-        for d, r in JACOBIAN_PAIRS:
-            model = make_model("full", d)
-            v = haar_unitary(d, rng)
-            c, dc = sym_frame_tangents(v, np.zeros((2, d, d)), model.generators, r)
-            assert np.max(np.abs(c - sym_frame_coefficients(v, model.generators, r))) < 1e-12
-            assert dc.shape == (model.m + 1, 2) and not np.any(dc)
-
 
 class TestTraceMoments:
     def test_worked_second_moment(self):
