@@ -51,7 +51,8 @@ __all__ = [
     "run_many_channel",
 ]
 
-_TOMOGRAPHY_CHUNK = 1 << 16
+# Copies per Gaussian draw: an 8192-row block of a small D stays in a core's L2 cache.
+_TOMOGRAPHY_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -121,28 +122,46 @@ def superop_S(model: HamiltonianModel, a) -> np.ndarray:
     return out
 
 
-def sample_haar_outcomes(state, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Outcome vectors of n Haar-random-basis measurements of ``state``.
+def _aligned_basis(psi: np.ndarray) -> np.ndarray:
+    """Unitary B whose first column is psi: one Householder reflector, smooth in psi."""
+    return np.linalg.qr(psi[:, None], mode="complete")[0]
 
-    Sampled directly from the outcome distribution: picking a Haar basis and
-    clicking outcome k with probability |<b_k|psi>|^2 gives an outcome vector
-    o with density D |<o|psi>|^2 on the sphere.  In a basis B whose first
-    column is psi, o = B x / |x|: x_1 .. x_{D-1} are iid complex Gaussians,
-    and x_0 has their density times |x_0|^2, drawn as the phase of a complex
+
+def _aligned_outcomes(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-measured outcome vectors in a basis whose first vector is the measured state.
+
+    Returned as an (n, 2 dim) real view whose rows are unit vectors, the real
+    and imaginary parts of each coordinate side by side.  Picking a Haar
+    basis and clicking outcome k with probability |<b_k|psi>|^2 gives an
+    outcome vector o with density D |<o|psi>|^2 on the sphere.  In the
+    aligned basis, o = x / |x|: x_1 .. x_{D-1} are iid complex Gaussians, and
+    x_0 has their density times |x_0|^2, drawn as the phase of a complex
     Gaussian a with |x_0|^2 = |a|^2 + |b|^2 for a second one b.  So
     |<o|psi>|^2 ~ Beta(2, D-1), and one Gaussian draw covers all n outcomes.
     """
+    g = rng.standard_normal((n, 2 * dim + 2))        # columns a, b, x_1 .. x_{D-1}
+    g *= (1.0 / np.sqrt(np.einsum("ij,ij->i", g, g)))[:, None]   # 1/|x|: |x_0|^2 = |a|^2 + |b|^2
+    abs_a2 = g[:, 0] ** 2 + g[:, 1] ** 2
+    scale = abs_a2 + g[:, 2] ** 2 + g[:, 3] ** 2     # |x_0|^2
+    zero = abs_a2 == 0                                # no phase: take x_0 real
+    g[zero, 0], abs_a2[zero] = 1.0, 1.0
+    scale /= abs_a2
+    np.sqrt(scale, out=scale)
+    np.multiply(g[:, 0], scale, out=g[:, 2])
+    np.multiply(g[:, 1], scale, out=g[:, 3])
+    return g[:, 2:]
+
+
+def sample_haar_outcomes(state, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Outcome vectors of n Haar-random-basis measurements of ``state``, one per row.
+
+    The per-outcome reference for the stage's tomography: B times each row
+    of the shared draw core :func:`_aligned_outcomes`, with B the basis whose
+    first column is ``state``.  Its draws, and so the generator's state
+    afterwards, match those of the projector sum that the stages use.
+    """
     psi = np.asarray(state, dtype=complex).reshape(-1)
-    basis = np.linalg.qr(psi[:, None], mode="complete")[0]   # one reflector: smooth in psi
-    g = rng.standard_normal((n, 2 * psi.size + 2))
-    norm = np.sqrt(np.einsum("ij,ij->i", g, g))       # |x|, as |x_0|^2 = |a|^2 + |b|^2
-    z = g.view(complex)                               # columns a, b, x_1 .. x_{D-1}
-    abs_a = np.abs(z[:, 0])
-    phase = np.divide(z[:, 0], abs_a, out=np.ones(n, dtype=complex), where=abs_a > 0)
-    z[:, 1] = phase * np.sqrt(abs_a ** 2 + np.abs(z[:, 1]) ** 2)
-    outs = z[:, 1:] @ basis.T
-    outs /= norm[:, None]
-    return outs
+    return _aligned_outcomes(psi.size, n, rng).view(complex) @ _aligned_basis(psi).T
 
 
 def reconstruct_from_projector_mean(mean_projector: np.ndarray) -> np.ndarray:
@@ -160,14 +179,27 @@ def reconstruct_from_projector_mean(mean_projector: np.ndarray) -> np.ndarray:
     return vecs[:, -1]
 
 
+def _outcome_projector_mean(psi: np.ndarray, n_copies: int,
+                            rng: np.random.Generator) -> np.ndarray:
+    """Mean outcome projector of n_copies Haar-measured copies of psi.
+
+    The real Gram of the aligned outcome rows is summed chunk by chunk and
+    folded once into the complex sum S of w w^dag; the mean is B S B^dag / n.
+    """
+    dim = psi.size
+    gram = np.zeros((2 * dim, 2 * dim))
+    for done in range(0, n_copies, _TOMOGRAPHY_CHUNK):
+        y = _aligned_outcomes(dim, min(_TOMOGRAPHY_CHUNK, n_copies - done), rng)
+        gram += y.T @ y
+        del y                          # free this block before the next one is drawn
+    s = gram[0::2, 0::2] + gram[1::2, 1::2] + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2])
+    basis = _aligned_basis(psi)
+    return basis @ s @ basis.conj().T / n_copies
+
+
 def _measure_and_reconstruct(psi: np.ndarray, n_copies: int,
                              rng: np.random.Generator) -> np.ndarray:
-    dim = psi.size
-    mean = np.zeros((dim, dim), dtype=complex)
-    for done in range(0, n_copies, _TOMOGRAPHY_CHUNK):
-        outs = sample_haar_outcomes(psi, min(_TOMOGRAPHY_CHUNK, n_copies - done), rng)
-        mean += outs.T @ outs.conj()
-    return reconstruct_from_projector_mean(mean / n_copies)
+    return reconstruct_from_projector_mean(_outcome_projector_mean(psi, n_copies, rng))
 
 
 def _refine_gauss_newton(family, reduced: np.ndarray, theta0: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hamest.config import ExperimentConfig
 from hamest.constants import SchemeConstants
 from hamest.errors import (DegenerateProjectionError, InversionUnstableError,
                            PostselectionStarvedError, ValidationError)
-from hamest.estimation import (EstimationRecord, _frame_family, _measure_and_reconstruct,
-                               _mes_probe, _refine_gauss_newton, _Stage, _stage_estimate,
+from hamest.estimation import (_TOMOGRAPHY_CHUNK as STAGE_CHUNK, EstimationRecord,
+                               _frame_family, _measure_and_reconstruct, _mes_probe,
+                               _outcome_projector_mean, _refine_gauss_newton, _Stage, _stage_estimate,
                                _symmetric_probe, delta_resolution,
                                frame_projection, invert_theta, postselection_frame,
                                reconstruct_from_projector_mean,
@@ -227,18 +229,50 @@ class TestTomography:
         stderr = weight.std(ddof=1) / math.sqrt(weight.size)
         assert abs(weight.mean() - 1 / (dim + 1)) <= 5 * stderr
 
-    def test_sampler_zero_gaussian_gives_no_nan(self):
-        class ZeroFirstDraw:
-            """Draws whose first complex Gaussian (the phase source) is exactly 0."""
-            def standard_normal(self, size):
-                g = np.random.default_rng(9).standard_normal(size)
-                g[:, :2] = 0.0
-                return g
+    class ZeroFirstDraw:
+        """Draws whose first complex Gaussian (the phase source) is exactly 0."""
+        def standard_normal(self, size):
+            g = np.random.default_rng(9).standard_normal(size)
+            g[:, :2] = 0.0
+            return g
 
+    def test_sampler_zero_gaussian_gives_no_nan(self):
+        ZeroFirstDraw = self.ZeroFirstDraw
         psi = haar_state(3, np.random.default_rng(10))
         outs = sample_haar_outcomes(psi, 100, ZeroFirstDraw())
         assert np.all(np.isfinite(outs))
         assert np.allclose(np.linalg.norm(outs, axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_stage_path_zero_gaussian_gives_unit_trace(self):
+        psi = haar_state(3, np.random.default_rng(10))
+        mean = _outcome_projector_mean(psi, 100, self.ZeroFirstDraw())
+        assert np.all(np.isfinite(mean))
+        assert abs(np.trace(mean) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("copies", ["D+1", "chunk", "2.5 chunk"])
+    @pytest.mark.parametrize("dim", [2, 4, 9])
+    def test_stage_path_matches_reference_sampler(self, dim, copies):
+        # same draws, same generator state: the projector sum is the reference's, summed
+        n = {"D+1": dim + 1, "chunk": STAGE_CHUNK, "2.5 chunk": 5 * STAGE_CHUNK // 2}[copies]
+        psi = haar_state(dim, np.random.default_rng(60 + dim))
+        stage_rng, ref_rng = np.random.default_rng(61), np.random.default_rng(61)
+        mean = _outcome_projector_mean(psi, n, stage_rng)
+        outs = sample_haar_outcomes(psi, n, ref_rng)
+        assert np.max(np.abs(mean - outs.T @ outs.conj() / n)) <= 1e-13
+        assert stage_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("dim", [4, 9, 16])
+    def test_tomography_memory_is_bounded_by_chunk(self, dim):
+        # 230 400 copies, as in a one-channel run: no per-copy array is kept
+        psi = haar_state(dim, np.random.default_rng(70 + dim))
+        rng = np.random.default_rng(71)
+        tracemalloc.start()
+        try:
+            _measure_and_reconstruct(psi, 230_400, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_sampler_basis_is_continuous_in_state(self):
         # a rounding-level change of psi must not redraw the outcomes
