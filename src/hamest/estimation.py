@@ -140,7 +140,7 @@ def _aligned_outcomes(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     |<o|psi>|^2 ~ Beta(2, D-1), and one Gaussian draw covers all n outcomes.
     """
     g = rng.standard_normal((n, 2 * dim + 2))        # columns a, b, x_1 .. x_{D-1}
-    g *= (1.0 / np.sqrt(np.einsum("ij,ij->i", g, g)))[:, None]   # 1/|x|: |x_0|^2 = |a|^2 + |b|^2
+    g *= (1.0 / np.sqrt(np.einsum("ij,ij->i", g, g)))[:, None]   # / |x|: |x_0|^2 = |a|^2 + |b|^2
     abs_a2 = g[:, 0] ** 2 + g[:, 1] ** 2
     scale = abs_a2 + g[:, 2] ** 2 + g[:, 3] ** 2     # |x_0|^2
     zero = abs_a2 == 0                                # no phase: take x_0 real
