@@ -8,11 +8,11 @@ in :class:`PureState`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .constants import TOL
 from .errors import BranchCutError, ValidationError
@@ -23,6 +23,7 @@ __all__ = [
     "assert_unitary",
     "hermitian_expm",
     "hermitian_expm_derivatives",
+    "unitary_eig",
     "unitary_principal_log",
     "su_basis",
     "hs_inner",
@@ -110,6 +111,27 @@ def hermitian_expm_derivatives(h, t: float, directions) -> tuple[np.ndarray, np.
     return (v * np.exp(-1j * t * w)) @ vh, du
 
 
+def unitary_eig(v) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lam and an orthonormal eigenbasis Q of a unitary V: V = Q diag(lam) Q^dag.
+
+    The point w of the unit circle at the middle of the widest gap between
+    the eigenphases lies at least pi/d from each of them, so the Cayley
+    transform K = i (w + V)(w - V)^-1 is Hermitian with the eigenvectors of
+    V and eigenvalues kappa = cot((arg w - phi)/2), |kappa| <= cot(pi/2d).
+    ``eigh`` of its Hermitian part gives a Q that is orthonormal whatever
+    the degeneracy, and lam = w (kappa - i)/(kappa + i).
+    """
+    v = np.asarray(v, dtype=complex)
+    phases = sorted(np.angle(np.linalg.eigvals(v)).tolist())
+    gaps = [b - a for a, b in zip(phases, phases[1:] + [phases[0] + 2.0 * math.pi])]
+    k = gaps.index(max(gaps))
+    w = cmath.exp(1j * (phases[k] + 0.5 * gaps[k]))
+    # K = 2a - i I with a = i w (w - V)^-1, so the Hermitian part of K is a + a^dag
+    a = (1j * w) * np.linalg.inv(w * np.eye(len(v)) - v)
+    kappa, q = np.linalg.eigh(a + a.conj().T)
+    return w * (kappa - 1j) / (kappa + 1j), q
+
+
 def unitary_principal_log(u) -> np.ndarray:
     """Hermitian M with exp(-i M) = U and eigenvalues of M in (-pi, pi].
 
@@ -118,10 +140,7 @@ def unitary_principal_log(u) -> np.ndarray:
     generator is ambiguous.
     """
     u = assert_unitary(u, name="U")
-    # Complex Schur of a normal matrix: T is diagonal up to roundoff and the
-    # Schur vectors form an orthonormal eigenbasis.
-    t, q = scipy.linalg.schur(u, output="complex")
-    eigs = np.diag(t)
+    eigs, q = unitary_eig(u)
     phases = np.angle(eigs)  # in (-pi, pi]
     if np.any(np.pi - np.abs(phases) < TOL.branch_cut_atol):
         worst = float(np.min(np.pi - np.abs(phases)))

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-import scipy.linalg
 
 from .constants import TOL
 from .errors import ResourceLimitError, ValidationError
-from .linalg import assert_hermitian, hermitian_expm, unitary_principal_log
+from .linalg import assert_hermitian, hermitian_expm, unitary_eig, unitary_principal_log
 
 __all__ = [
     "SymSpace",
@@ -128,13 +127,13 @@ def collective(space: SymSpace, a) -> np.ndarray:
 def sym_frame_coefficients(v, ops, r: int) -> np.ndarray:
     """Coefficients of vec(Sym^r V)/sqrt(D) in the frame of postselection_frame.
 
-    For a d x d unitary V with Schur basis Q and eigenvalues lambda_i,
+    For a d x d unitary V with orthonormal eigenbasis Q and eigenvalues lambda_i,
     h_k = Tr Sym^k(V) is the convolution of the series lambda_i^k, and
     {X}_r is diagonal in the occupation basis of Q with entries
     sum_i (Q^dag X Q)_ii n_i.  Hence c_0 = h_r / D and
     c_j = sum_i (Q^dag X_j Q)_ii sum_{k=1..r} lambda_i^k h_{r-k} / (D sqrt(F2)).
     At r = 1, Sym^1(V) = V is the single-channel MES probe, and the trace
-    form c_0 = Tr V / d, c_j = Tr(X_j V) / sqrt(d) skips the Schur form.
+    form c_0 = Tr V / d, c_j = Tr(X_j V) / sqrt(d) skips the eigenbasis.
     """
     return _frame_coefficients(v, None, ops, r)[0]
 
@@ -144,7 +143,7 @@ def sym_frame_tangents(v, dv, ops, r: int) -> tuple[np.ndarray, np.ndarray]:
 
     ``dv`` is a (K, d, d) stack of tangents of V.  At r = 1 the trace map is
     linear, so dc is that map applied to dv.  At r >= 2, with E = Q^dag dV Q
-    in the Schur basis, dh_l = sum_{i<=l} Tr(V^{i-1} dV) h_{l-i} (from the
+    in the eigenbasis, dh_l = sum_{i<=l} Tr(V^{i-1} dV) h_{l-i} (from the
     MacMahon generating function), dc_0 = dh_r / D and
     dc_j = [sum_ab (Q^dag X_j Q)_ba E_ab M_ab
             + sum_a (Q^dag X_j Q)_aa sum_k lambda_a^k dh_{r-k}] / (D sqrt(F2)),
@@ -167,8 +166,8 @@ def _frame_coefficients(v, dv, ops, r: int):
         cols = np.vstack([np.trace(stack, axis1=1, axis2=2) / d,
                           ops.reshape(m, -1) @ flat_t.T / math.sqrt(d)])
         return cols[:, 0], None if dv is None else cols[:, 1:]
-    t, q = scipy.linalg.schur(v, output="complex")
-    powers = np.diagonal(t)[:, None] ** np.arange(r + 1)      # (d, r + 1)
+    eigs, q = unitary_eig(v)
+    powers = eigs[:, None] ** np.arange(r + 1)                 # (d, r + 1)
     h = np.ones(1, dtype=complex)
     for series in powers:
         h = np.convolve(h, series)[:r + 1]

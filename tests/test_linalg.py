@@ -5,8 +5,9 @@ import pytest
 
 from hamest.errors import BranchCutError, ValidationError
 from hamest.linalg import (PureState, haar_state, haar_unitary, hermitian_expm,
-                           hermitian_expm_derivatives, hs_inner, su_basis,
+                           hermitian_expm_derivatives, hs_inner, su_basis, unitary_eig,
                            unitary_principal_log)
+from hamest.model import hamiltonian, make_model
 from hamest.verify import richardson_derivative
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -71,6 +72,50 @@ class TestExpmDerivatives:
         ref = richardson_derivative(
             lambda t: hermitian_expm(np.tensordot(t, ops, 1), 1.3), theta, 1e-3)
         assert np.max(np.abs(du - ref)) < 1e-11
+
+
+def _rotated(phases, rng):
+    q = haar_unitary(len(phases), rng)
+    return (q * np.exp(1j * np.asarray(phases))) @ q.conj().T
+
+
+def _by_phase(lam):
+    # phases read from a cut at 2.6 rad, where no case below has an eigenvalue,
+    # so an eigenvalue at -1 sorts the same whichever sign its angle rounds to
+    return lam[np.argsort(np.mod(np.angle(lam) - 2.6, 2 * np.pi))]
+
+
+def _counter_rotated(inc_scale):
+    # many_channel stage unitary exp(+i tau H*) exp(-i tau H_{theta* + inc})
+    model, rng = make_model("full", 3), np.random.default_rng(8)
+    theta_star = 0.3 * rng.standard_normal(model.m)
+    inc = inc_scale * rng.standard_normal(model.m)
+    return (hermitian_expm(hamiltonian(model, theta_star), -0.7)
+            @ hermitian_expm(hamiltonian(model, theta_star + inc), 0.7))
+
+
+_EIG_CASES = {
+    "identity": np.eye(3, dtype=complex),
+    "counter_at_inc_0": _counter_rotated(0.0),
+    "counter_near_identity": _counter_rotated(1e-9),
+    "repeated_next_to_distinct": _rotated([0.3, 0.3, -1.1, 2.0], np.random.default_rng(1)),
+    "plus_minus_phi": _rotated([0.7, -0.7], np.random.default_rng(2)),
+    "plus_minus_phi_and_zero": _rotated([0.7, -0.7, 0.0], np.random.default_rng(3)),
+    "phase_pi": np.diag([-1.0, 1.0, np.exp(0.5j)]),
+    "phase_pi_rotated": _rotated([np.pi, np.pi, -0.4], np.random.default_rng(4)),
+    **{f"haar_d{d}": haar_unitary(d, np.random.default_rng(40 + d)) for d in range(2, 7)},
+}
+
+
+class TestUnitaryEig:
+    @pytest.mark.parametrize("name", sorted(_EIG_CASES))
+    def test_orthonormal_eigenbasis(self, name):
+        v = _EIG_CASES[name]
+        lam, q = unitary_eig(v)
+        eye = np.eye(len(v))
+        assert np.linalg.norm(q.conj().T @ q - eye, 2) <= 1e-13
+        assert np.linalg.norm(q.conj().T @ v @ q - np.diag(lam), 2) <= 1e-13
+        assert np.max(np.abs(_by_phase(lam) - _by_phase(np.linalg.eigvals(v)))) <= 1e-13
 
 
 class TestPrincipalLog:
