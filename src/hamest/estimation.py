@@ -20,6 +20,7 @@ reference.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -374,11 +375,10 @@ def _mes_probe(model: HamiltonianModel, theta_true: np.ndarray, trotter_slices: 
     exp(-i s H_theta): feedback kicks between slices, error O(tau^3 / k^2).
     The refinement family stays the exact V with its m derivatives dV.
     """
-    ops = np.asarray(model.generators)
-
     def probe(stage: _Stage, theta_star: np.ndarray):
         def unitary(inc):
-            return hermitian_expm_derivatives(hamiltonian(model, inc), stage.tau, ops)
+            return hermitian_expm_derivatives(hamiltonian(model, inc), stage.tau,
+                                              model.generators)
 
         if trotter_slices == 0:
             return hermitian_expm(hamiltonian(model, theta_true - theta_star), stage.tau), unitary
@@ -396,18 +396,21 @@ def _symmetric_probe(model: HamiltonianModel, theta_true: np.ndarray):
 
     Sym^r(V) is exp(+i tau {H_theta*}_r) exp(-i tau {H_theta}_r); the
     counter-rotation is computed once per stage, and dV = counter dU.
+    exp(-i tau H_theta) is computed once per tau, which all stages share.
     """
-    ops = np.asarray(model.generators)
+    @functools.cache
+    def truth(tau):
+        return hermitian_expm(hamiltonian(model, theta_true), tau)
 
     def probe(stage: _Stage, theta_star: np.ndarray):
         counter = hermitian_expm(hamiltonian(model, theta_star), -stage.tau)
 
         def unitary(inc):
             u, du = hermitian_expm_derivatives(hamiltonian(model, theta_star + inc),
-                                               stage.tau, ops)
+                                               stage.tau, model.generators)
             return counter @ u, counter @ du
 
-        return counter @ hermitian_expm(hamiltonian(model, theta_true), stage.tau), unitary
+        return counter @ truth(stage.tau), unitary
 
     return probe
 
@@ -431,7 +434,7 @@ def _frame_family(unitary, ops, r: int):
 def _run_stage(model, stage: _Stage, probe, theta_star, refine: bool, rng):
     """Stage unitary -> frame coefficients -> estimate; returns (increment, accept rate)."""
     v_true, unitary = probe(stage, theta_star)
-    ops = np.asarray(model.generators)         # stacked once per stage
+    ops = model.generators
     c = sym_frame_coefficients(v_true, ops, stage.r)
     p = float(np.real(np.vdot(c, c)))          # the postselection probability
     if p < TOL.min_postselect_p:

@@ -1,10 +1,11 @@
 """Linear Hamiltonian models H_theta = sum_j theta_j X_j.
 
 A model is a set of m orthonormal traceless Hermitian generators on a
-d-level system, together with the cached sum of squares ``X_sum = sum X_j^2``
-and its operator norm ``c``.  ``c`` controls the Fisher-information growth
-bound; models with ``X_sum`` proportional to the identity are *spherical*
-and obey the tighter ``4 m tau^2 / d`` bound.
+d-level system, stacked once into a read-only (m, d, d) array, together
+with the cached sum of squares ``X_sum = sum X_j^2`` and its operator norm
+``c``.  ``c`` controls the Fisher-information growth bound; models with
+``X_sum`` proportional to the identity are *spherical* and obey the tighter
+``4 m tau^2 / d`` bound.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ MODEL_KINDS = ("full", "phase", "offdiag", "custom")
 class HamiltonianModel:
     kind: str
     d: int
-    generators: tuple[np.ndarray, ...]
+    generators: np.ndarray               # (m, d, d), read-only
     x_sum: np.ndarray = field(repr=False)
     c: float
     spherical: bool
@@ -96,7 +97,9 @@ def make_model(kind: str, d: int, custom_generators=None) -> HamiltonianModel:
     c = float(np.linalg.norm(x_sum, 2))
     m = len(gens)
     spherical = bool(np.max(np.abs(x_sum - (m / d) * np.eye(d))) <= TOL.spherical_atol)
-    return HamiltonianModel(kind=kind, d=d, generators=tuple(gens),
+    stacked = np.array(gens)
+    stacked.flags.writeable = False
+    return HamiltonianModel(kind=kind, d=d, generators=stacked,
                             x_sum=x_sum, c=c, spherical=spherical)
 
 
@@ -105,10 +108,7 @@ def hamiltonian(model: HamiltonianModel, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != model.m:
         raise ValidationError(f"theta has length {theta.size}, model has m = {model.m}")
-    h = np.zeros((model.d, model.d), dtype=complex)
-    for coeff, x in zip(theta, model.generators):
-        h += coeff * x
-    return h
+    return np.einsum("j,jab->ab", theta, model.generators)
 
 
 def max_energy(model: HamiltonianModel, e_radius: float) -> float:

@@ -112,7 +112,7 @@ def _propagate(model: HamiltonianModel, theta, schedule: Schedule, tangents: boo
     shape = schedule.initial.factors
     psi = schedule.initial.amplitudes.reshape(shape)
     dpsi = np.zeros((model.m,) + shape, dtype=complex) if tangents else None
-    ops = np.asarray(model.generators)
+    ops = model.generators
     for interval, v in schedule.steps:
         if v is not None:
             psi = (v @ psi.reshape(-1)).reshape(shape)

@@ -300,7 +300,7 @@ def check_estimator_consistency(seed: int = 55):
     for kind, d in [("full", 2), ("full", 3), ("phase", 4)]:
         model = make_model(kind, d)
         frame = postselection_frame(model)
-        ops = np.asarray(model.generators)
+        ops = model.generators
         tau = 0.05
         family = _frame_family(
             lambda inc: hermitian_expm_derivatives(hamiltonian(model, inc), tau, ops), ops, 1)

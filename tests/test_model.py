@@ -65,6 +65,25 @@ def test_hamiltonian_linearity():
     assert np.max(np.abs(lhs - hamiltonian(model, a + b))) < 1e-12
 
 
+@pytest.mark.parametrize("kind,d", [("full", 3), ("phase", 4), ("offdiag", 5)])
+def test_hamiltonian_matches_generator_loop(kind, d):
+    # the stacked product adds theta_j X_j in the loop's order, so it is bit-identical
+    model, rng = make_model(kind, d), np.random.default_rng(9)
+    for _ in range(20):
+        theta = rng.standard_normal(model.m)
+        h = np.zeros((d, d), dtype=complex)
+        for coeff, x in zip(theta, model.generators):
+            h += coeff * x
+        assert np.array_equal(hamiltonian(model, theta), h)
+
+
+def test_generator_stack_read_only():
+    model = make_model("full", 2)
+    assert model.generators.shape == (3, 2, 2)
+    with pytest.raises(ValueError):
+        model.generators[0, 0, 0] = 1.0
+
+
 def test_hamiltonian_length_mismatch():
     with pytest.raises(ValidationError):
         hamiltonian(make_model("full", 2), [1.0, 2.0])
