@@ -10,9 +10,8 @@ from .bounds import (BoundReport, biased_cr_rhs, bound_report, fewparam_time_upp
                      time_upper_general)
 from .config import ExperimentConfig, parse_config
 from .constants import DEFAULT_CONSTANTS, TOL, SchemeConstants, Tolerances
-from .estimation import (EstimationRecord, PostselectionFrame, delta_resolution,
-                         invert_theta, postselection_frame, run_adaptive,
-                         run_many_channel, run_one_channel, superop_S)
+from .estimation import (EstimationRecord, invert_theta, run_adaptive,
+                         run_many_channel, run_one_channel)
 from .linalg import (PureState, hermitian_expm, hs_inner, su_basis,
                      unitary_principal_log)
 from .model import HamiltonianModel, hamiltonian, make_model, max_energy

@@ -17,6 +17,7 @@ from .model import MODEL_KINDS
 __all__ = ["ExperimentConfig", "SCHEMES", "parse_config", "parse_config_text"]
 
 SCHEMES = ("one_channel", "adaptive", "many_channel")
+_CONFIG_MODELS = tuple(k for k in MODEL_KINDS if k != "custom")
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True,
                  "false": False, "0": False, "no": False}
@@ -37,9 +38,9 @@ class ExperimentConfig:
     out_json: str | None = None
 
     def __post_init__(self):
-        if self.model_kind not in MODEL_KINDS:
-            raise ValidationError(
-                f"unknown model {self.model_kind!r}; valid kinds: {MODEL_KINDS}")
+        if self.model_kind not in _CONFIG_MODELS:    # a config cannot supply generators
+            raise ValidationError(f"model {self.model_kind!r} cannot run from a config; "
+                                  f"valid models: {', '.join(_CONFIG_MODELS)}")
         if self.scheme not in SCHEMES:
             raise ValidationError(
                 f"unknown scheme {self.scheme!r}; valid schemes: {', '.join(SCHEMES)}")

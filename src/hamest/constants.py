@@ -25,7 +25,6 @@ class Tolerances:
     gram_atol: float = 1e-8            # model generator Gram matrix vs identity
     spherical_atol: float = 1e-8       # max-abs of X_sum - (m/d) I
     branch_cut_atol: float = 1e-8      # eigenphase distance from -pi
-    frame_gram_atol: float = 1e-9      # postselection frame orthonormality
     psd_atol: float = 1e-8             # QFI matrix positive semidefiniteness
     g_hermitian_atol: float = 1e-10    # correlation matrix Hermiticity
     trj_bound_slack: float = 1e-4      # relative slack on Tr J <= 4 c t^2

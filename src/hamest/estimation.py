@@ -13,9 +13,8 @@ and :func:`run_many_channel` (entangled channels in the symmetric subspace,
 measurement-side counter-rotation, no feedback during evolution).  Each
 driver only plans its stages (n, tau, r, copies) and picks a probe, a d x d
 stage unitary V whose collective MES Sym^r(V) is measured (the MES is r = 1).
-One stage body takes its frame coefficients from :func:`sym_frame_coefficients`; the
-staged drivers share one stage loop; :func:`postselection_frame` is the dense
-reference.
+One stage body takes its frame coefficients from :func:`sym_frame_coefficients`,
+and the staged drivers share one stage loop.
 """
 
 from __future__ import annotations
@@ -32,21 +31,14 @@ from .errors import (DegenerateProjectionError, InversionUnstableError,
                      PostselectionStarvedError, ValidationError)
 from .linalg import hermitian_expm, hermitian_expm_derivatives
 from .model import HamiltonianModel, hamiltonian
-from .symmetric import (SymSpace, collective, f2_coeff, sym_frame_coefficients,
-                        sym_frame_tangents)
+from .symmetric import f2_coeff, sym_frame_coefficients, sym_frame_tangents
 
 __all__ = [
-    "PostselectionFrame",
     "EstimationRecord",
     "StageRecord",
-    "postselection_frame",
-    "frame_projection",
-    "mes_probe_map",
-    "superop_S",
     "sample_haar_outcomes",
     "reconstruct_from_projector_mean",
     "invert_theta",
-    "delta_resolution",
     "run_one_channel",
     "run_adaptive",
     "run_many_channel",
@@ -54,73 +46,6 @@ __all__ = [
 
 # Copies per Gaussian draw: an 8192-row block of a small D stays in a core's L2 cache.
 _TOMOGRAPHY_CHUNK = 1 << 13
-
-
-@dataclass(frozen=True)
-class PostselectionFrame:
-    """Orthonormal frame [probe, normalized X_j responses] in the probe space.
-
-    ``norm_factor`` is 1/sqrt(F2(d, r)), the factor converting first-order
-    frame coefficients back to parameter units; it equals sqrt(d) for a
-    single channel.
-    """
-
-    basis: np.ndarray          # (probe_dim, m + 1), columns orthonormal
-    norm_factor: float
-
-    def __post_init__(self):
-        b = self.basis
-        gram = b.conj().T @ b
-        dev = np.max(np.abs(gram - np.eye(b.shape[1])))
-        if dev > TOL.frame_gram_atol:
-            raise ValidationError(f"frame is not orthonormal (max deviation {dev:.2e})")
-
-
-def postselection_frame(model: HamiltonianModel,
-                        space: SymSpace | None = None) -> PostselectionFrame:
-    """Frame spanned by the MES and its generator responses.
-
-    With a symmetric subspace the generators are replaced by their r-fold
-    collective versions; the MES trace identity makes both cases
-    ``[vec(I)/sqrt(D), vec(X_1)/||X_1||_HS, ...]`` up to normalization.
-    """
-    if space is None:
-        dim = model.d
-        ops = model.generators
-        f2 = f2_coeff(model.d, 1)           # = 1/d
-    else:
-        dim = space.D
-        ops = [collective(space, x) for x in model.generators]
-        f2 = space.f2
-    cols = [np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)]
-    norm = math.sqrt(dim * f2)
-    cols += [np.asarray(op, dtype=complex).reshape(-1) / norm for op in ops]
-    return PostselectionFrame(basis=np.column_stack(cols),
-                              norm_factor=1.0 / math.sqrt(f2))
-
-
-def frame_projection(frame: PostselectionFrame, psi: np.ndarray):
-    """Normalized frame coefficients of ``psi`` and the projection probability."""
-    coeffs = frame.basis.conj().T @ psi
-    p = float(np.real(np.vdot(coeffs, coeffs)))
-    if p < TOL.min_postselect_p:
-        raise DegenerateProjectionError(f"projection probability {p:.3e} is degenerate")
-    return coeffs / math.sqrt(p), min(p, 1.0)
-
-
-def superop_S(model: HamiltonianModel, a) -> np.ndarray:
-    """Projection of A onto span{I, X_1, ..., X_m} in the HS inner product.
-
-    S(A) = (Tr A / d) I + sum_j Tr(A X_j) X_j; satisfies
-    P (A (x) I)|MES> = (S(A) (x) I)|MES> with P the frame projector.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (model.d, model.d):
-        raise ValidationError(f"operator shape {a.shape} does not match d = {model.d}")
-    out = (np.trace(a) / model.d) * np.eye(model.d, dtype=complex)
-    for x in model.generators:
-        out += np.trace(a @ x) * x
-    return out
 
 
 def _aligned_basis(psi: np.ndarray) -> np.ndarray:
@@ -240,65 +165,6 @@ def invert_theta(reduced, tau: float, norm_factor: float,
     if family is not None:
         theta = _refine_gauss_newton(family, c, theta)
     return theta
-
-
-def _sample_ball(m: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    u = rng.standard_normal(m)
-    u /= np.linalg.norm(u)
-    return u * radius * rng.random() ** (1.0 / m)
-
-
-def mes_probe_map(model: HamiltonianModel, tau: float):
-    """theta -> MES probe state (U_theta (x) I)|MES> = vec(U_theta) / sqrt(d)."""
-    d = model.d
-
-    def prepare(theta):
-        return hermitian_expm(hamiltonian(model, theta), tau).reshape(-1) / math.sqrt(d)
-
-    return prepare
-
-
-def delta_resolution(model: HamiltonianModel, tau: float, e_radius: float,
-                     delta: float, n_pairs: int, rng: np.random.Generator) -> float:
-    """Sampled infimum of the infidelity over parameter pairs >= delta apart.
-
-    Pairs (theta, theta') are drawn with both inside the search ball and
-    concentrated at the constraint boundary ||theta - theta'|| = delta, where
-    the infimum is attained in all closed-form cases; a smaller set of
-    uniform interior pairs guards against surprises away from the boundary.
-    """
-    if not (0.0 <= delta <= 2.0 * e_radius):
-        raise ValidationError(f"need 0 <= delta <= 2E, got delta={delta}, E={e_radius}")
-    if n_pairs < 1:
-        raise ValidationError("need at least one sample pair")
-    prepare = mes_probe_map(model, tau)
-    m = model.m
-
-    def infidelity(th, th2):
-        ov = np.vdot(prepare(th), prepare(th2))
-        return math.sqrt(max(0.0, 1.0 - abs(ov) ** 2))
-
-    best = math.inf
-    for _ in range(n_pairs):
-        direction = rng.standard_normal(m)
-        direction /= np.linalg.norm(direction)
-        for _ in range(200):
-            theta = _sample_ball(m, e_radius, rng)
-            theta2 = theta + delta * direction
-            if np.linalg.norm(theta2) <= e_radius:
-                break
-        else:
-            theta = -0.5 * delta * direction
-            theta2 = theta + delta * direction
-        best = min(best, infidelity(theta, theta2))
-    for _ in range(max(1, n_pairs // 4)):
-        for _ in range(200):
-            theta = _sample_ball(m, e_radius, rng)
-            theta2 = _sample_ball(m, e_radius, rng)
-            if np.linalg.norm(theta2 - theta) >= delta:
-                best = min(best, infidelity(theta, theta2))
-                break
-    return best
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ def assert_unitary(u, atol: float = TOL.unitary_atol, name="matrix") -> np.ndarr
     return u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector on a tensor product of finite factors."""
 

@@ -24,7 +24,7 @@ __all__ = ["HamiltonianModel", "MODEL_KINDS", "make_model", "hamiltonian", "max_
 MODEL_KINDS = ("full", "phase", "offdiag", "custom")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianModel:
     kind: str
     d: int

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """Alternating evolution intervals and optional feedback unitaries.
 
@@ -141,7 +141,7 @@ def evolve(model: HamiltonianModel, theta, schedule: Schedule) -> PureState:
     return PureState(factors=schedule.initial.factors, amplitudes=psi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QfiReport:
     """QFI matrix J, correlation matrix G, and the growth-law bounds."""
 

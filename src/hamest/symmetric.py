@@ -63,7 +63,7 @@ def occupations(d: int, r: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymSpace:
     """Occupation basis of the r-fold symmetric subspace of (C^d)^(x)r."""
 
@@ -125,7 +125,7 @@ def collective(space: SymSpace, a) -> np.ndarray:
 
 
 def sym_frame_coefficients(v, ops, r: int) -> np.ndarray:
-    """Coefficients of vec(Sym^r V)/sqrt(D) in the frame of postselection_frame.
+    """Coefficients of vec(Sym^r V)/sqrt(D) in the orthonormal frame of vec(I), vec({X_j}_r).
 
     For a d x d unitary V with orthonormal eigenbasis Q and eigenvalues lambda_i,
     h_k = Tr Sym^k(V) is the convolution of the series lambda_i^k, and

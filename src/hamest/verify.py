@@ -8,21 +8,22 @@ back the pytest suite, so the CLI and the tests cannot disagree.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import reduce
 
 import numpy as np
 
 from . import bounds as bd
 from .config import ExperimentConfig
-from .errors import AuditFailure
-from .estimation import (_frame_family, delta_resolution, frame_projection,
-                         invert_theta, postselection_frame, superop_S)
+from .constants import TOL
+from .errors import AuditFailure, DegenerateProjectionError, ValidationError
+from .estimation import _frame_family, invert_theta
 from .linalg import (PureState, haar_state, haar_unitary, hermitian_expm,
                      hermitian_expm_derivatives, hs_inner)
-from .model import hamiltonian, make_model
+from .model import HamiltonianModel, hamiltonian, make_model
 from .probe import Schedule, _qfi_from_tangents, evolve, growth_audit, mes, qfi_matrix
-from .runner import rows_to_csv, run_experiment
-from .symmetric import (collective, collective_trace_moments, f2_coeff,
+from .runner import _sample_theta, rows_to_csv, run_experiment
+from .symmetric import (SymSpace, collective, collective_trace_moments, f2_coeff,
                         magnus_operator, sym_frame_coefficients, sym_space)
 
 __all__ = ["SUITES", "run_suite", "random_schedule", "richardson_derivative"]
@@ -32,6 +33,100 @@ __all__ = ["SUITES", "run_suite", "random_schedule", "richardson_derivative"]
 FIRST_ORDER_DISTANCE_CAP = 1.0
 LINEARIZED_DISTANCE_CAP = 3.0
 
+
+# ---------------------------- dense oracles that the d x d pipeline is checked against
+
+# basis: orthonormal (D^2, m+1) columns; norm_factor = 1/sqrt(F2(d, r)), sqrt(d) at r = 1
+Frame = namedtuple("Frame", "basis norm_factor")
+
+
+def postselection_frame(model: HamiltonianModel, space: SymSpace | None = None) -> Frame:
+    """Frame spanned by the MES and its generator responses.
+
+    With a symmetric subspace the generators are replaced by their r-fold
+    collective versions; the MES trace identity makes both cases
+    ``[vec(I)/sqrt(D), vec(X_1)/||X_1||_HS, ...]`` up to normalization.
+    """
+    if space is None:
+        dim = model.d
+        ops = model.generators
+        f2 = f2_coeff(model.d, 1)           # = 1/d
+    else:
+        dim = space.D
+        ops = [collective(space, x) for x in model.generators]
+        f2 = space.f2
+    cols = [np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)]
+    norm = math.sqrt(dim * f2)
+    cols += [np.asarray(op, dtype=complex).reshape(-1) / norm for op in ops]
+    return Frame(basis=np.column_stack(cols), norm_factor=1.0 / math.sqrt(f2))
+
+
+def frame_projection(frame: Frame, psi: np.ndarray):
+    """Normalized frame coefficients of ``psi`` and the projection probability."""
+    coeffs = frame.basis.conj().T @ psi
+    p = float(np.real(np.vdot(coeffs, coeffs)))
+    if p < TOL.min_postselect_p:
+        raise DegenerateProjectionError(f"projection probability {p:.3e} is degenerate")
+    return coeffs / math.sqrt(p), min(p, 1.0)
+
+
+def superop_S(model: HamiltonianModel, a) -> np.ndarray:
+    """Projection of A onto span{I, X_1, ..., X_m} in the HS inner product.
+
+    S(A) = (Tr A / d) I + sum_j Tr(A X_j) X_j; satisfies
+    P (A (x) I)|MES> = (S(A) (x) I)|MES> with P the frame projector.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (model.d, model.d):
+        raise ValidationError(f"operator shape {a.shape} does not match d = {model.d}")
+    out = (np.trace(a) / model.d) * np.eye(model.d, dtype=complex)
+    for x in model.generators:
+        out += np.trace(a @ x) * x
+    return out
+
+
+def delta_resolution(model: HamiltonianModel, tau: float, e_radius: float,
+                     delta: float, n_pairs: int, rng: np.random.Generator) -> float:
+    """Sampled infimum of the infidelity over parameter pairs >= delta apart.
+
+    Pairs (theta, theta') are drawn with both inside the search ball and
+    concentrated at the constraint boundary ||theta - theta'|| = delta, where
+    the infimum is attained in all closed-form cases; a smaller set of
+    uniform interior pairs guards against surprises away from the boundary.
+    The MES probes' overlap is |<psi_theta|psi_theta'>| = |Tr(U_theta^dag U_theta')| / d.
+    """
+    if not (0.0 <= delta <= 2.0 * e_radius):
+        raise ValidationError(f"need 0 <= delta <= 2E, got delta={delta}, E={e_radius}")
+    if n_pairs < 1:
+        raise ValidationError("need at least one sample pair")
+    m = model.m
+
+    def infidelity(th, th2):
+        ov = np.vdot(hermitian_expm(hamiltonian(model, th), tau),
+                     hermitian_expm(hamiltonian(model, th2), tau)) / model.d
+        return math.sqrt(max(0.0, 1.0 - abs(ov) ** 2))
+
+    best = math.inf
+    for _ in range(n_pairs):
+        direction = rng.standard_normal(m)
+        direction /= np.linalg.norm(direction)
+        for _ in range(200):
+            theta = _sample_theta(m, e_radius, False, rng)
+            theta2 = theta + delta * direction
+            if np.linalg.norm(theta2) <= e_radius:
+                break
+        else:
+            theta = -0.5 * delta * direction
+            theta2 = theta + delta * direction
+        best = min(best, infidelity(theta, theta2))
+    for _ in range(max(1, n_pairs // 4)):
+        for _ in range(200):
+            theta = _sample_theta(m, e_radius, False, rng)
+            theta2 = _sample_theta(m, e_radius, False, rng)
+            if np.linalg.norm(theta2 - theta) >= delta:
+                best = min(best, infidelity(theta, theta2))
+                break
+    return best
 
 def random_schedule(model, rng, max_time: float = 3.0) -> Schedule:
     """Random feedback schedule: Haar initial state, 1-3 intervals, Haar kicks."""
@@ -255,10 +350,10 @@ def check_magnus_small_time(seed: int = 5, samples: int = 50):
 def check_frame_orthonormality():
     for kind, d in [("full", 2), ("full", 3), ("phase", 3), ("offdiag", 4)]:
         model = make_model(kind, d)
-        postselection_frame(model)  # raises if Gram deviates beyond 1e-9
-        for r in (2, 3, 4):
-            space = sym_space(model.d, r)
-            postselection_frame(model, space)
+        for r in (1, 2, 3, 4):
+            basis = postselection_frame(model, sym_space(d, r) if r > 1 else None).basis
+            dev = np.max(np.abs(basis.conj().T @ basis - np.eye(model.m + 1)))
+            assert dev < 1e-9, (kind, d, r, dev)
 
 
 def check_superop_identity(seed: int = 21):

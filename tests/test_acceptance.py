@@ -13,15 +13,14 @@ from hamest.bounds import biased_cr_rhs
 from hamest.config import ExperimentConfig
 from hamest.constants import DEFAULT_CONSTANTS
 from hamest.errors import AuditFailure
-from hamest.estimation import (_measure_and_reconstruct, delta_resolution,
-                               frame_projection, invert_theta,
-                               postselection_frame)
+from hamest.estimation import _measure_and_reconstruct, invert_theta
 from hamest.linalg import PureState, haar_state
 from hamest.model import hamiltonian, make_model
 from hamest.probe import Schedule, evolve, mes, qfi_matrix
 from hamest.runner import run_sweep
 from hamest.symmetric import collective_trace_moments, sym_space
-from hamest.verify import random_schedule, run_suite
+from hamest.verify import (delta_resolution, frame_projection, postselection_frame,
+                          random_schedule, run_suite)
 
 DELTAS = [0.2, 0.1, 0.05, 0.025]
 

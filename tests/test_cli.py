@@ -213,6 +213,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "one_channel" in err and "adaptive" in err and "many_channel" in err
 
+    def test_custom_model_exit_2(self, tmp_path, capsys):
+        # a config cannot supply generators: rejected before any trial or worker starts
+        text = MINI.format(trials=2).replace("model = full", "model = custom")
+        with pytest.raises(ValidationError, match="full, phase, offdiag"):
+            parse_config_text(text)
+        cfg_path, out = write_cfg(tmp_path, text), tmp_path / "res.csv"
+        assert main(["run", "--config", cfg_path, "--out", str(out), "--jobs", "2"]) == 2
+        assert "full, phase, offdiag" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_2(self, capsys):
         assert main(["run", "--config", "/nonexistent.cfg"]) == 2
 

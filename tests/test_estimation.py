@@ -12,16 +12,16 @@ from hamest.errors import (DegenerateProjectionError, InversionUnstableError,
 from hamest.estimation import (_TOMOGRAPHY_CHUNK as STAGE_CHUNK, EstimationRecord,
                                _frame_family, _measure_and_reconstruct, _mes_probe,
                                _outcome_projector_mean, _refine_gauss_newton, _Stage, _stage_estimate,
-                               _symmetric_probe, delta_resolution,
-                               frame_projection, invert_theta, postselection_frame,
+                               _symmetric_probe, invert_theta,
                                reconstruct_from_projector_mean,
                                run_adaptive, run_many_channel, run_one_channel,
-                               sample_haar_outcomes, superop_S)
+                               sample_haar_outcomes)
 from hamest.linalg import haar_state, hermitian_expm, hermitian_expm_derivatives
 from hamest.model import hamiltonian, make_model
 from hamest.probe import Schedule, evolve, mes
 from hamest.runner import run_experiment
 from hamest.symmetric import sym_frame_coefficients, sym_space
+from hamest.verify import delta_resolution, frame_projection, postselection_frame, superop_S
 
 FULL2 = make_model("full", 2)
 CONST = SchemeConstants()
@@ -378,6 +378,19 @@ class TestDeltaResolution:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValidationError):
             delta_resolution(FULL2, 0.3, 1.0, 2.5, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind,d", [("full", 2), ("full", 3), ("phase", 3), ("offdiag", 4)])
+    def test_overlap_is_unitary_trace(self, kind, d):
+        # the identity delta_resolution rests on: |<psi_theta|psi_theta'>| = |Tr(U^dag U')| / d
+        model = make_model(kind, d)
+        rng = np.random.default_rng(90 + d)
+        tau = 0.7
+        for _ in range(5):
+            theta, theta2 = rng.standard_normal((2, model.m))
+            psi, psi2 = (evolve(model, t, Schedule(r=1, initial=mes(d), steps=((tau, None),)))
+                         .amplitudes for t in (theta, theta2))
+            u, u2 = (hermitian_expm(hamiltonian(model, t), tau) for t in (theta, theta2))
+            assert abs(abs(np.trace(u.conj().T @ u2)) / d - abs(np.vdot(psi, psi2))) < 1e-12
 
 
 class TestRunOneChannel:

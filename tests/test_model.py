@@ -6,6 +6,8 @@ import pytest
 from hamest.errors import ValidationError
 from hamest.linalg import hs_inner, su_basis
 from hamest.model import hamiltonian, make_model, max_energy
+from hamest.probe import Schedule, mes, qfi_matrix
+from hamest.symmetric import sym_space
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -128,3 +130,22 @@ def test_max_energy_dominates_spectral_radius(kind, d):
         theta *= e_radius * rng.random() / np.linalg.norm(theta)
         radius = np.max(np.abs(np.linalg.eigvalsh(hamiltonian(model, theta))))
         assert radius <= bound + 1e-9
+
+
+def _schedule():
+    return Schedule(r=1, initial=mes(2), steps=((0.5, None),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_model("full", 2),
+    lambda: mes(2),
+    _schedule,
+    lambda: qfi_matrix(make_model("full", 2), np.zeros(3), _schedule()),
+    lambda: sym_space(2, 3),
+], ids=["HamiltonianModel", "PureState", "Schedule", "QfiReport", "SymSpace"])
+def test_array_holding_records_compare_by_identity(build):
+    # value equality over array fields is ambiguous; identity equality never raises
+    a, rebuilt = build(), build()
+    assert a == a
+    assert (a != rebuilt) is True
+    assert len({a, rebuilt}) == 2

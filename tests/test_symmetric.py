@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from hamest.errors import BranchCutError, ResourceLimitError, ValidationError
-from hamest.estimation import frame_projection, postselection_frame
 from hamest.linalg import haar_unitary, hermitian_expm, hermitian_expm_derivatives, hs_inner
 from hamest.model import hamiltonian, make_model
 from hamest.symmetric import (collective, collective_trace_moments, f2_coeff,
                               f4_coeff, f22_coeff, magnus_operator, occupations,
                               sym_dim, sym_frame_coefficients, sym_frame_tangents,
                               sym_space)
-from hamest.verify import richardson_derivative
+from hamest.verify import frame_projection, postselection_frame, richardson_derivative
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
