@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, SchemeConstants
 from .errors import ValidationError
-from .model import HamiltonianModel
+from .model import HamiltonianModel, max_energy
 
 __all__ = [
     "BoundReport",
@@ -139,11 +139,15 @@ class BoundReport:
 
 def bound_report(model: HamiltonianModel, delta: float, e_radius: float,
                  constants: SchemeConstants = DEFAULT_CONSTANTS) -> BoundReport:
-    """Assemble the bound values at the scheme's own evolution time."""
+    """Assemble the bound values at the scheme's own evolution time.
+
+    ``preferred_upper`` names the few-parameter bound only where it holds,
+    for spherical models, and only where it is the tighter of the two.
+    """
     if delta <= 0 or e_radius <= 0:
         raise ValidationError("delta and E must be positive")
     m, d = model.m, model.d
-    tau = constants.kappa / (e_radius * math.sqrt(model.c))
+    tau = constants.kappa / max_energy(model, e_radius)
     qfi_upper = 4.0 * m * tau ** 2 / d if model.spherical else 4.0 * model.c * tau ** 2
     lower = time_lower_bound(m, d, delta) if model.spherical \
         else nonspherical_time_lower(model.c, d, delta)
@@ -163,7 +167,7 @@ def bound_report(model: HamiltonianModel, delta: float, e_radius: float,
             "beta": constants.beta,
             "tau": tau,
             "spherical": model.spherical,
-            "preferred_upper": "fewparam" if few < upper else "general",
+            "preferred_upper": "fewparam" if model.spherical and few < upper else "general",
             "time_lower_delta_exponent": 1,
         },
     )

@@ -20,14 +20,13 @@ from .runner import run_experiment, run_sweep, write_outputs
 from .verify import SUITES, run_suite
 
 
-def _output_paths(cfg, out_override, default_stem):
-    csv_path = out_override or cfg.out_csv or f"{default_stem}.csv"
-    if cfg.out_json and not out_override:
-        json_path = cfg.out_json
-    else:
-        base = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
-        json_path = base + ".summary.json"
-    return csv_path, json_path
+def _write(args, cfg, rows, summary) -> str:
+    """Write the CSV (--out, else the config's, else <command>_<scheme>.csv) and its summary."""
+    csv_path = args.out or cfg.out_csv or f"{args.command}_{cfg.scheme}.csv"
+    json_path = (cfg.out_json if cfg.out_json and not args.out
+                 else csv_path.removesuffix(".csv") + ".summary.json")
+    write_outputs(rows, summary, csv_path, json_path)
+    return csv_path
 
 
 def _load_config(args):
@@ -40,11 +39,10 @@ def _load_config(args):
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     rows, summary = run_experiment(cfg, jobs=args.jobs)
-    csv_path, json_path = _output_paths(cfg, args.out, f"run_{cfg.scheme}")
-    write_outputs(rows, summary, csv_path, json_path)
-    failures = [r for r in rows if r.get("error")]
-    for r in failures:
-        print(f"trial {r['trial']}: {r['error']}", file=sys.stderr)
+    csv_path = _write(args, cfg, rows, summary)
+    for r in rows:
+        if r["error"]:
+            print(f"trial {r['trial']}: {r['error']}", file=sys.stderr)
     print(f"wrote {len(rows)} trials to {csv_path}; "
           f"success_rate={summary['success_rate']:.3f} "
           f"median_T={summary['median_T']:.6g}")
@@ -61,8 +59,7 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ValidationError(f"could not parse --delta-list {args.delta_list!r}")
     rows, summary = run_sweep(cfg, deltas, jobs=args.jobs)
-    csv_path, json_path = _output_paths(cfg, args.out, f"sweep_{cfg.scheme}")
-    write_outputs(rows, summary, csv_path, json_path)
+    csv_path = _write(args, cfg, rows, summary)
     print(f"wrote {len(rows)} trials to {csv_path}; slope={summary['slope']:.4f}")
     return 0
 
@@ -79,20 +76,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multiparameter Hamiltonian estimation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one configured experiment")
-    run_p.add_argument("--config", required=True, help="experiment config file")
-    run_p.add_argument("--seed", type=int, default=None, help="override master seed")
-    run_p.add_argument("--out", default=None, help="CSV output path")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="experiment config file")
+    common.add_argument("--seed", type=int, default=None, help="override master seed")
+    common.add_argument("--out", default=None, help="CSV output path")
+    common.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+
+    run_p = sub.add_parser("run", parents=[common], help="run one configured experiment")
     run_p.set_defaults(func=cmd_run)
 
-    sweep_p = sub.add_parser("sweep", help="scaling sweep over error tolerances")
-    sweep_p.add_argument("--config", required=True, help="experiment config file")
+    sweep_p = sub.add_parser("sweep", parents=[common],
+                             help="scaling sweep over error tolerances")
     sweep_p.add_argument("--delta-list", required=True,
                          help="comma-separated, strictly decreasing deltas")
-    sweep_p.add_argument("--seed", type=int, default=None, help="override master seed")
-    sweep_p.add_argument("--out", default=None, help="CSV output path")
-    sweep_p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
     sweep_p.set_defaults(func=cmd_sweep)
 
     verify_p = sub.add_parser("verify", help="run invariant suites")

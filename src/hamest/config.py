@@ -7,7 +7,7 @@ canonical example per scheme ships in ``configs/``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .constants import DEFAULT_CONSTANTS, SchemeConstants
@@ -31,7 +31,7 @@ class ExperimentConfig:
     delta: float
     e_radius: float
     trials: int
-    master_seed: int
+    master_seed: int = 0
     constants: SchemeConstants = DEFAULT_CONSTANTS
     worst_case_grid: bool = False
     out_csv: str | None = None
@@ -61,6 +61,8 @@ _CONFIG_KEYS = {
     "p_crit": float, "r_max": int, "refine": bool, "trotter_slices": int,
     "worst_case_grid": bool, "out_csv": str, "out_json": str,
 }
+# Keys named otherwise in ExperimentConfig; SchemeConstants' own fields go to `constants`.
+_FIELD_OF_KEY = {"model": "model_kind", "e": "e_radius", "seed": "master_seed"}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -89,17 +91,10 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     missing = [k for k in ("model", "d", "scheme", "delta", "e", "trials") if k not in values]
     if missing:
         raise ValidationError(f"{source}: missing required keys: {', '.join(missing)}")
-    constants = DEFAULT_CONSTANTS.with_overrides(
-        kappa=values.get("kappa"), alpha=values.get("alpha"),
-        beta=values.get("beta"), p_crit=values.get("p_crit"),
-        r_max=values.get("r_max"), refine=values.get("refine"),
-        trotter_slices=values.get("trotter_slices"))
-    return ExperimentConfig(
-        model_kind=values["model"], d=values["d"], scheme=values["scheme"],
-        delta=values["delta"], e_radius=values["e"], trials=values["trials"],
-        master_seed=values.get("seed", 0), constants=constants,
-        worst_case_grid=values.get("worst_case_grid", False),
-        out_csv=values.get("out_csv"), out_json=values.get("out_json"))
+    names = {f.name for f in fields(SchemeConstants)}
+    constants = replace(DEFAULT_CONSTANTS, **{k: v for k, v in values.items() if k in names})
+    return ExperimentConfig(constants=constants, **{_FIELD_OF_KEY.get(k, k): v
+                                                    for k, v in values.items() if k not in names})
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -9,7 +9,7 @@ arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -48,10 +48,12 @@ class SchemeConstants:
             while tomography noise remains resolvable.
     alpha   copy-budget prefactor.  One-channel: N = ceil(alpha * m * d * E^2 /
             delta^2).  Staged schemes: N_n = ceil(alpha * m * (1 + beta * n)).
-    beta    per-stage copy growth realizing the Chernoff log-factor; stage n
-            (search radius 2^n * delta) must succeed with probability
-            1 - p_crit / 2^n, which costs O(n) extra copies.
-    p_crit  tolerated overall failure probability of a full estimation run.
+    beta    per-stage copy growth, O(n) extra copies at stage n (search radius
+            2^n * delta).  It stands in for the Chernoff log-factor of a
+            per-stage failure budget p_crit / 2^n, but the copy budget does
+            not depend on p_crit yet.
+    p_crit  tolerated overall failure probability of a full estimation run;
+            validated, but no copy budget reads it yet.
     r_max   cap on the number of parallel channels; ``None`` means 2048 // d.
             A cap below the plan's largest r = 2^(n0-1) d keeps every later
             stage at the cap, so those stages stop sharpening the estimate.
@@ -84,10 +86,6 @@ class SchemeConstants:
 
     def effective_r_max(self, d: int) -> int:
         return self.r_max if self.r_max is not None else max(1, 2048 // d)
-
-    def with_overrides(self, **kwargs) -> "SchemeConstants":
-        kwargs = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **kwargs)
 
 
 DEFAULT_CONSTANTS = SchemeConstants()

@@ -30,7 +30,7 @@ from .constants import DEFAULT_CONSTANTS, TOL, SchemeConstants
 from .errors import (DegenerateProjectionError, InversionUnstableError,
                      PostselectionStarvedError, ValidationError)
 from .linalg import hermitian_expm, hermitian_expm_derivatives
-from .model import HamiltonianModel, hamiltonian
+from .model import HamiltonianModel, hamiltonian, max_energy
 from .symmetric import f2_coeff, sym_frame_coefficients, sym_frame_tangents
 
 __all__ = [
@@ -347,7 +347,7 @@ def run_one_channel(model: HamiltonianModel, theta_true, delta: float,
     noise resolvable at scale delta.  T = N tau; a failed stage raises.
     """
     theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
-    tau = constants.kappa / (e_radius * math.sqrt(model.c))
+    tau = constants.kappa / max_energy(model, e_radius)
     copies = int(math.ceil(constants.alpha * model.m * model.d * e_radius ** 2 / delta ** 2))
     theta_hat, rate = _run_stage(model, _Stage(0, tau, 1, copies),
                                  _mes_probe(model, theta_true, 0), np.zeros(model.m),
@@ -374,13 +374,13 @@ def run_adaptive(model: HamiltonianModel, theta_true, delta: float,
     Stage n (n = n0 .. 1) works at radius 2^n delta with the simulated
     external field -H_theta*, so the driven Hamiltonian is H_{theta-theta*};
     tau_n = kappa / (2^n delta sqrt(c)) grows as the radius shrinks while the
-    per-stage copy count N_n = ceil(alpha m (1 + beta n)) stays bounded, the
-    (1 + beta n) factor covering the exponentially small per-stage failure
-    budget p_crit / 2^n.  Stage failures are recorded, not raised.
+    per-stage copy count N_n = ceil(alpha m (1 + beta n)) stays bounded.  The
+    (1 + beta n) factor is meant to cover a per-stage failure budget
+    p_crit / 2^n, but the copy count does not depend on p_crit yet.  Stage
+    failures are recorded, not raised.
     """
     theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
-    scale = math.sqrt(model.c)
-    plan = [_Stage(n, constants.kappa / (2.0 ** n * delta * scale), 1,
+    plan = [_Stage(n, constants.kappa / max_energy(model, 2.0 ** n * delta), 1,
                    _staged_copies(model, constants, n))
             for n in range(_staging_depth(e_radius, delta), 0, -1)]
     probe = _mes_probe(model, theta_true, constants.trotter_slices)
@@ -401,7 +401,7 @@ def run_many_channel(model: HamiltonianModel, theta_true, delta: float,
     """
     theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
     n0 = _staging_depth(e_radius, delta)
-    tau = constants.kappa / (2.0 ** n0 * delta * math.sqrt(model.c))
+    tau = constants.kappa / max_energy(model, 2.0 ** n0 * delta)
     r_cap = constants.effective_r_max(model.d)
     plan = [_Stage(n, tau, min(2 ** (n0 - n) * model.d, r_cap),
                    _staged_copies(model, constants, n)) for n in range(n0, 0, -1)]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import TOL
 from .errors import ValidationError
-from .linalg import assert_hermitian, hs_inner, su_basis
+from .linalg import su_basis
 
 __all__ = ["HamiltonianModel", "MODEL_KINDS", "make_model", "hamiltonian", "max_energy"]
 
@@ -41,20 +41,24 @@ class HamiltonianModel:
         return (f"HamiltonianModel(kind={self.kind!r}, d={self.d}, m={self.m}, "
                 f"c={self.c:.6g}, spherical={self.spherical})")
 
+    def __setstate__(self, state):       # an unpickled array comes back writeable
+        self.__dict__.update(state)
+        self.generators.flags.writeable = False
 
-def _validate_generators(gens, d):
-    m = len(gens)
-    gram = np.empty((m, m), dtype=complex)
-    for j, xj in enumerate(gens):
-        if xj.shape != (d, d):
-            raise ValidationError(f"generator {j} has shape {xj.shape}, expected {(d, d)}")
-        assert_hermitian(xj, name=f"generator {j}")
-        tr = abs(np.trace(xj))
-        if tr > TOL.generator_trace_atol:
-            raise ValidationError(f"generator {j} has trace {tr:.3e}, expected 0")
-        for k, xk in enumerate(gens):
-            gram[j, k] = hs_inner(xj, xk)
-    dev = np.abs(gram - np.eye(m))
+
+def _validate_generators(gens: np.ndarray, d: int):
+    """Check an (m, d, d) stack: Hermitian, traceless and Hilbert-Schmidt orthonormal."""
+    if gens.ndim != 3 or gens.shape[1:] != (d, d) or len(gens) == 0:
+        raise ValidationError(f"generators have shape {gens.shape}, expected (m >= 1, {d}, {d})")
+    herm = np.max(np.abs(gens - gens.conj().transpose(0, 2, 1)), axis=(1, 2))
+    trace = np.abs(np.trace(gens, axis1=1, axis2=2))
+    bad = np.flatnonzero((herm > TOL.hermitian_atol) | (trace > TOL.generator_trace_atol))
+    if bad.size:
+        j = bad[0]
+        raise ValidationError(f"generator {j} is not Hermitian and traceless "
+                              f"(Hermitian deviation {herm[j]:.3e}, |trace| {trace[j]:.3e})")
+    gram = np.einsum("jab,kab->jk", gens.conj(), gens)
+    dev = np.abs(gram - np.eye(len(gens)))
     if np.max(dev) > TOL.gram_atol:
         bad = [(int(j), int(k), complex(gram[j, k]))
                for j, k in zip(*np.nonzero(dev > TOL.gram_atol))]
@@ -75,19 +79,18 @@ def make_model(kind: str, d: int, custom_generators=None) -> HamiltonianModel:
     if d < 2:
         raise ValidationError(f"model dimension must be >= 2, got {d}")
     if kind == "full":
-        gens = su_basis(d)
+        gens = np.array(su_basis(d))
     elif kind == "phase":
-        gens = su_basis(d)[-(d - 1):]
+        gens = np.array(su_basis(d)[-(d - 1):])
     elif kind == "offdiag":
-        gens = []
-        for j in range(d - 1):
-            x = np.zeros((d, d), dtype=complex)
-            x[j, d - 1] = x[d - 1, j] = 1.0 / math.sqrt(2.0)
-            gens.append(x)
+        gens = np.zeros((d - 1, d, d), dtype=complex)
+        j = np.arange(d - 1)
+        gens[j, j, d - 1] = gens[j, d - 1, j] = 1.0 / math.sqrt(2.0)
     elif kind == "custom":
-        if not custom_generators:
-            raise ValidationError("custom model requires a non-empty generator list")
-        gens = [np.asarray(g, dtype=complex) for g in custom_generators]
+        try:
+            gens = np.array(custom_generators, dtype=complex)
+        except (TypeError, ValueError) as exc:      # ragged or non-numeric input
+            raise ValidationError(f"custom generators are not an (m, d, d) stack: {exc}") from None
     else:
         raise ValidationError(f"unknown model kind {kind!r}; valid kinds: {MODEL_KINDS}")
     _validate_generators(gens, d)
@@ -97,9 +100,8 @@ def make_model(kind: str, d: int, custom_generators=None) -> HamiltonianModel:
     c = float(np.linalg.norm(x_sum, 2))
     m = len(gens)
     spherical = bool(np.max(np.abs(x_sum - (m / d) * np.eye(d))) <= TOL.spherical_atol)
-    stacked = np.array(gens)
-    stacked.flags.writeable = False
-    return HamiltonianModel(kind=kind, d=d, generators=stacked,
+    gens.flags.writeable = False
+    return HamiltonianModel(kind=kind, d=d, generators=gens,
                             x_sum=x_sum, c=c, spherical=spherical)
 
 

@@ -88,8 +88,9 @@ def mes(d: int) -> PureState:
 
 
 def _apply_to_slot(op: np.ndarray, tensor: np.ndarray, slot: int) -> np.ndarray:
-    out = np.tensordot(op, tensor, axes=([1], [slot]))
-    return np.moveaxis(out, 0, slot)
+    """op applied to axis ``slot`` of tensor; a stack of ops keeps its axis in front."""
+    lead = op.ndim - 2
+    return np.moveaxis(np.tensordot(op, tensor, axes=([-1], [slot])), lead, lead + slot)
 
 
 def _check_schedule(model: HamiltonianModel, schedule: Schedule):
@@ -125,8 +126,7 @@ def _propagate(model: HamiltonianModel, theta, schedule: Schedule, tangents: boo
                 u = hermitian_expm(h, interval)
             for slot in range(schedule.r):
                 if tangents:
-                    moved = np.moveaxis(np.tensordot(du, psi, axes=([2], [slot])), 1, slot + 1)
-                    dpsi = _apply_to_slot(u, dpsi, slot + 1) + moved
+                    dpsi = _apply_to_slot(u, dpsi, slot + 1) + _apply_to_slot(du, psi, slot)
                 psi = _apply_to_slot(u, psi, slot)
     psi = psi.reshape(-1)
     nrm = np.linalg.norm(psi)
@@ -166,13 +166,9 @@ class QfiReport:
                 f"Tr J = {self.trace_J:.6e} exceeds 4 c t_eff^2 = {self.bound_4ct2:.6e}")
 
 
-def _collective_apply(model, tensor, j, r):
-    """sum over driven slots of X_j applied to that slot."""
-    x = model.generators[j]
-    out = np.zeros_like(tensor)
-    for slot in range(r):
-        out += _apply_to_slot(x, tensor, slot)
-    return out
+def _collective_apply(model, tensor, r):
+    """(m,) + tensor.shape: each collective generator, sum over driven slots of X_j, applied."""
+    return sum(_apply_to_slot(model.generators, tensor, slot) for slot in range(r))
 
 
 def _qfi_from_tangents(amps, tangents) -> np.ndarray:
@@ -194,16 +190,12 @@ def qfi_matrix(model: HamiltonianModel, theta, schedule: Schedule) -> QfiReport:
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != model.m:
         raise ValidationError(f"theta has length {theta.size}, model has m = {model.m}")
-    m = model.m
     amps, tangents = _propagate(model, theta, schedule, tangents=True)
 
     jmat = _qfi_from_tangents(amps, tangents)
-    tensor = amps.reshape(schedule.initial.factors)
-    cvecs = [_collective_apply(model, tensor, j, schedule.r).reshape(-1) for j in range(m)]
-    gmat = np.empty((m, m), dtype=complex)
-    for j in range(m):
-        for k in range(m):
-            gmat[j, k] = np.vdot(cvecs[j], cvecs[k])
+    cvecs = _collective_apply(model, amps.reshape(schedule.initial.factors),
+                              schedule.r).reshape(model.m, -1)
+    gmat = cvecs.conj() @ cvecs.T
 
     t_eff = schedule.r * schedule.total_time
     bound = 4.0 * model.c * t_eff ** 2

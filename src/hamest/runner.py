@@ -8,17 +8,18 @@ Rows are emitted in trial order by a single writer.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .errors import HamestError, ValidationError
 from .estimation import run_adaptive, run_many_channel, run_one_channel
-from .model import make_model
+from .model import HamiltonianModel, make_model
 
 __all__ = [
     "CSV_HEADER",
@@ -74,13 +75,10 @@ def _format_stages(stages) -> str:
                     for s in stages)
 
 
-def _run_trial(cfg: ExperimentConfig, index: int, delta: float | None = None,
-               master: int | None = None) -> dict:
-    delta = cfg.delta if delta is None else delta
-    master = cfg.master_seed if master is None else master
+def _run_trial(cfg: ExperimentConfig, model: HamiltonianModel, delta: float, master: int,
+               index: int) -> dict:
     seed = trial_seed(master, index)
     rng = trial_rng(seed)
-    model = make_model(cfg.model_kind, cfg.d)
     theta = _sample_theta(model.m, cfg.e_radius, cfg.worst_case_grid, rng)
     runner = _SCHEME_RUNNERS[cfg.scheme]
     row = {
@@ -99,21 +97,22 @@ def _run_trial(cfg: ExperimentConfig, index: int, delta: float | None = None,
     return row
 
 
-def _trial_worker(payload):
-    cfg, index, delta, master = payload
-    return _run_trial(cfg, index, delta, master)
+def _run_block(cfg: ExperimentConfig, delta: float, master: int, jobs: int) -> list[dict]:
+    """The cfg.trials rows at one delta, in trial order; one model serves every trial.
 
-
-def _map_trials(cfg, payloads, jobs):
+    Only jobs > 1 imports and starts a process pool.
+    """
+    trial = functools.partial(_run_trial, cfg, make_model(cfg.model_kind, cfg.d),
+                              delta, master)
     if jobs <= 1:
-        return [_trial_worker(p) for p in payloads]
+        return [trial(i) for i in range(cfg.trials)]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_trial_worker, payloads, chunksize=1))
+        return list(pool.map(trial, range(cfg.trials), chunksize=1))
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[dict], dict]:
-    payloads = [(cfg, i, None, None) for i in range(cfg.trials)]
-    rows = _map_trials(cfg, payloads, jobs)
+    rows = _run_block(cfg, cfg.delta, cfg.master_seed, jobs)
     return rows, summarize(rows)
 
 
@@ -125,14 +124,11 @@ def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict],
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValidationError("delta values must be strictly decreasing")
     for delta in deltas:
-        if not (0 < delta <= cfg.e_radius / 5 * (1 + 1e-12)):
-            raise ValidationError(f"delta {delta} violates delta/E <= 1/5")
+        dataclasses.replace(cfg, delta=delta)         # the config's own delta/E check
     rows = []
     per_delta = []
     for di, delta in enumerate(deltas):
-        master = trial_seed(cfg.master_seed, di)
-        payloads = [(cfg, i, delta, master) for i in range(cfg.trials)]
-        block = _map_trials(cfg, payloads, jobs)
+        block = _run_block(cfg, delta, trial_seed(cfg.master_seed, di), jobs)
         rows.extend(block)
         stats = summarize(block)
         if stats["n_errors"] == len(block):

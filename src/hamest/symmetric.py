@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -49,18 +49,13 @@ def sym_dim(d: int, r: int) -> int:
 
 
 def occupations(d: int, r: int) -> list[tuple[int, ...]]:
-    """All occupation vectors (n_1..n_d) with sum r, descending lexicographic."""
-    out = []
+    """All occupation vectors (n_1..n_d) with sum r, descending lexicographic.
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for n in range(remaining, -1, -1):
-            rec(prefix + (n,), remaining - n, slots - 1)
-
-    rec((), r, d)
-    return out
+    The sorted level words of length r come in ascending order, so their
+    level counts descend.
+    """
+    return [tuple(word.count(level) for level in range(d))
+            for word in combinations_with_replacement(range(d), r)]
 
 
 @dataclass(frozen=True, eq=False)

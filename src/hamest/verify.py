@@ -276,10 +276,7 @@ def check_restriction_identity(seed: int = 99):
             h = 0.5 * (z + z.conj().T)
             tau = 0.4
             lhs = hermitian_expm(collective(space, h), tau)
-            u = hermitian_expm(h, tau)
-            ur = u
-            for _ in range(r - 1):
-                ur = np.kron(ur, u)
+            ur = reduce(np.kron, [hermitian_expm(h, tau)] * r)
             rhs = space.isometry.conj().T @ ur @ space.isometry
             assert np.max(np.abs(lhs - rhs)) < 1e-9, (d, r)
 

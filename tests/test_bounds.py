@@ -83,6 +83,16 @@ class TestFewParam:
             rep = bound_report(make_model("full", d), 0.1, 1.0)
             assert rep.constants_used["preferred_upper"] == "general"
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_nonspherical_model_prefers_general(self, d):
+        # offdiag is nonspherical, where the few-parameter bound does not hold,
+        # even though its value lies below the general bound
+        model = make_model("offdiag", d)
+        assert not model.spherical
+        assert fewparam_time_upper(model.m, d, 0.1, 1.0) < time_upper_general(model.m, d, 0.1)
+        rep = bound_report(model, 0.1, 1.0)
+        assert rep.constants_used["preferred_upper"] == "general"
+
     def test_independent_of_search_radius(self):
         assert fewparam_time_upper(2, 3, 0.1, 1.0) == fewparam_time_upper(
             2, 3, 0.1, 17.0)

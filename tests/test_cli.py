@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import pickle
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +10,9 @@ import pytest
 from hamest import runner
 from hamest.cli import main
 from hamest.config import ExperimentConfig, parse_config, parse_config_text
+from hamest.constants import SchemeConstants
 from hamest.errors import InversionUnstableError, ValidationError
+from hamest.model import make_model
 from hamest.runner import (CSV_HEADER, rows_to_csv, run_experiment, run_sweep,
                            trial_seed)
 
@@ -22,6 +27,11 @@ E = 1.0
 trials = {trials}
 seed = 4242
 """
+
+# A non-default value for every field of SchemeConstants.
+CONSTANT_OVERRIDES = {"kappa": "0.3", "alpha": "10", "beta": "0.5", "p_crit": "0.1",
+                      "r_max": "7", "refine": "false", "trotter_slices": "2"}
+
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
@@ -66,6 +76,13 @@ class TestConfig:
         with pytest.raises(ValidationError, match="delta/E"):
             ExperimentConfig(model_kind="full", d=2, scheme="adaptive",
                              delta=0.3, e_radius=1.0, trials=1, master_seed=0)
+
+    def test_every_constant_is_a_config_key(self):
+        text = MINI.format(trials=1) + "".join(
+            f"{f.name}={CONSTANT_OVERRIDES[f.name]}\n" for f in fields(SchemeConstants))
+        assert parse_config_text(text).constants == SchemeConstants(
+            kappa=0.3, alpha=10.0, beta=0.5, p_crit=0.1, r_max=7, refine=False,
+            trotter_slices=2)
 
     def test_constants_overrides(self):
         cfg = parse_config_text(MINI.format(trials=1) + "kappa=0.4\nalpha=32\n"
@@ -136,6 +153,35 @@ class TestRunner:
         serial, _ = run_experiment(cfg, jobs=1)
         parallel, _ = run_experiment(cfg, jobs=2)
         assert rows_to_csv(serial) == rows_to_csv(parallel)
+
+    def test_one_model_per_block(self, monkeypatch):
+        built = []
+
+        def counting_make_model(*args):
+            built.append(args)
+            return make_model(*args)
+
+        monkeypatch.setattr(runner, "make_model", counting_make_model)
+        run_experiment(parse_config_text(MINI.format(trials=3)))
+        assert built == [("full", 2)]
+        built.clear()
+        run_sweep(parse_config_text(MINI.format(trials=2)), [0.2, 0.15, 0.1])
+        assert built == [("full", 2)] * 3
+
+    def test_pickled_model_stays_read_only(self):
+        model = pickle.loads(pickle.dumps(make_model("full", 3)))
+        with pytest.raises(ValueError):
+            model.generators[0, 0, 0] = 1.0
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers inherit the patched scheme table only when forked")
+    def test_worker_model_read_only(self, monkeypatch):
+        def report_writeable(model, *args, **kwargs):
+            raise ValidationError(f"writeable={model.generators.flags.writeable}")
+
+        monkeypatch.setitem(runner._SCHEME_RUNNERS, "adaptive", report_writeable)
+        rows, _ = run_experiment(parse_config_text(MINI.format(trials=3)), jobs=2)
+        assert [r["error"] for r in rows] == ["ValidationError: writeable=False"] * 3
 
     def test_trial_seeds_distinct(self):
         seeds = {trial_seed(4242, i) for i in range(1000)}

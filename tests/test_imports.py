@@ -16,11 +16,31 @@ loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
 assert not loaded, loaded
 """
 
+# A serial run never starts a process pool, so it must not import one.
+SERIAL_RUN = """
+import sys
+from hamest.config import parse_config_text
+from hamest.runner import run_experiment
+cfg = parse_config_text("model=full\\nd=2\\nscheme=adaptive\\ndelta=0.1\\ne=1\\ntrials=2\\n")
+rows, _ = run_experiment(cfg, jobs=1)
+assert len(rows) == 2 and not any(r["error"] for r in rows), rows
+assert "concurrent.futures.process" not in sys.modules
+"""
 
-def test_run_path_imports_no_scipy():
+
+def run_fresh(code):
     src = str(Path(hamest.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", RUN_PATH], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_run_path_imports_no_scipy():
+    proc = run_fresh(RUN_PATH)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_serial_run_imports_no_process_pool():
+    proc = run_fresh(SERIAL_RUN)
     assert proc.returncode == 0, proc.stderr

@@ -132,6 +132,21 @@ class TestQfi:
         rep = qfi_matrix(model, np.zeros(8), free_schedule(3, 0.0))
         assert np.max(np.abs(rep.G - np.eye(8) / 3)) < 1e-10
 
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_correlation_matrix_matches_generator_loop(self, r):
+        model = make_model("full", 3)
+        rng = np.random.default_rng(11 + r)
+        factors = (3,) * (r + 1)
+        init = PureState(factors=factors, amplitudes=haar_state(3 ** (r + 1), rng))
+        sched = Schedule(r=r, initial=init, steps=((0.4, None),))
+        theta = 0.3 * rng.standard_normal(model.m)
+        rep = qfi_matrix(model, theta, sched)
+        psi = evolve(model, theta, sched).amplitudes.reshape(factors)
+        cvecs = [sum(np.moveaxis(np.tensordot(x, psi, axes=([1], [slot])), 0, slot)
+                     for slot in range(r)).reshape(-1) for x in model.generators]
+        loop = np.array([[np.vdot(a, b) for b in cvecs] for a in cvecs])
+        assert np.max(np.abs(rep.G - loop)) < 1e-12
+
     def test_spherical_bound_reported(self):
         rep = qfi_matrix(make_model("full", 2), np.zeros(3), free_schedule(2, 1.0))
         assert rep.spherical_bound == pytest.approx(4 * 3 / 2 * 1.0 ** 2)

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -36,6 +37,13 @@ class TestSymSpace:
 
     def test_occupation_order(self):
         assert occupations(2, 2) == [(2, 0), (1, 1), (0, 2)]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_occupations_match_brute_force(self, d):
+        for r in range(1, 7):
+            brute = sorted((occ for occ in product(range(r + 1), repeat=d) if sum(occ) == r),
+                           reverse=True)
+            assert occupations(d, r) == brute
 
     def test_tensor_budget_guard(self):
         with pytest.raises(ResourceLimitError):
