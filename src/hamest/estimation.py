@@ -44,7 +44,7 @@ __all__ = [
     "run_many_channel",
 ]
 
-# Copies per Gaussian draw: an 8192-row block of a small D stays in a core's L2 cache.
+# Copies per draw block: an 8192-row block of a small D stays in a core's L2 cache.
 _TOMOGRAPHY_CHUNK = 1 << 13
 
 
@@ -53,29 +53,32 @@ def _aligned_basis(psi: np.ndarray) -> np.ndarray:
     return np.linalg.qr(psi[:, None], mode="complete")[0]
 
 
-def _aligned_outcomes(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+def _aligned_outcomes(dim: int, n: int, rng: np.random.Generator):
     """n Haar-measured outcome vectors in a basis whose first vector is the measured state.
 
-    Returned as an (n, 2 dim) real view whose rows are unit vectors, the real
-    and imaginary parts of each coordinate side by side.  Picking a Haar
-    basis and clicking outcome k with probability |<b_k|psi>|^2 gives an
-    outcome vector o with density D |<o|psi>|^2 on the sphere.  In the
-    aligned basis, o = x / |x|: x_1 .. x_{D-1} are iid complex Gaussians, and
-    x_0 has their density times |x_0|^2, drawn as the phase of a complex
-    Gaussian a with |x_0|^2 = |a|^2 + |b|^2 for a second one b.  So
-    |<o|psi>|^2 ~ Beta(2, D-1), and one Gaussian draw covers all n outcomes.
+    Returned as (x0, w), the real first coordinates >= 0 and an (n, 2 dim - 2)
+    real view of the others, real and imaginary parts side by side; each row
+    (x0, w) is a unit vector.  Picking a Haar basis and clicking outcome k
+    with probability |<b_k|psi>|^2 gives an outcome vector o with density
+    D |<o|psi>|^2 on the sphere.  In the aligned basis, o = x / |x|: x_1 ..
+    x_{D-1} are iid complex Gaussians, and x_0 has their density times
+    |x_0|^2, so |x_0|^2 ~ chi^2_4 = 2 (E_1 + E_2) for two standard
+    exponentials; o o^dag does not see the phase of o, so x_0 is real.  Then
+    |<o|psi>|^2 ~ Beta(2, D-1).  Draws: one (n, 2 dim - 2) normal block, then
+    one (n, 2) exponential block.
     """
-    g = rng.standard_normal((n, 2 * dim + 2))        # columns a, b, x_1 .. x_{D-1}
-    g *= (1.0 / np.sqrt(np.einsum("ij,ij->i", g, g)))[:, None]   # / |x|: |x_0|^2 = |a|^2 + |b|^2
-    abs_a2 = g[:, 0] ** 2 + g[:, 1] ** 2
-    scale = abs_a2 + g[:, 2] ** 2 + g[:, 3] ** 2     # |x_0|^2
-    zero = abs_a2 == 0                                # no phase: take x_0 real
-    g[zero, 0], abs_a2[zero] = 1.0, 1.0
-    scale /= abs_a2
-    np.sqrt(scale, out=scale)
-    np.multiply(g[:, 0], scale, out=g[:, 2])
-    np.multiply(g[:, 1], scale, out=g[:, 3])
-    return g[:, 2:]
+    w = rng.standard_normal((n, 2 * dim - 2))        # x_1 .. x_{D-1}
+    e = rng.standard_exponential((n, 2))
+    x0 = 2.0 * (e[:, 0] + e[:, 1])                   # |x_0|^2
+    inv = 1.0 / np.sqrt(x0 + np.einsum("ij,ij->i", w, w))
+    w *= inv[:, None]
+    return np.sqrt(x0) * inv, w
+
+
+def _outcome_chunks(dim: int, n: int, rng: np.random.Generator):
+    """:func:`_aligned_outcomes` of n outcomes, in blocks of at most _TOMOGRAPHY_CHUNK."""
+    for done in range(0, n, _TOMOGRAPHY_CHUNK):
+        yield _aligned_outcomes(dim, min(_TOMOGRAPHY_CHUNK, n - done), rng)
 
 
 def sample_haar_outcomes(state, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -83,11 +86,13 @@ def sample_haar_outcomes(state, n: int, rng: np.random.Generator) -> np.ndarray:
 
     The per-outcome reference for the stage's tomography: B times each row
     of the shared draw core :func:`_aligned_outcomes`, with B the basis whose
-    first column is ``state``.  Its draws, and so the generator's state
-    afterwards, match those of the projector sum that the stages use.
+    first column is ``state``.  It draws in the same blocks as the projector
+    sum that the stages use, so the generator's state afterwards matches.
     """
     psi = np.asarray(state, dtype=complex).reshape(-1)
-    return _aligned_outcomes(psi.size, n, rng).view(complex) @ _aligned_basis(psi).T
+    outs = [np.column_stack((x0, w.view(complex)))
+            for x0, w in _outcome_chunks(psi.size, n, rng)]
+    return np.concatenate(outs or [np.empty((0, psi.size))]) @ _aligned_basis(psi).T
 
 
 def reconstruct_from_projector_mean(mean_projector: np.ndarray) -> np.ndarray:
@@ -109,15 +114,17 @@ def _outcome_projector_mean(psi: np.ndarray, n_copies: int,
                             rng: np.random.Generator) -> np.ndarray:
     """Mean outcome projector of n_copies Haar-measured copies of psi.
 
-    The real Gram of the aligned outcome rows is summed chunk by chunk and
-    folded once into the complex sum S of w w^dag; the mean is B S B^dag / n.
+    The real Gram of the aligned rows (x_0, 0, w) is summed chunk by chunk and
+    folded once into the complex sum S of o o^dag; the mean is B S B^dag / n.
     """
     dim = psi.size
     gram = np.zeros((2 * dim, 2 * dim))
-    for done in range(0, n_copies, _TOMOGRAPHY_CHUNK):
-        y = _aligned_outcomes(dim, min(_TOMOGRAPHY_CHUNK, n_copies - done), rng)
-        gram += y.T @ y
-        del y                          # free this block before the next one is drawn
+    for x0, w in _outcome_chunks(dim, n_copies, rng):
+        gram[2:, 2:] += w.T @ w
+        gram[0, 2:] += x0 @ w
+        gram[0, 0] += x0 @ x0
+        del x0, w                      # free this block before the next one is drawn
+    gram[2:, 0] = gram[0, 2:]
     s = gram[0::2, 0::2] + gram[1::2, 1::2] + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2])
     basis = _aligned_basis(psi)
     return basis @ s @ basis.conj().T / n_copies

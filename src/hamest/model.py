@@ -29,7 +29,7 @@ class HamiltonianModel:
     kind: str
     d: int
     generators: np.ndarray               # (m, d, d), read-only
-    x_sum: np.ndarray = field(repr=False)
+    x_sum: np.ndarray = field(repr=False)  # read-only
     c: float
     spherical: bool
 
@@ -43,7 +43,7 @@ class HamiltonianModel:
 
     def __setstate__(self, state):       # an unpickled array comes back writeable
         self.__dict__.update(state)
-        self.generators.flags.writeable = False
+        self.generators.flags.writeable = self.x_sum.flags.writeable = False
 
 
 def _validate_generators(gens: np.ndarray, d: int):
@@ -100,7 +100,7 @@ def make_model(kind: str, d: int, custom_generators=None) -> HamiltonianModel:
     c = float(np.linalg.norm(x_sum, 2))
     m = len(gens)
     spherical = bool(np.max(np.abs(x_sum - (m / d) * np.eye(d))) <= TOL.spherical_atol)
-    gens.flags.writeable = False
+    gens.flags.writeable = x_sum.flags.writeable = False
     return HamiltonianModel(kind=kind, d=d, generators=gens,
                             x_sum=x_sum, c=c, spherical=spherical)
 

@@ -1,8 +1,8 @@
 """Seeded batch execution of estimation experiments.
 
 Each trial owns an independent RNG stream keyed by (master seed, trial
-index) through a splitmix64 hash feeding a counter-based Philox generator,
-so results are bit-identical regardless of execution order or worker count.
+index) through a splitmix64 hash that seeds an SFC64 generator, so results
+are bit-identical regardless of execution order or worker count.
 Rows are emitted in trial order by a single writer.
 """
 
@@ -55,7 +55,7 @@ def trial_seed(master_seed: int, index: int) -> int:
 
 
 def trial_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 def _sample_theta(m: int, e_radius: float, worst_case: bool,
@@ -100,11 +100,13 @@ def _run_trial(cfg: ExperimentConfig, model: HamiltonianModel, delta: float, mas
 def _run_block(cfg: ExperimentConfig, delta: float, master: int, jobs: int) -> list[dict]:
     """The cfg.trials rows at one delta, in trial order; one model serves every trial.
 
-    Only jobs > 1 imports and starts a process pool.
+    Only jobs > 1 imports and starts a process pool; jobs < 1 is rejected.
     """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     trial = functools.partial(_run_trial, cfg, make_model(cfg.model_kind, cfg.d),
                               delta, master)
-    if jobs <= 1:
+    if jobs == 1:
         return [trial(i) for i in range(cfg.trials)]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -269,6 +269,19 @@ class TestCli:
         assert "full, phase, offdiag" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_exit_2(self, tmp_path, capsys, monkeypatch, command, jobs):
+        def no_trial(*args):
+            pytest.fail("a trial ran")
+
+        monkeypatch.setattr(runner, "_run_trial", no_trial)
+        cfg_path, out = write_cfg(tmp_path, MINI.format(trials=2)), tmp_path / "res.csv"
+        argv = [*command, "--config", cfg_path, "--out", str(out), "--jobs", jobs]
+        assert main(argv) == 2
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_2(self, capsys):
         assert main(["run", "--config", "/nonexistent.cfg"]) == 2
 

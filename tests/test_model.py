@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -84,6 +85,14 @@ def test_generator_stack_read_only():
     assert model.generators.shape == (3, 2, 2)
     with pytest.raises(ValueError):
         model.generators[0, 0, 0] = 1.0
+
+
+def test_x_sum_read_only():
+    model = make_model("offdiag", 3)
+    with pytest.raises(ValueError):
+        model.x_sum[0, 0] = 5
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(model)).x_sum[0, 0] = 5
 
 
 def test_hamiltonian_length_mismatch():
