@@ -106,7 +106,7 @@ def _run_block(cfg: ExperimentConfig, delta: float, master: int, jobs: int) -> l
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     trial = functools.partial(_run_trial, cfg, make_model(cfg.model_kind, cfg.d),
                               delta, master)
-    if jobs == 1:
+    if jobs <= 1:
         return [trial(i) for i in range(cfg.trials)]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
