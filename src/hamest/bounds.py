@@ -16,7 +16,8 @@ import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, SchemeConstants
 from .errors import ValidationError
-from .model import HamiltonianModel, max_energy
+from .estimation import _plan
+from .model import HamiltonianModel
 
 __all__ = [
     "BoundReport",
@@ -83,7 +84,7 @@ def time_upper_general(m: int, d: int, delta: float,
     return prefactor * m * d / delta
 
 
-def fewparam_time_upper(m: int, d: int, delta: float, e_radius: float,
+def fewparam_time_upper(m: int, d: int, delta: float,
                         constants: SchemeConstants = DEFAULT_CONSTANTS) -> float:
     """Spherical few-parameter upper bound: alpha kappa (1 + 2 beta) m^{3/2} sqrt(d) / delta.
 
@@ -93,7 +94,7 @@ def fewparam_time_upper(m: int, d: int, delta: float, e_radius: float,
     Tighter than :func:`time_upper_general` only for m <= d; callers should
     prefer the general bound when this one exceeds it.
     """
-    if min(m, d, delta, e_radius) <= 0:
+    if min(m, d, delta) <= 0:
         raise ValidationError("fewparam_time_upper requires positive arguments")
     prefactor = constants.alpha * constants.kappa * (1.0 + 2.0 * constants.beta)
     return prefactor * m ** 1.5 * math.sqrt(d) / delta
@@ -139,20 +140,20 @@ class BoundReport:
 
 def bound_report(model: HamiltonianModel, delta: float, e_radius: float,
                  constants: SchemeConstants = DEFAULT_CONSTANTS) -> BoundReport:
-    """Assemble the bound values at the scheme's own evolution time.
+    """Assemble the bound values at the evolution time tau of the one_channel plan.
 
     ``preferred_upper`` names the few-parameter bound only where it holds,
     for spherical models, and only where it is the tighter of the two.
     """
-    if delta <= 0 or e_radius <= 0:
-        raise ValidationError("delta and E must be positive")
+    if not (0 < delta < math.inf and 0 < e_radius < math.inf):
+        raise ValidationError(f"delta and E must be positive and finite, got {delta}, {e_radius}")
     m, d = model.m, model.d
-    tau = constants.kappa / max_energy(model, e_radius)
+    tau = _plan("one_channel", model, delta, e_radius, constants)[0].tau
     qfi_upper = 4.0 * m * tau ** 2 / d if model.spherical else 4.0 * model.c * tau ** 2
     lower = time_lower_bound(m, d, delta) if model.spherical \
         else nonspherical_time_lower(model.c, d, delta)
     upper = time_upper_general(m, d, delta, constants)
-    few = fewparam_time_upper(m, d, delta, e_radius, constants)
+    few = fewparam_time_upper(m, d, delta, constants)
     return BoundReport(
         qfi_upper=qfi_upper,
         copies_lower=m * d / (4.0 * delta ** 2 * tau ** 2),

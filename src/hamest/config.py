@@ -7,6 +7,7 @@ canonical example per scheme ships in ``configs/``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -48,9 +49,9 @@ class ExperimentConfig:
             raise ValidationError(f"d must be >= 2, got {self.d}")
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if not (0 < self.delta <= self.e_radius / 5 * (1 + 1e-12)):
-            raise ValidationError(
-                f"delta/E must lie in (0, 1/5], got delta={self.delta}, E={self.e_radius}")
+        if not (0 < self.delta <= self.e_radius / 5 * (1 + 1e-12) < math.inf):
+            raise ValidationError(f"delta/E must lie in (0, 1/5] with E finite, "
+                                  f"got delta={self.delta}, E={self.e_radius}")
         if not (0 <= self.master_seed < 2 ** 64):
             raise ValidationError("master_seed must be a 64-bit unsigned integer")
 

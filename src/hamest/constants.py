@@ -42,21 +42,17 @@ TOL = Tolerances()
 class SchemeConstants:
     """Tunable constants of the estimation procedures.
 
-    kappa   dimensionless evolution-time budget: tau = kappa / (radius * scale)
-            with scale = sqrt(c), so that tau * ||H|| <= kappa over the search
-            ball.  Calibrated so the first-order frame expansion stays accurate
+    kappa   dimensionless evolution-time budget: each stage's tau keeps
+            tau ||H|| <= kappa over its search ball (``estimation._plan``).
+            Calibrated so the first-order frame expansion stays accurate
             while tomography noise remains resolvable.
-    alpha   copy-budget prefactor.  One-channel: N = ceil(alpha * m * d * E^2 /
-            delta^2).  Staged schemes: N_n = ceil(alpha * m * (1 + beta * n)).
-    beta    per-stage copy growth, O(n) extra copies at stage n (search radius
-            2^n * delta).  It stands in for the Chernoff log-factor of a
-            per-stage failure budget p_crit / 2^n, but the copy budget does
-            not depend on p_crit yet.
+    alpha   copy-budget prefactor of every stage (``estimation._plan``).
+    beta    per-stage copy growth at stage n (``estimation._plan``).
     p_crit  tolerated overall failure probability of a full estimation run;
             validated, but no copy budget reads it yet.
-    r_max   cap on the number of parallel channels; ``None`` means 2048 // d.
-            A cap below the plan's largest r = 2^(n0-1) d keeps every later
-            stage at the cap, so those stages stop sharpening the estimate.
+    r_max   cap on the many-channel r_n of ``estimation._plan``; ``None``
+            means 2048 // d.  A cap below the plan's largest r keeps every
+            later stage at the cap, so those stages stop sharpening the estimate.
     refine  apply one Gauss-Newton fidelity refinement after the first-order
             inversion (removes the O(kappa^2) inversion bias).  The step uses
             the exact Jacobian of the stage's normalized frame coefficients:

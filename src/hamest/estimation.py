@@ -11,9 +11,9 @@ Three drivers are provided: :func:`run_one_channel` (fixed radius, classical
 T ~ 1/delta^2 scaling), :func:`run_adaptive` (feedback staging, T ~ 1/delta),
 and :func:`run_many_channel` (entangled channels in the symmetric subspace,
 measurement-side counter-rotation, no feedback during evolution).  Each
-driver only plans its stages (n, tau, r, copies) and picks a probe, a d x d
-stage unitary V whose collective MES Sym^r(V) is measured (the MES is r = 1).
-One stage body takes its frame coefficients from :func:`sym_frame_coefficients`,
+driver takes its stages from :func:`_plan` and picks a probe, a d x d stage
+unitary V whose collective MES Sym^r(V) is measured (the MES is r = 1).  One
+stage body takes its frame coefficients from :func:`sym_frame_coefficients`,
 and the staged drivers share one stage loop.
 """
 
@@ -217,6 +217,8 @@ def _check_run_inputs(model, theta_true, delta, e_radius, rng, seed):
     theta_true = np.asarray(theta_true, dtype=float).reshape(-1)
     if theta_true.size != model.m:
         raise ValidationError(f"theta_true has length {theta_true.size}, m = {model.m}")
+    if not (np.isfinite(theta_true).all() and math.isfinite(delta) and math.isfinite(e_radius)):
+        raise ValidationError(f"theta_true, delta, E must be finite: delta={delta}, E={e_radius}")
     if np.linalg.norm(theta_true) > e_radius * (1 + 1e-12):
         raise ValidationError("theta_true lies outside the search radius")
     if delta <= 0 or delta > e_radius / 5 * (1 + 1e-12):
@@ -238,6 +240,31 @@ def _stage_estimate(reduced_exact, p, copies, tau, norm_factor, family,
 
 
 _Stage = namedtuple("_Stage", "n tau r copies")   # r: entangled channels
+
+
+def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
+          constants: SchemeConstants) -> list[_Stage]:
+    """The stages of a scheme in run order; they fix T = sum N r tau before any draw.
+
+    A stage searching radius R evolves for tau = kappa / max_energy(R), so
+    tau ||H_theta|| <= kappa on that ball.  one_channel: one stage n = 0, R = E,
+    r = 1, N = ceil(alpha m d E^2 / delta^2) copies to resolve the tomography
+    noise at scale delta.  Staged: n = n0 .. 1, n0 = max(1, ceil(log2(E / delta))),
+    N_n = ceil(alpha m (1 + beta n)); the (1 + beta n) is meant to cover a
+    per-stage failure budget p_crit / 2^n, but N_n does not read p_crit yet.
+    adaptive: r = 1 and R = 2^n delta, so tau grows as the radius shrinks.
+    many_channel: every stage keeps the tau of R = 2^n0 delta and entangles
+    r_n = min(2^(n0-n) d, r_max) channels instead.
+    """
+    if scheme == "one_channel":
+        copies = int(math.ceil(constants.alpha * model.m * model.d * e_radius ** 2 / delta ** 2))
+        return [_Stage(0, constants.kappa / max_energy(model, e_radius), 1, copies)]
+    many = {"adaptive": False, "many_channel": True}[scheme]
+    n0 = max(1, math.ceil(math.log2(e_radius / delta)))
+    return [_Stage(n, constants.kappa / max_energy(model, 2.0 ** (n0 if many else n) * delta),
+                   min(2 ** (n0 - n) * model.d, constants.effective_r_max(model.d)) if many else 1,
+                   int(math.ceil(constants.alpha * model.m * (1.0 + constants.beta * n))))
+            for n in range(n0, 0, -1)]
 
 
 def _mes_probe(model: HamiltonianModel, theta_true: np.ndarray, trotter_slices: int):
@@ -336,8 +363,7 @@ def _run_stages(model, plan, probe, theta_true, delta, seed, refine, rng) -> Est
         except (DegenerateProjectionError, PostselectionStarvedError,
                 InversionUnstableError):
             rate, failed = 0.0, True
-        records.append(StageRecord(n=stage.n, tau=stage.tau, copies=stage.copies,
-                                   accept_rate=rate, failed=failed))
+        records.append(StageRecord(stage.n, stage.tau, stage.copies, rate, failed))
     total_time = sum(s.copies * s.r * s.tau for s in plan)
     return EstimationRecord.build(theta_true, theta_star, records,
                                   total_time=total_time, delta=delta, seed=seed)
@@ -349,27 +375,16 @@ def run_one_channel(model: HamiltonianModel, theta_true, delta: float,
                     seed: int = 0) -> EstimationRecord:
     """Single-radius estimation: MES probe, fixed tau, N ~ E^2 / delta^2 copies.
 
-    tau = kappa / (E sqrt(c)) keeps tau ||H_theta|| <= kappa over the ball;
-    the copy count N = ceil(alpha m d E^2 / delta^2) makes the tomography
-    noise resolvable at scale delta.  T = N tau; a failed stage raises.
+    No feedback, so T = N tau ~ 1 / delta^2; a failed stage raises.
     """
     theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
-    tau = constants.kappa / max_energy(model, e_radius)
-    copies = int(math.ceil(constants.alpha * model.m * model.d * e_radius ** 2 / delta ** 2))
-    theta_hat, rate = _run_stage(model, _Stage(0, tau, 1, copies),
-                                 _mes_probe(model, theta_true, 0), np.zeros(model.m),
-                                 constants.refine, rng)
-    stage = StageRecord(n=0, tau=tau, copies=copies, accept_rate=rate)
-    return EstimationRecord.build(theta_true, theta_hat, [stage],
-                                  total_time=copies * 1 * tau, delta=delta, seed=seed)
-
-
-def _staging_depth(e_radius: float, delta: float) -> int:
-    return max(1, math.ceil(math.log2(e_radius / delta)))
-
-
-def _staged_copies(model: HamiltonianModel, constants: SchemeConstants, n: int) -> int:
-    return int(math.ceil(constants.alpha * model.m * (1.0 + constants.beta * n)))
+    [stage] = plan = _plan("one_channel", model, delta, e_radius, constants)
+    theta_hat, rate = _run_stage(model, stage, _mes_probe(model, theta_true, 0),
+                                 np.zeros(model.m), constants.refine, rng)
+    return EstimationRecord.build(theta_true, theta_hat,
+                                  [StageRecord(stage.n, stage.tau, stage.copies, rate)],
+                                  total_time=sum(s.copies * s.r * s.tau for s in plan),
+                                  delta=delta, seed=seed)
 
 
 def run_adaptive(model: HamiltonianModel, theta_true, delta: float,
@@ -378,20 +393,14 @@ def run_adaptive(model: HamiltonianModel, theta_true, delta: float,
                  seed: int = 0) -> EstimationRecord:
     """Feedback-staged estimation: halve the search radius each stage.
 
-    Stage n (n = n0 .. 1) works at radius 2^n delta with the simulated
-    external field -H_theta*, so the driven Hamiltonian is H_{theta-theta*};
-    tau_n = kappa / (2^n delta sqrt(c)) grows as the radius shrinks while the
-    per-stage copy count N_n = ceil(alpha m (1 + beta n)) stays bounded.  The
-    (1 + beta n) factor is meant to cover a per-stage failure budget
-    p_crit / 2^n, but the copy count does not depend on p_crit yet.  Stage
-    failures are recorded, not raised.
+    Stage n drives the MES with the simulated external field -H_theta*, so the
+    driven Hamiltonian is H_{theta-theta*} (kicks between slices when
+    ``trotter_slices`` > 0).  Stage failures are recorded, not raised.
     """
     theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
-    plan = [_Stage(n, constants.kappa / max_energy(model, 2.0 ** n * delta), 1,
-                   _staged_copies(model, constants, n))
-            for n in range(_staging_depth(e_radius, delta), 0, -1)]
-    probe = _mes_probe(model, theta_true, constants.trotter_slices)
-    return _run_stages(model, plan, probe, theta_true, delta, seed, constants.refine, rng)
+    return _run_stages(model, _plan("adaptive", model, delta, e_radius, constants),
+                       _mes_probe(model, theta_true, constants.trotter_slices),
+                       theta_true, delta, seed, constants.refine, rng)
 
 
 def run_many_channel(model: HamiltonianModel, theta_true, delta: float,
@@ -400,17 +409,11 @@ def run_many_channel(model: HamiltonianModel, theta_true, delta: float,
                      seed: int = 0) -> EstimationRecord:
     """Entanglement-staged estimation without feedback during evolution.
 
-    All stages share the short evolution time tau = kappa / (2^n0 delta
-    sqrt(c)); stage n instead entangles r_n = min(2^(n0-n) d, r_max) channels
-    through the symmetric subspace, and the preceding estimate enters only as
-    the measurement-side counter-rotation exp(+i tau {H_theta*}_r).  The
-    time resource of a stage is N_n r_n tau.
+    Stage n entangles r_n channels through the symmetric subspace, and the
+    preceding estimate enters only as the measurement-side counter-rotation
+    exp(+i tau {H_theta*}_r).  Stage failures are recorded, not raised.
     """
     theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
-    n0 = _staging_depth(e_radius, delta)
-    tau = constants.kappa / max_energy(model, 2.0 ** n0 * delta)
-    r_cap = constants.effective_r_max(model.d)
-    plan = [_Stage(n, tau, min(2 ** (n0 - n) * model.d, r_cap),
-                   _staged_copies(model, constants, n)) for n in range(n0, 0, -1)]
-    return _run_stages(model, plan, _symmetric_probe(model, theta_true), theta_true,
-                       delta, seed, constants.refine, rng)
+    return _run_stages(model, _plan("many_channel", model, delta, e_radius, constants),
+                       _symmetric_probe(model, theta_true), theta_true, delta, seed,
+                       constants.refine, rng)

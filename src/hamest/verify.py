@@ -483,15 +483,15 @@ def check_scalar_vs_matrix_bound(seed: int = 78):
 
 
 def check_delta_homogeneity():
-    m, d, delta, e_radius = 3, 2, 0.1, 1.0
+    m, d, delta = 3, 2, 0.1
     assert abs(bd.time_lower_bound(m, d, delta / 2) /
                bd.time_lower_bound(m, d, delta) - 2.0) < 1e-12
     assert abs(bd.nonspherical_time_lower(1.5, d, delta / 2) /
                bd.nonspherical_time_lower(1.5, d, delta) - 2.0) < 1e-12
     assert abs(bd.time_upper_general(m, d, delta / 2) /
                bd.time_upper_general(m, d, delta) - 2.0) < 1e-12
-    assert abs(bd.fewparam_time_upper(m, d, delta / 2, e_radius) /
-               bd.fewparam_time_upper(m, d, delta, e_radius) - 2.0) < 1e-12
+    assert abs(bd.fewparam_time_upper(m, d, delta / 2) /
+               bd.fewparam_time_upper(m, d, delta) - 2.0) < 1e-12
     # the copy trade-off threshold is quadratic in 1/delta
     a = bd.qcr_chain(m, d, delta, 0.5, 100)["trV_lower"]
     b = bd.qcr_chain(m, d, delta / 2, 0.5, 400)["trV_lower"]

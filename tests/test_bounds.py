@@ -8,6 +8,7 @@ from hamest.bounds import (bound_report, biased_cr_rhs, fewparam_time_upper,
                            time_upper_general)
 from hamest.constants import SchemeConstants
 from hamest.errors import ValidationError
+from hamest.estimation import _plan
 from hamest.model import make_model
 from hamest.verify import (check_delta_homogeneity, check_scalar_vs_matrix_bound,
                            check_schwartz_chain)
@@ -72,14 +73,14 @@ class TestNonsphericalLower:
 class TestFewParam:
     def test_single_parameter_matches_lower_scaling(self):
         # m = 1: upper m^{3/2} sqrt(d) and lower sqrt(md) both scale as sqrt(d)
-        vals = [fewparam_time_upper(1, d, 0.1, 1.0) / time_lower_bound(1, d, 0.1)
+        vals = [fewparam_time_upper(1, d, 0.1) / time_lower_bound(1, d, 0.1)
                 for d in (2, 4, 8, 16)]
         assert np.ptp(vals) < 1e-9
 
     def test_full_model_prefers_general(self):
         for d in (3, 4):
             m = d * d - 1
-            assert fewparam_time_upper(m, d, 0.1, 1.0) > time_upper_general(m, d, 0.1)
+            assert fewparam_time_upper(m, d, 0.1) > time_upper_general(m, d, 0.1)
             rep = bound_report(make_model("full", d), 0.1, 1.0)
             assert rep.constants_used["preferred_upper"] == "general"
 
@@ -89,13 +90,9 @@ class TestFewParam:
         # even though its value lies below the general bound
         model = make_model("offdiag", d)
         assert not model.spherical
-        assert fewparam_time_upper(model.m, d, 0.1, 1.0) < time_upper_general(model.m, d, 0.1)
+        assert fewparam_time_upper(model.m, d, 0.1) < time_upper_general(model.m, d, 0.1)
         rep = bound_report(model, 0.1, 1.0)
         assert rep.constants_used["preferred_upper"] == "general"
-
-    def test_independent_of_search_radius(self):
-        assert fewparam_time_upper(2, 3, 0.1, 1.0) == fewparam_time_upper(
-            2, 3, 0.1, 17.0)
 
 
 class TestBiasedCr:
@@ -132,8 +129,44 @@ class TestReport:
         assert used["kappa"] == 0.4 and used["alpha"] == 50.0
         assert used["chain_constant"] == 0.25 and used["time_constant"] == 0.5
 
+    @pytest.mark.parametrize("delta, e_radius", [(math.nan, 1.0), (0.1, math.inf), (0.0, 1.0)])
+    def test_rejects_bad_delta_or_radius(self, delta, e_radius):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            bound_report(make_model("full", 2), delta, e_radius)
+
     def test_homogeneity_suite(self):
         check_delta_homogeneity()
 
     def test_schwartz_chain_suite(self):
         check_schwartz_chain()
+
+
+PLAN_GRID = [(kind, d, delta) for kind in ("full", "phase", "offdiag") for d in (2, 3, 4)
+             for delta in (0.2, 0.1, 0.05, 0.025)]
+
+
+def planned_time(scheme, model, delta):
+    return sum(s.copies * s.r * s.tau for s in _plan(scheme, model, delta, 1.0, SchemeConstants()))
+
+
+class TestPlannedTime:
+    """Each scheme's planned T = sum N r tau against the bounds, with no simulation.
+
+    many_channel's plan is not held to an upper bound: it exceeds
+    time_upper_general by up to 1.35x on this grid (phase, and offdiag at d = 2).
+    """
+
+    @pytest.mark.parametrize("scheme", ["one_channel", "adaptive", "many_channel"])
+    def test_lower_bound_holds(self, scheme):
+        # smallest planned T / time_lower on this grid: 108, adaptive
+        for kind, d, delta in PLAN_GRID:
+            model = make_model(kind, d)
+            lower = bound_report(model, delta, 1.0).time_lower
+            assert lower <= planned_time(scheme, model, delta), (kind, d, delta)
+
+    def test_adaptive_within_general_upper(self):
+        # largest planned T / time_upper_general on this grid: 0.674
+        for kind, d, delta in PLAN_GRID:
+            model = make_model(kind, d)
+            upper = time_upper_general(model.m, d, delta)
+            assert planned_time("adaptive", model, delta) <= upper, (kind, d, delta)

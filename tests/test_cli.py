@@ -282,6 +282,14 @@ class TestCli:
         assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])
+    def test_infinite_search_radius_exit_2(self, tmp_path, capsys, command):
+        text = MINI.format(trials=2).replace("E = 1.0", "E = inf")
+        cfg_path, out = write_cfg(tmp_path, text), tmp_path / "res.csv"
+        assert main([*command, "--config", cfg_path, "--out", str(out)]) == 2
+        assert "E finite, got delta=0.1, E=inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_2(self, capsys):
         assert main(["run", "--config", "/nonexistent.cfg"]) == 2
 

@@ -11,8 +11,8 @@ from hamest.errors import (DegenerateProjectionError, InversionUnstableError,
                            PostselectionStarvedError, ValidationError)
 from hamest.estimation import (_TOMOGRAPHY_CHUNK as STAGE_CHUNK, EstimationRecord,
                                _frame_family, _measure_and_reconstruct, _mes_probe,
-                               _outcome_projector_mean, _refine_gauss_newton, _Stage, _stage_estimate,
-                               _symmetric_probe, invert_theta,
+                               _outcome_projector_mean, _plan, _refine_gauss_newton, _Stage,
+                               _stage_estimate, _symmetric_probe, invert_theta,
                                reconstruct_from_projector_mean,
                                run_adaptive, run_many_channel, run_one_channel,
                                sample_haar_outcomes)
@@ -475,10 +475,9 @@ class TestRunOneChannel:
 class TestRunAdaptive:
     def test_degenerate_staging_depth(self):
         # E comparable to delta still gets one stage (radius 2*delta)
-        from hamest.estimation import _staging_depth
-        assert _staging_depth(1.0, 1.0) == 1
-        assert _staging_depth(1.0, 0.6) == 1
-        assert _staging_depth(1.0, 0.1) == 4
+        assert len(_plan("adaptive", FULL2, 1.0, 1.0, CONST)) == 1
+        assert len(_plan("adaptive", FULL2, 0.6, 1.0, CONST)) == 1
+        assert len(_plan("adaptive", FULL2, 0.1, 1.0, CONST)) == 4
 
     def test_stage_structure(self):
         delta, e_radius = 0.1, 1.0
@@ -623,6 +622,36 @@ class TestRunManyChannel:
         assert ok >= 14
         ratio = np.median(t_many) / np.median(t_adapt)
         assert 1 / 4 <= ratio <= 4
+
+
+DRIVERS = {"one_channel": run_one_channel, "adaptive": run_adaptive,
+           "many_channel": run_many_channel}
+
+
+class TestPlan:
+    @pytest.mark.parametrize("scheme", DRIVERS)
+    @pytest.mark.parametrize("const", [CONST, SchemeConstants(r_max=4), SchemeConstants(alpha=0.2)],
+                             ids=["default", "r_max=4", "alpha=0.2"])
+    def test_driver_records_its_plan(self, scheme, const):
+        plan = _plan(scheme, FULL2, 0.1, 1.0, const)
+        failed = 0
+        for seed in range(4):
+            rec = DRIVERS[scheme](FULL2, [0.3, -0.2, 0.1], 0.1, 1.0, const, seed=seed)
+            assert ([(s.n, s.tau, s.copies) for s in rec.stages]
+                    == [(s.n, s.tau, s.copies) for s in plan])
+            assert rec.total_time == sum(s.copies * s.r * s.tau for s in plan)
+            failed += sum(s.failed for s in rec.stages)
+        if const.alpha < 1 and scheme != "one_channel":
+            assert failed, "alpha = 0.2 starves late stages; their copies still count in T"
+
+    @pytest.mark.parametrize("scheme", DRIVERS)
+    @pytest.mark.parametrize("theta, delta, e_radius",
+                             [([math.nan, 0, 0], 0.1, 1.0), ([0, 0, 0], math.nan, 1.0),
+                              ([0, 0, 0], 0.1, math.inf)],
+                             ids=["nan_theta", "nan_delta", "inf_E"])
+    def test_rejects_non_finite_inputs(self, scheme, theta, delta, e_radius):
+        with pytest.raises(ValidationError, match="must be finite"):
+            DRIVERS[scheme](FULL2, theta, delta, e_radius, CONST)
 
 
 class TestRecord:

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from hamest.constants import TOL
-from hamest.errors import ValidationError
+from hamest.errors import AuditFailure, ValidationError
 from hamest.estimation import _mes_probe, _Stage
 from hamest.linalg import PureState, haar_state, hermitian_expm
 from hamest.model import hamiltonian, make_model
@@ -192,6 +193,15 @@ class TestGrowthAudit:
     def test_needs_two_points(self):
         with pytest.raises(ValidationError):
             growth_audit(make_model("full", 2), np.zeros(3), free_schedule(2, 1.0), 1)
+
+    def test_violation_carries_grid_time(self):
+        # the MES saturates Tr J = 4 c t^2, so a model claiming c / 4 fails at
+        # the first grid time t > 0 of the grid 0, 1/3, 2/3, 1
+        model = make_model("full", 2)
+        with pytest.raises(AuditFailure) as exc:
+            growth_audit(dataclasses.replace(model, c=model.c / 4), np.zeros(3),
+                         free_schedule(2, 1.0), 4)
+        assert exc.value.time == 1 / 3
 
 
 def kick_schedule(model, theta_star, tau, slices):
