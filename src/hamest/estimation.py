@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -44,8 +45,17 @@ __all__ = [
     "run_many_channel",
 ]
 
-# Copies per draw block: an 8192-row block of a small D stays in a core's L2 cache.
+# A chunk holds at most 8192 copies and 2^17 normals, so that its draws stay in a
+# core's L2 cache while two chunks are in flight.
 _TOMOGRAPHY_CHUNK = 1 << 13
+_CHUNK_NORMALS = 1 << 17
+# A stage of at least this many chunks folds them on a per-call pool of at most
+# _MAX_WORKERS threads: it then saves two or more chunks (~2 ms each at D = 4)
+# for the pool's ~0.3 ms start-up.  Smaller stages fold on the calling thread.
+_THREADED_CHUNKS = 4
+_MAX_WORKERS = 2
+# Processes sharing the usable CPUs; the runner's pool workers set it to their count.
+_PROCESSES = 1
 
 
 def _aligned_basis(psi: np.ndarray) -> np.ndarray:
@@ -76,9 +86,22 @@ def _aligned_outcomes(dim: int, n: int, rng: np.random.Generator):
 
 
 def _outcome_chunks(dim: int, n: int, rng: np.random.Generator):
-    """:func:`_aligned_outcomes` of n outcomes, in blocks of at most _TOMOGRAPHY_CHUNK."""
-    for done in range(0, n, _TOMOGRAPHY_CHUNK):
-        yield _aligned_outcomes(dim, min(_TOMOGRAPHY_CHUNK, n - done), rng)
+    """The chunk plan of n outcomes: (copies, generator) per chunk, in chunk order.
+
+    Chunks hold min(8192, 2^17 // (2 dim - 2)) copies, the last one fewer.
+    Chunk 0 draws from ``rng`` itself; chunks 1 .. k-1 draw from generators of
+    ``rng``'s bit-generator class, keyed by k - 1 uint64 integers that ``rng``
+    draws first.  So every chunk's draws are fixed before any chunk is drawn,
+    and a one-chunk plan touches only ``rng``'s normal and exponential draws.
+    """
+    size = min(_TOMOGRAPHY_CHUNK, _CHUNK_NORMALS // max(1, 2 * dim - 2))
+    sizes = [min(size, n - done) for done in range(0, n, size)]
+    if len(sizes) <= 1:
+        return [(k, rng) for k in sizes]
+    keys = rng.integers(1 << 64, size=len(sizes) - 1, dtype=np.uint64)
+    child = type(rng.bit_generator)
+    return [(sizes[0], rng)] + [(k, np.random.Generator(child(int(key))))
+                                for k, key in zip(sizes[1:], keys)]
 
 
 def sample_haar_outcomes(state, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -86,12 +109,13 @@ def sample_haar_outcomes(state, n: int, rng: np.random.Generator) -> np.ndarray:
 
     The per-outcome reference for the stage's tomography: B times each row
     of the shared draw core :func:`_aligned_outcomes`, with B the basis whose
-    first column is ``state``.  It draws in the same blocks as the projector
-    sum that the stages use, so the generator's state afterwards matches.
+    first column is ``state``.  It walks the projector sum's chunk plan
+    serially, so it makes the same draws and leaves ``rng`` in the same state.
     """
     psi = np.asarray(state, dtype=complex).reshape(-1)
     outs = [np.column_stack((x0, w.view(complex)))
-            for x0, w in _outcome_chunks(psi.size, n, rng)]
+            for x0, w in (_aligned_outcomes(psi.size, k, gen)
+                          for k, gen in _outcome_chunks(psi.size, n, rng))]
     return np.concatenate(outs or [np.empty((0, psi.size))]) @ _aligned_basis(psi).T
 
 
@@ -110,20 +134,47 @@ def reconstruct_from_projector_mean(mean_projector: np.ndarray) -> np.ndarray:
     return vecs[:, -1]
 
 
+def _chunk_gram(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Real 2 dim x 2 dim Gram of n aligned rows (x_0, 0, w), upper block row only."""
+    x0, w = _aligned_outcomes(dim, n, rng)
+    gram = np.zeros((2 * dim, 2 * dim))
+    gram[2:, 2:] = w.T @ w
+    gram[0, 2:] = x0 @ w
+    gram[0, 0] = x0 @ x0
+    return gram
+
+
+def _pool_workers() -> int:
+    """Threads for a large stage: at most _MAX_WORKERS and this process's share of the CPUs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(_MAX_WORKERS, (cpus or 1) // _PROCESSES))
+
+
 def _outcome_projector_mean(psi: np.ndarray, n_copies: int,
                             rng: np.random.Generator) -> np.ndarray:
     """Mean outcome projector of n_copies Haar-measured copies of psi.
 
-    The real Gram of the aligned rows (x_0, 0, w) is summed chunk by chunk and
-    folded once into the complex sum S of o o^dag; the mean is B S B^dag / n.
+    Each chunk of :func:`_outcome_chunks` is folded into its own real Gram
+    of the aligned rows, and the Grams are summed in chunk order, so the
+    result depends on (rng state, n_copies, dim) alone, not on the thread
+    count.  A stage of at least _THREADED_CHUNKS chunks folds them on a pool
+    that lives for this call only; a smaller one folds them on this thread.
+    The sum is folded once into the complex sum S of o o^dag; the mean is
+    B S B^dag / n.
     """
     dim = psi.size
-    gram = np.zeros((2 * dim, 2 * dim))
-    for x0, w in _outcome_chunks(dim, n_copies, rng):
-        gram[2:, 2:] += w.T @ w
-        gram[0, 2:] += x0 @ w
-        gram[0, 0] += x0 @ x0
-        del x0, w                      # free this block before the next one is drawn
+    chunks = _outcome_chunks(dim, n_copies, rng)
+
+    def fold(chunk):
+        return _chunk_gram(dim, *chunk)
+
+    zero = np.zeros((2 * dim, 2 * dim))
+    if len(chunks) < _THREADED_CHUNKS or (workers := _pool_workers()) == 1:
+        gram = sum(map(fold, chunks), zero)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            gram = sum(pool.map(fold, chunks), zero)
     gram[2:, 0] = gram[0, 2:]
     s = gram[0::2, 0::2] + gram[1::2, 1::2] + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2])
     basis = _aligned_basis(psi)

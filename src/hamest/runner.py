@@ -16,6 +16,7 @@ from collections import Counter
 
 import numpy as np
 
+from . import estimation
 from .config import ExperimentConfig
 from .errors import HamestError, ValidationError
 from .estimation import run_adaptive, run_many_channel, run_one_channel
@@ -97,6 +98,12 @@ def _run_trial(cfg: ExperimentConfig, model: HamiltonianModel, delta: float, mas
     return row
 
 
+def _share_cpus(jobs: int) -> None:
+    """Pool-worker initializer: the jobs share the CPUs, so no worker runs more
+    chunk-fold threads than its share of them (none beyond itself on 2 CPUs)."""
+    estimation._PROCESSES = jobs
+
+
 def _run_block(cfg: ExperimentConfig, delta: float, master: int, jobs: int) -> list[dict]:
     """The cfg.trials rows at one delta, in trial order; one model serves every trial.
 
@@ -109,7 +116,8 @@ def _run_block(cfg: ExperimentConfig, delta: float, master: int, jobs: int) -> l
     if jobs <= 1:
         return [trial(i) for i in range(cfg.trials)]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_share_cpus,
+                             initargs=(jobs,)) as pool:
         return list(pool.map(trial, range(cfg.trials), chunksize=1))
 
 

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import pickle
 from dataclasses import fields
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hamest import runner
+from hamest import estimation, runner
 from hamest.cli import main
 from hamest.config import ExperimentConfig, parse_config, parse_config_text
 from hamest.constants import SchemeConstants
@@ -182,6 +183,20 @@ class TestRunner:
         monkeypatch.setitem(runner._SCHEME_RUNNERS, "adaptive", report_writeable)
         rows, _ = run_experiment(parse_config_text(MINI.format(trials=3)), jobs=2)
         assert [r["error"] for r in rows] == ["ValidationError: writeable=False"] * 3
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers inherit the patched scheme table only when forked")
+    def test_workers_share_the_cpus(self, monkeypatch):
+        # on 4 CPUs: 2 jobs fold a stage's chunks on 2 threads each, 4 jobs on 1
+        def report_threads(*args, **kwargs):
+            raise ValidationError(f"threads={estimation._pool_workers()}")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setitem(runner._SCHEME_RUNNERS, "adaptive", report_threads)
+        for jobs, threads in ((2, 2), (4, 1)):
+            rows, _ = run_experiment(parse_config_text(MINI.format(trials=4)), jobs=jobs)
+            assert [r["error"] for r in rows] == [f"ValidationError: threads={threads}"] * 4
+        assert estimation._pool_workers() == 2
 
     def test_trial_seeds_distinct(self):
         seeds = {trial_seed(4242, i) for i in range(1000)}

@@ -254,16 +254,52 @@ class TestTomography:
 
     @pytest.mark.parametrize("dim", [2, 4, 9])
     def test_stage_path_draw_contract(self, dim):
-        # per block of k copies: one (k, 2D-2) normal draw, then one (k, 2) exponential draw
+        # k chunks: the trial generator draws k-1 uint64 keys, then chunk 0's
+        # (k0, 2D-2) normal and (k0, 2) exponential blocks; chunk i >= 1 draws
+        # the same two blocks from a generator of the trial's class keyed by key i
         n = 5 * STAGE_CHUNK // 2
         psi = haar_state(dim, np.random.default_rng(65 + dim))
         rng, twin = np.random.default_rng(66), np.random.default_rng(66)
-        _outcome_projector_mean(psi, n, rng)
-        for done in range(0, n, STAGE_CHUNK):
-            k = min(STAGE_CHUNK, n - done)
-            twin.standard_normal((k, 2 * dim - 2))
-            twin.standard_exponential((k, 2))
+        children = []
+        real_generator = np.random.Generator
+
+        def recording_generator(bit_generator):
+            children.append(bit_generator)
+            return real_generator(bit_generator)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.random, "Generator", recording_generator)
+            _outcome_projector_mean(psi, n, rng)
+        sizes = [min(STAGE_CHUNK, n - done) for done in range(0, n, STAGE_CHUNK)]
+        keys = twin.integers(1 << 64, size=len(sizes) - 1, dtype=np.uint64)
+        twin.standard_normal((sizes[0], 2 * dim - 2))
+        twin.standard_exponential((sizes[0], 2))
         assert rng.bit_generator.state == twin.bit_generator.state
+        assert len(children) == len(keys)
+        for k, key, child in zip(sizes[1:], keys, children):
+            replay = np.random.PCG64(int(key))
+            replayed = np.random.Generator(replay)
+            replayed.standard_normal((k, 2 * dim - 2))
+            replayed.standard_exponential((k, 2))
+            assert type(child) is np.random.PCG64
+            assert child.state == replay.state
+
+    @pytest.mark.parametrize("dim", [2, 4, 9])
+    def test_stage_path_is_independent_of_thread_count(self, dim, monkeypatch):
+        # five chunks fold on the pool; the Grams sum in chunk order either way
+        import hamest.estimation as estimation
+        n = 5 * STAGE_CHUNK
+        assert len(estimation._outcome_chunks(dim, n, np.random.default_rng(0))) \
+            >= estimation._THREADED_CHUNKS
+        psi = haar_state(dim, np.random.default_rng(67 + dim))
+        means, nexts = [], []
+        for workers in (1, 2):
+            monkeypatch.setattr(estimation, "_pool_workers", lambda: workers)
+            rng = np.random.Generator(np.random.SFC64(68))
+            means.append(_outcome_projector_mean(psi, n, rng))
+            nexts.append(rng.bit_generator.random_raw(4).tolist())
+        assert means[0].tobytes() == means[1].tobytes()
+        assert nexts[0] == nexts[1]
 
     @pytest.mark.parametrize("copies", ["D+1", "chunk", "2.5 chunk"])
     @pytest.mark.parametrize("dim", [2, 4, 9])

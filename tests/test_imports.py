@@ -7,6 +7,7 @@ import hamest
 
 # One many_channel trial reaches the eigenbasis of the stage unitary, and the
 # Magnus check reaches the principal logarithm: the two callers of unitary_eig.
+# Its stages are single chunks, so it starts no thread pool either.
 RUN_PATH = """
 import sys
 import hamest, hamest.verify
@@ -14,6 +15,19 @@ hamest.run_many_channel(hamest.make_model("full", 2), [0.3, -0.2, 0.1], 0.05, 1.
 hamest.verify.check_magnus_small_time(samples=5)
 loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
 assert not loaded, loaded
+assert "concurrent.futures.thread" not in sys.modules
+"""
+
+# A one-channel stage of 57 600 copies folds its chunks on a thread pool that
+# lives for one call, so no thread outlives the run.
+ONE_CHANNEL_RUN = """
+import sys, threading
+import hamest
+from hamest.estimation import _pool_workers
+before = threading.active_count()
+hamest.run_one_channel(hamest.make_model("full", 2), [0.3, -0.2, 0.1], 0.1, 1.0, seed=3)
+assert threading.active_count() == before, (before, threading.active_count())
+assert ("concurrent.futures.thread" in sys.modules) == (_pool_workers() > 1)
 """
 
 # A serial run never starts a process pool, so it must not import one.
@@ -43,4 +57,9 @@ def test_run_path_imports_no_scipy():
 
 def test_serial_run_imports_no_process_pool():
     proc = run_fresh(SERIAL_RUN)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_one_channel_run_leaves_no_thread():
+    proc = run_fresh(ONE_CHANNEL_RUN)
     assert proc.returncode == 0, proc.stderr
