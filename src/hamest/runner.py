@@ -99,8 +99,7 @@ def _run_trial(cfg: ExperimentConfig, model: HamiltonianModel, delta: float, mas
 
 
 def _share_cpus(jobs: int) -> None:
-    """Pool-worker initializer: the jobs share the CPUs, so no worker runs more
-    chunk-fold threads than its share of them (none beyond itself on 2 CPUs)."""
+    """Pool-worker initializer: a worker folds a stage's chunks on its share of the CPUs only."""
     estimation._PROCESSES = jobs
 
 

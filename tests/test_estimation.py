@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import hamest.estimation as estimation
 from hamest.config import ExperimentConfig
 from hamest.constants import SchemeConstants
 from hamest.errors import (DegenerateProjectionError, InversionUnstableError,
@@ -287,7 +288,6 @@ class TestTomography:
     @pytest.mark.parametrize("dim", [2, 4, 9])
     def test_stage_path_is_independent_of_thread_count(self, dim, monkeypatch):
         # five chunks fold on the pool; the Grams sum in chunk order either way
-        import hamest.estimation as estimation
         n = 5 * STAGE_CHUNK
         assert len(estimation._outcome_chunks(dim, n, np.random.default_rng(0))) \
             >= estimation._THREADED_CHUNKS
