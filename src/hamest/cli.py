@@ -46,6 +46,9 @@ def cmd_run(args) -> int:
     print(f"wrote {len(rows)} trials to {csv_path}; "
           f"success_rate={summary['success_rate']:.3f} "
           f"median_T={summary['median_T']:.6g}")
+    if summary["capped_stages"]:
+        print(f"warning: r_max = {cfg.constants.effective_r_max(cfg.d)} caps r in "
+              f"{summary['capped_stages']} plan stages", file=sys.stderr)
     if summary["n_errors"] == summary["n_trials"]:
         print(f"error: no trial completed: {summary['errors_by_type']}", file=sys.stderr)
         return 1

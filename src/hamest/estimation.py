@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -49,10 +50,7 @@ __all__ = [
 # core's L2 cache while two chunks are in flight.
 _TOMOGRAPHY_CHUNK = 1 << 13
 _CHUNK_NORMALS = 1 << 17
-# A stage of at least this many chunks folds them on a per-call pool of at most
-# _MAX_WORKERS threads: it then saves two or more chunks (~2 ms each at D = 4)
-# for the pool's ~0.3 ms start-up.  Smaller stages fold on the calling thread.
-_THREADED_CHUNKS = 4
+# Threads that fold a stage of two or more chunks: the calling thread and one helper.
 _MAX_WORKERS = 2
 # Processes sharing the usable CPUs; the runner's pool workers set it to their count.
 _PROCESSES = 1
@@ -145,9 +143,53 @@ def _chunk_gram(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _pool_workers() -> int:
-    """Threads for a large stage: at most _MAX_WORKERS and this process's share of the CPUs."""
+    """Threads for a multi-chunk stage: at most _MAX_WORKERS and this process's share of the CPUs."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(_MAX_WORKERS, (cpus or 1) // _PROCESSES))
+
+
+def _lane_grams(dim: int, chunks) -> list:
+    """The chunks' Grams, in chunk order, folded by this thread and one helper thread.
+
+    Each lane takes the next chunk index under a lock and stores the Gram in
+    its slot.  A lane that raises drains the indices, so the other stops after
+    its current chunk; the helper is joined before this returns or raises, and
+    its exception, if any, reaches the caller as itself.
+    """
+    grams = [None] * len(chunks)
+    order = iter(range(len(chunks)))
+    lock = threading.Lock()
+    raised = []
+
+    def take():
+        with lock:
+            return next(order, None)
+
+    def lane():
+        try:
+            for i in iter(take, None):
+                grams[i] = _chunk_gram(dim, *chunks[i])
+        except BaseException:
+            with lock:
+                for _ in order:
+                    pass
+            raise
+
+    def helper():
+        try:
+            lane()
+        except BaseException as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=helper, daemon=True)
+    thread.start()
+    try:
+        lane()
+    finally:
+        thread.join()
+    if raised:
+        raise raised[0]
+    return grams
 
 
 def _outcome_projector_mean(psi: np.ndarray, n_copies: int,
@@ -157,24 +199,18 @@ def _outcome_projector_mean(psi: np.ndarray, n_copies: int,
     Each chunk of :func:`_outcome_chunks` is folded into its own real Gram
     of the aligned rows, and the Grams are summed in chunk order, so the
     result depends on (rng state, n_copies, dim) alone, not on the thread
-    count.  A stage of at least _THREADED_CHUNKS chunks folds them on a pool
-    that lives for this call only; a smaller one folds them on this thread.
-    The sum is folded once into the complex sum S of o o^dag; the mean is
-    B S B^dag / n.
+    count.  A stage of two or more chunks folds them on this thread and one
+    helper (:func:`_lane_grams`) when :func:`_pool_workers` allows two; a
+    one-chunk stage folds on this thread.  The sum is folded once into the
+    complex sum S of o o^dag; the mean is B S B^dag / n.
     """
     dim = psi.size
     chunks = _outcome_chunks(dim, n_copies, rng)
-
-    def fold(chunk):
-        return _chunk_gram(dim, *chunk)
-
-    zero = np.zeros((2 * dim, 2 * dim))
-    if len(chunks) < _THREADED_CHUNKS or (workers := _pool_workers()) == 1:
-        gram = sum(map(fold, chunks), zero)
+    if len(chunks) > 1 and _pool_workers() > 1:
+        grams = _lane_grams(dim, chunks)
     else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            gram = sum(pool.map(fold, chunks), zero)
+        grams = (_chunk_gram(dim, *chunk) for chunk in chunks)
+    gram = sum(grams, np.zeros((2 * dim, 2 * dim)))
     gram[2:, 0] = gram[0, 2:]
     s = gram[0::2, 0::2] + gram[1::2, 1::2] + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2])
     basis = _aligned_basis(psi)

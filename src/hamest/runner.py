@@ -103,26 +103,37 @@ def _share_cpus(jobs: int) -> None:
     estimation._PROCESSES = jobs
 
 
-def _run_block(cfg: ExperimentConfig, delta: float, master: int, jobs: int) -> list[dict]:
-    """The cfg.trials rows at one delta, in trial order; one model serves every trial.
+def _capped_stages(cfg: ExperimentConfig, model: HamiltonianModel, delta: float) -> int:
+    """Plan stages whose r is below the r of the same plan with r_max lifted."""
+    def rs(constants):
+        return [s.r for s in estimation._plan(cfg.scheme, model, delta, cfg.e_radius, constants)]
+    lifted = dataclasses.replace(cfg.constants, r_max=2 ** 62)
+    return sum(r < free for r, free in zip(rs(cfg.constants), rs(lifted)))
 
-    Only jobs > 1 imports and starts a process pool; jobs < 1 is rejected.
+
+def _run_block(cfg: ExperimentConfig, delta: float, master: int,
+               jobs: int) -> tuple[list[dict], dict]:
+    """The cfg.trials rows at one delta, in trial order, and their summary.
+
+    One model serves every trial.  Only jobs > 1 imports and starts a process
+    pool; jobs < 1 is rejected.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    trial = functools.partial(_run_trial, cfg, make_model(cfg.model_kind, cfg.d),
-                              delta, master)
+    model = make_model(cfg.model_kind, cfg.d)
+    trial = functools.partial(_run_trial, cfg, model, delta, master)
     if jobs <= 1:
-        return [trial(i) for i in range(cfg.trials)]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_share_cpus,
-                             initargs=(jobs,)) as pool:
-        return list(pool.map(trial, range(cfg.trials), chunksize=1))
+        rows = [trial(i) for i in range(cfg.trials)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_share_cpus,
+                                 initargs=(jobs,)) as pool:
+            rows = list(pool.map(trial, range(cfg.trials), chunksize=1))
+    return rows, dict(summarize(rows), capped_stages=_capped_stages(cfg, model, delta))
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[dict], dict]:
-    rows = _run_block(cfg, cfg.delta, cfg.master_seed, jobs)
-    return rows, summarize(rows)
+    return _run_block(cfg, cfg.delta, cfg.master_seed, jobs)
 
 
 def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict], dict]:
@@ -137,9 +148,8 @@ def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict],
     rows = []
     per_delta = []
     for di, delta in enumerate(deltas):
-        block = _run_block(cfg, delta, trial_seed(cfg.master_seed, di), jobs)
+        block, stats = _run_block(cfg, delta, trial_seed(cfg.master_seed, di), jobs)
         rows.extend(block)
-        stats = summarize(block)
         if stats["n_errors"] == len(block):
             raise ValidationError(
                 f"no trial completed at delta {delta}: {stats['errors_by_type']}")
@@ -151,7 +161,8 @@ def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict],
     slope, intercept = np.polyfit(x, y, 1)
     residuals = (y - (slope * x + intercept)).tolist()
     summary = summarize(rows)
-    summary.update(slope=float(slope), intercept=float(intercept),
+    summary.update(capped_stages=sum(s["capped_stages"] for s in per_delta),
+                   slope=float(slope), intercept=float(intercept),
                    residuals=residuals, per_delta=per_delta)
     return rows, summary
 

@@ -2,7 +2,7 @@ import json
 import multiprocessing
 import os
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from hamest.runner import (CSV_HEADER, rows_to_csv, run_experiment, run_sweep,
                            trial_seed)
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 MINI = """
 model = full
@@ -118,7 +119,23 @@ class TestRunner:
         assert len(text.splitlines()) == 3
         assert set(summary) == {"n_trials", "success_rate", "median_T",
                                 "q1_T", "q3_T", "n_errors", "errors_by_type",
-                                "stage_failures"}
+                                "stage_failures", "capped_stages"}
+
+    @pytest.mark.parametrize("path, capped", [
+        (GOLDEN / "many_channel_rmax8.cfg", 3),      # r = 2, 4, 8, 8, 8, 8 for 2 ... 64
+        (CONFIGS / "one_channel.cfg", 0),
+        (CONFIGS / "adaptive.cfg", 0),
+        (CONFIGS / "many_channel.cfg", 0),
+    ], ids=lambda x: getattr(x, "stem", x))
+    def test_summary_counts_capped_stages(self, path, capped):
+        _, summary = run_experiment(replace(parse_config(path), trials=1))
+        assert summary["capped_stages"] == capped
+
+    def test_sweep_sums_capped_stages(self):
+        cfg = replace(parse_config(GOLDEN / "many_channel_rmax8.cfg"), trials=1)
+        _, summary = run_sweep(cfg, [0.1, 0.05, 0.025])
+        assert [p["capped_stages"] for p in summary["per_delta"]] == [1, 2, 3]
+        assert summary["capped_stages"] == 6
 
     def test_summary_counts_failed_stages(self):
         cfg = parse_config(GOLDEN / "adaptive_failed_stage.cfg")
@@ -240,6 +257,15 @@ class TestCli:
         assert out.read_text().splitlines()[0] == CSV_HEADER
         summary = json.loads((tmp_path / "res.summary.json").read_text())
         assert 0.0 <= summary["success_rate"] <= 1.0
+
+    def test_run_warns_when_r_max_caps_the_plan(self, tmp_path, capsys):
+        text = (GOLDEN / "many_channel_rmax8.cfg").read_text().replace("trials = 10", "trials = 2")
+        assert main(["run", "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "capped.csv")]) == 0
+        assert capsys.readouterr().err == "warning: r_max = 8 caps r in 3 plan stages\n"
+        assert main(["run", "--config", write_cfg(tmp_path, MINI.format(trials=2)),
+                     "--out", str(tmp_path / "free.csv")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_run_without_completed_trial_exits_1(self, tmp_path, capsys,
                                                  failing_adaptive):

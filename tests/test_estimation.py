@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -285,12 +286,12 @@ class TestTomography:
             assert type(child) is np.random.PCG64
             assert child.state == replay.state
 
+    @pytest.mark.parametrize("chunks", [2, 3, 5])
     @pytest.mark.parametrize("dim", [2, 4, 9])
-    def test_stage_path_is_independent_of_thread_count(self, dim, monkeypatch):
-        # five chunks fold on the pool; the Grams sum in chunk order either way
-        n = 5 * STAGE_CHUNK
-        assert len(estimation._outcome_chunks(dim, n, np.random.default_rng(0))) \
-            >= estimation._THREADED_CHUNKS
+    def test_stage_path_is_independent_of_thread_count(self, dim, chunks, monkeypatch):
+        # two or more chunks fold on two lanes; the Grams sum in chunk order either way
+        n = chunks * STAGE_CHUNK
+        assert len(estimation._outcome_chunks(dim, n, np.random.default_rng(0))) == chunks
         psi = haar_state(dim, np.random.default_rng(67 + dim))
         means, nexts = [], []
         for workers in (1, 2):
@@ -300,6 +301,37 @@ class TestTomography:
             nexts.append(rng.bit_generator.random_raw(4).tolist())
         assert means[0].tobytes() == means[1].tobytes()
         assert nexts[0] == nexts[1]
+
+    @pytest.mark.parametrize("where", ["chunk 1", "helper lane"])
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_lane_error_propagates_and_joins(self, error, where, monkeypatch):
+        # the failing lane's exception reaches the caller as itself, after the helper is joined
+        plan, helper_took = [], threading.Event()
+        real_chunks, real_gram = estimation._outcome_chunks, estimation._chunk_gram
+
+        def recorded_chunks(*args):
+            plan.extend(real_chunks(*args))
+            return plan
+
+        def failing_gram(dim, n, gen):
+            helper = threading.current_thread() is not threading.main_thread()
+            if helper:
+                helper_took.set()
+            else:
+                helper_took.wait(timeout=10)     # the helper folds at least one chunk
+            if gen is plan[1][1] if where == "chunk 1" else helper:
+                raise error("lane failed")
+            return real_gram(dim, n, gen)
+
+        monkeypatch.setattr(estimation, "_pool_workers", lambda: 2)
+        monkeypatch.setattr(estimation, "_outcome_chunks", recorded_chunks)
+        monkeypatch.setattr(estimation, "_chunk_gram", failing_gram)
+        psi = haar_state(4, np.random.default_rng(69))
+        before = threading.active_count()
+        with pytest.raises(error, match="lane failed"):
+            _outcome_projector_mean(psi, 5 * STAGE_CHUNK, np.random.default_rng(70))
+        assert len(plan) == 5
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("copies", ["D+1", "chunk", "2.5 chunk"])
     @pytest.mark.parametrize("dim", [2, 4, 9])

@@ -7,7 +7,7 @@ import hamest
 
 # One many_channel trial reaches the eigenbasis of the stage unitary, and the
 # Magnus check reaches the principal logarithm: the two callers of unitary_eig.
-# Its stages are single chunks, so it starts no thread pool either.
+# Its stages are single chunks, so they fold on the calling thread alone.
 RUN_PATH = """
 import sys
 import hamest, hamest.verify
@@ -18,16 +18,16 @@ assert not loaded, loaded
 assert "concurrent.futures.thread" not in sys.modules
 """
 
-# A one-channel stage of 57 600 copies folds its chunks on a thread pool that
-# lives for one call, so no thread outlives the run.
+# A one-channel stage of 57 600 copies folds its chunks on the calling thread and
+# one helper thread, joined within the call: no thread outlives the run, and no
+# thread pool is imported.
 ONE_CHANNEL_RUN = """
 import sys, threading
 import hamest
-from hamest.estimation import _pool_workers
 before = threading.active_count()
 hamest.run_one_channel(hamest.make_model("full", 2), [0.3, -0.2, 0.1], 0.1, 1.0, seed=3)
 assert threading.active_count() == before, (before, threading.active_count())
-assert ("concurrent.futures.thread" in sys.modules) == (_pool_workers() > 1)
+assert "concurrent.futures.thread" not in sys.modules
 """
 
 # A serial run never starts a process pool, so it must not import one.
