@@ -181,6 +181,7 @@ def _lane_grams(dim: int, chunks) -> list:
         except BaseException as exc:
             raised.append(exc)
 
+    # daemon: an interrupt that lands in the join below must not hold up interpreter exit
     thread = threading.Thread(target=helper, daemon=True)
     thread.start()
     try:

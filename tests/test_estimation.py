@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -332,6 +333,27 @@ class TestTomography:
             _outcome_projector_mean(psi, 5 * STAGE_CHUNK, np.random.default_rng(70))
         assert len(plan) == 5
         assert threading.active_count() == before
+
+    def test_lanes_fold_each_chunk_once(self, monkeypatch):
+        # with the interpreter switching threads every microsecond, a lost or
+        # doubled chunk index would show in the fold count or the slot order
+        folded = []
+
+        def fake_gram(dim, n, gen):
+            folded.append(n)
+            return np.full((2, 2), float(n))
+
+        monkeypatch.setattr(estimation, "_chunk_gram", fake_gram)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                folded.clear()
+                grams = estimation._lane_grams(1, [(i, None) for i in range(64)])
+                assert sorted(folded) == list(range(64))
+                assert [g[0, 0] for g in grams] == list(range(64))
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("copies", ["D+1", "chunk", "2.5 chunk"])
     @pytest.mark.parametrize("dim", [2, 4, 9])
