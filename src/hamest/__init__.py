@@ -12,11 +12,8 @@ from .config import ExperimentConfig, parse_config
 from .constants import DEFAULT_CONSTANTS, TOL, SchemeConstants, Tolerances
 from .estimation import (EstimationRecord, invert_theta, run_adaptive,
                          run_many_channel, run_one_channel)
-from .linalg import (PureState, hermitian_expm, hs_inner, su_basis,
-                     unitary_principal_log)
+from .linalg import PureState, hermitian_expm, hs_inner, su_basis
 from .model import HamiltonianModel, hamiltonian, make_model, max_energy
 from .probe import QfiReport, Schedule, evolve, growth_audit, mes, qfi_matrix
-from .symmetric import (SymSpace, collective, collective_trace_moments,
-                        magnus_operator, sym_space)
 
 __version__ = "0.1.0"

@@ -88,9 +88,11 @@ def fewparam_time_upper(m: int, d: int, delta: float,
                         constants: SchemeConstants = DEFAULT_CONSTANTS) -> float:
     """Spherical few-parameter upper bound: alpha kappa (1 + 2 beta) m^{3/2} sqrt(d) / delta.
 
-    Valid for spherical models where tau can be stretched to
-    kappa sqrt(d) / (sqrt(m) E).  Independent of the search radius (the
-    adaptive staging consumes its time at radii comparable to delta).
+    Valid for spherical models.  They have c = m / d, so the stage time
+    tau = kappa sqrt(d) / (sqrt(m) E) equals kappa / (E sqrt(c)), the tau
+    that the stage plan already uses at radius E; adaptive's planned time
+    sits under this bound.  Independent of the search radius (the adaptive
+    staging consumes its time at radii comparable to delta).
     Tighter than :func:`time_upper_general` only for m <= d; callers should
     prefer the general bound when this one exceeds it.
     """

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from .config import parse_config
 from .errors import HamestError, ValidationError
@@ -20,13 +21,18 @@ from .runner import run_experiment, run_sweep, write_outputs
 from .verify import SUITES, run_suite
 
 
-def _write(args, cfg, rows, summary) -> str:
-    """Write the CSV (--out, else the config's, else <command>_<scheme>.csv) and its summary."""
+def _output_paths(args, cfg) -> tuple[str, str]:
+    """The CSV (--out, else the config's, else <command>_<scheme>.csv) and summary paths.
+
+    Both are checked before any trial runs, so a missing directory costs no run.
+    """
     csv_path = args.out or cfg.out_csv or f"{args.command}_{cfg.scheme}.csv"
     json_path = (cfg.out_json if cfg.out_json and not args.out
                  else csv_path.removesuffix(".csv") + ".summary.json")
-    write_outputs(rows, summary, csv_path, json_path)
-    return csv_path
+    for path in (csv_path, json_path):
+        if not Path(path).parent.is_dir():
+            raise ValidationError(f"output directory does not exist: {path}")
+    return csv_path, json_path
 
 
 def _load_config(args):
@@ -38,8 +44,9 @@ def _load_config(args):
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
+    csv_path, json_path = _output_paths(args, cfg)
     rows, summary = run_experiment(cfg, jobs=args.jobs)
-    csv_path = _write(args, cfg, rows, summary)
+    write_outputs(rows, summary, csv_path, json_path)
     for r in rows:
         if r["error"]:
             print(f"trial {r['trial']}: {r['error']}", file=sys.stderr)
@@ -61,8 +68,9 @@ def cmd_sweep(args) -> int:
         deltas = [float(x) for x in args.delta_list.split(",") if x.strip()]
     except ValueError:
         raise ValidationError(f"could not parse --delta-list {args.delta_list!r}")
+    csv_path, json_path = _output_paths(args, cfg)
     rows, summary = run_sweep(cfg, deltas, jobs=args.jobs)
-    csv_path = _write(args, cfg, rows, summary)
+    write_outputs(rows, summary, csv_path, json_path)
     print(f"wrote {len(rows)} trials to {csv_path}; slope={summary['slope']:.4f}")
     return 0
 

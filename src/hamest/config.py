@@ -68,6 +68,7 @@ _FIELD_OF_KEY = {"model": "model_kind", "e": "e_radius", "seed": "master_seed"}
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     values: dict = {}
+    line_of: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -80,6 +81,10 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             raise ValidationError(
                 f"{source}:{lineno}: unknown key {key!r}; valid keys: "
                 f"{', '.join(sorted(_CONFIG_KEYS))}")
+        if key in line_of:
+            raise ValidationError(f"{source}:{lineno}: key {key!r} given twice, "
+                                  f"on lines {line_of[key]} and {lineno}")
+        line_of[key] = lineno
         caster = _CONFIG_KEYS[key]
         try:
             if caster is bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TOL
-from .errors import BranchCutError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "PureState",
@@ -24,7 +24,6 @@ __all__ = [
     "hermitian_expm",
     "hermitian_expm_derivatives",
     "unitary_eig",
-    "unitary_principal_log",
     "su_basis",
     "hs_inner",
     "haar_unitary",
@@ -130,25 +129,6 @@ def unitary_eig(v) -> tuple[np.ndarray, np.ndarray]:
     a = (1j * w) * np.linalg.inv(w * np.eye(len(v)) - v)
     kappa, q = np.linalg.eigh(a + a.conj().T)
     return w * (kappa - 1j) / (kappa + 1j), q
-
-
-def unitary_principal_log(u) -> np.ndarray:
-    """Hermitian M with exp(-i M) = U and eigenvalues of M in (-pi, pi].
-
-    Raises :class:`BranchCutError` when an eigenphase of U sits within
-    ``TOL.branch_cut_atol`` of the branch cut at -pi, where the principal
-    generator is ambiguous.
-    """
-    u = assert_unitary(u, name="U")
-    eigs, q = unitary_eig(u)
-    phases = np.angle(eigs)  # in (-pi, pi]
-    if np.any(np.pi - np.abs(phases) < TOL.branch_cut_atol):
-        worst = float(np.min(np.pi - np.abs(phases)))
-        raise BranchCutError(
-            f"eigenphase within {worst:.2e} of the -pi branch cut; "
-            "principal logarithm is ambiguous")
-    m = (q * (-phases)) @ q.conj().T
-    return 0.5 * (m + m.conj().T)
 
 
 def su_basis(d: int) -> list[np.ndarray]:

@@ -1,122 +1,32 @@
-"""Symmetric-subspace machinery for entangled many-channel probes.
+"""Symmetric-subspace frame coefficients for entangled many-channel probes.
 
 The r-fold symmetric subspace of (C^d)^{(x)r} has dimension
-D = (r+d-1)! / (r! (d-1)!); its occupation-number basis is indexed by
-occupation vectors (n_1, ..., n_d) with sum r.  Collective operators
-{A}_r = P sum_j A^(j) come from an explicit isometry into the full tensor
-space, limited to d^r <= 4096 amplitudes: transparent, and the brute-force
-oracle for the trace-moment identities.  Every estimation stage needs only
-the frame coefficients of Sym^r(V) (r = 1 for the single-channel MES), which
+D = (r+d-1)! / (r! (d-1)!).  Every estimation stage needs only the frame
+coefficients of Sym^r(V) (r = 1 for the single-channel MES), which
 :func:`sym_frame_coefficients` computes with d x d algebra at any r through
-the MacMahon master theorem sum_k Tr Sym^k(V) z^k = 1 / det(I - z V).
-
-The closed-form second and fourth trace moments of {X}_r and the Magnus
-generator of combined forward/counter rotations live here as well.
+the MacMahon master theorem sum_k Tr Sym^k(V) z^k = 1 / det(I - z V).  The
+dense isometry, collective operators and trace moments that this algebra is
+checked against live in :mod:`hamest.verify`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .constants import TOL
-from .errors import ResourceLimitError, ValidationError
-from .linalg import assert_hermitian, hermitian_expm, unitary_eig, unitary_principal_log
+from .linalg import unitary_eig
 
 __all__ = [
-    "SymSpace",
     "sym_dim",
-    "occupations",
-    "sym_space",
-    "collective",
     "sym_frame_coefficients",
     "sym_frame_tangents",
     "f2_coeff",
-    "f4_coeff",
-    "f22_coeff",
-    "collective_trace_moments",
-    "magnus_operator",
 ]
-
-TENSOR_BUDGET = 4096   # max d^r for the explicit isometry
 
 
 def sym_dim(d: int, r: int) -> int:
     return math.comb(r + d - 1, d - 1)
-
-
-def occupations(d: int, r: int) -> list[tuple[int, ...]]:
-    """All occupation vectors (n_1..n_d) with sum r, descending lexicographic.
-
-    The sorted level words of length r come in ascending order, so their
-    level counts descend.
-    """
-    return [tuple(word.count(level) for level in range(d))
-            for word in combinations_with_replacement(range(d), r)]
-
-
-@dataclass(frozen=True, eq=False)
-class SymSpace:
-    """Occupation basis of the r-fold symmetric subspace of (C^d)^(x)r."""
-
-    d: int
-    r: int
-    D: int
-    isometry: np.ndarray
-
-    @property
-    def f2(self) -> float:
-        return f2_coeff(self.d, self.r)
-
-
-def _build_isometry(d, r, occs):
-    index = {occ: i for i, occ in enumerate(occs)}
-    dim = d ** r
-    iso = np.zeros((dim, len(occs)), dtype=complex)
-    weights = [1.0 / math.sqrt(math.factorial(r) / math.prod(math.factorial(n) for n in occ))
-               for occ in occs]
-    for flat, word in enumerate(product(range(d), repeat=r)):
-        occ = tuple(word.count(level) for level in range(d))
-        col = index[occ]
-        iso[flat, col] = weights[col]
-    return iso
-
-
-def sym_space(d: int, r: int) -> SymSpace:
-    """Symmetric subspace with its explicit tensor-space isometry.
-
-    Guarded by ``d^r <= 4096``; :func:`sym_frame_coefficients` needs no
-    space at all.
-    """
-    if d < 2 or r < 1:
-        raise ValidationError(f"need d >= 2 and r >= 1, got d={d}, r={r}")
-    if d ** r > TENSOR_BUDGET:
-        raise ResourceLimitError(
-            f"d^r = {d**r} exceeds the tensor budget {TENSOR_BUDGET}; "
-            "use sym_frame_coefficients for the isometry-free route")
-    occs = tuple(occupations(d, r))
-    iso = _build_isometry(d, r, occs)
-    dev = np.max(np.abs(iso.conj().T @ iso - np.eye(len(occs))))
-    if dev > TOL.isometry_atol:
-        raise ValidationError(f"isometry columns not orthonormal (dev {dev:.2e})")
-    return SymSpace(d=d, r=r, D=len(occs), isometry=iso)
-
-
-def collective(space: SymSpace, a) -> np.ndarray:
-    """r-fold collective operator {A}_r = isometry^dagger (sum_s A^(s)) isometry."""
-    a = assert_hermitian(a, name="A")
-    if a.shape[0] != space.d:
-        raise ValidationError(f"operator dimension {a.shape[0]} != d = {space.d}")
-    iso_t = space.isometry.reshape((space.d,) * space.r + (space.D,))
-    acc = np.zeros_like(iso_t)
-    for slot in range(space.r):
-        acc += np.moveaxis(np.tensordot(a, iso_t, axes=([1], [slot])), 0, slot)
-    summed = acc.reshape(space.d ** space.r, space.D)
-    out = space.isometry.conj().T @ summed
-    return 0.5 * (out + out.conj().T)
 
 
 def sym_frame_coefficients(v, ops, r: int) -> np.ndarray:
@@ -190,51 +100,3 @@ def _frame_coefficients(v, dv, ops, r: int):
 
 def f2_coeff(d: int, r: int) -> float:
     return r * (d + r) / (d * (d + 1))
-
-
-def f4_coeff(d: int, r: int) -> float:
-    return r * (r + d) * (6 * r * r + 6 * d * r + d * d - d) / (
-        d * (d + 1) * (d + 2) * (d + 3))
-
-
-def f22_coeff(d: int, r: int) -> float:
-    return 3 * r * (r + d) * (r - 1) * (d + r + 1) / (
-        d * (d + 1) * (d + 2) * (d + 3))
-
-
-def collective_trace_moments(space: SymSpace, x) -> dict:
-    """Second and fourth trace moments of {X}_r against their closed forms.
-
-    (1/D) Tr {X}_r^2 = F2 Tr X^2 and
-    (1/D) Tr {X}_r^4 = F4 Tr X^4 + F22 (Tr X^2)^2 for traceless Hermitian X.
-    """
-    x = assert_hermitian(x, name="X")
-    if abs(np.trace(x)) > TOL.generator_trace_atol:
-        raise ValidationError(f"X must be traceless, got trace {np.trace(x):.3e}")
-    cx = collective(space, x)
-    cx2 = cx @ cx
-    tr_x2 = float(np.trace(x @ x).real)
-    tr_x4 = float(np.trace((x @ x) @ (x @ x)).real)
-    f2, f4, f22 = space.f2, f4_coeff(space.d, space.r), f22_coeff(space.d, space.r)
-    return {
-        "m2_actual": float(np.trace(cx2).real) / space.D,
-        "m2_predicted": f2 * tr_x2,
-        "m4_actual": float(np.trace(cx2 @ cx2).real) / space.D,
-        "m4_predicted": f4 * tr_x4 + f22 * tr_x2 ** 2,
-        "F2": f2,
-        "F4": f4,
-        "F22": f22,
-    }
-
-
-def magnus_operator(h_star, h_theta, tau: float) -> np.ndarray:
-    """Hermitian M with exp(-i tau M) = exp(+i tau H*) exp(-i tau H_theta).
-
-    Extracted exactly through the principal logarithm; callers must keep
-    tau (||H*|| + ||H_theta||) < pi so the branch is unambiguous (a
-    :class:`BranchCutError` is raised otherwise).
-    """
-    if tau == 0:
-        raise ValidationError("Magnus generator is undefined at tau = 0")
-    u = hermitian_expm(h_star, -tau) @ hermitian_expm(h_theta, tau)
-    return unitary_principal_log(u) / tau

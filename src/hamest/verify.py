@@ -2,29 +2,33 @@
 
 Each check raises AssertionError on failure; :func:`run_suite` prints one
 PASS/FAIL line per property and reports overall success.  The same checks
-back the pytest suite, so the CLI and the tests cannot disagree.
+back the pytest suite, so the CLI and the tests cannot disagree.  The dense
+Sym^r isometry, collective operators, trace moments and Magnus generator that
+the d x d pipeline is checked against live here, outside the package API.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from . import bounds as bd
 from .config import ExperimentConfig
 from .constants import TOL
-from .errors import AuditFailure, DegenerateProjectionError, ValidationError
+from .errors import (AuditFailure, BranchCutError, DegenerateProjectionError,
+                     ResourceLimitError, ValidationError)
 from .estimation import _frame_family, invert_theta
-from .linalg import (PureState, haar_state, haar_unitary, hermitian_expm,
-                     hermitian_expm_derivatives, hs_inner)
+from .linalg import (PureState, assert_hermitian, assert_unitary, haar_state, haar_unitary,
+                     hermitian_expm, hermitian_expm_derivatives, hs_inner, unitary_eig)
 from .model import HamiltonianModel, hamiltonian, make_model
 from .probe import Schedule, _qfi_from_tangents, evolve, growth_audit, mes, qfi_matrix
 from .runner import _sample_theta, rows_to_csv, run_experiment
-from .symmetric import (SymSpace, collective, collective_trace_moments, f2_coeff,
-                        magnus_operator, sym_frame_coefficients, sym_space)
+from .symmetric import f2_coeff, sym_frame_coefficients
 
 __all__ = ["SUITES", "run_suite", "random_schedule", "richardson_derivative"]
 
@@ -35,6 +39,147 @@ LINEARIZED_DISTANCE_CAP = 3.0
 
 
 # ---------------------------- dense oracles that the d x d pipeline is checked against
+
+TENSOR_BUDGET = 4096   # max d^r for the explicit isometry
+
+
+def occupations(d: int, r: int) -> list[tuple[int, ...]]:
+    """All occupation vectors (n_1..n_d) with sum r, descending lexicographic.
+
+    The sorted level words of length r come in ascending order, so their
+    level counts descend.
+    """
+    return [tuple(word.count(level) for level in range(d))
+            for word in combinations_with_replacement(range(d), r)]
+
+
+@dataclass(frozen=True, eq=False)
+class SymSpace:
+    """Occupation basis of the r-fold symmetric subspace of (C^d)^(x)r."""
+
+    d: int
+    r: int
+    D: int
+    isometry: np.ndarray
+
+    @property
+    def f2(self) -> float:
+        return f2_coeff(self.d, self.r)
+
+
+def _build_isometry(d, r, occs):
+    index = {occ: i for i, occ in enumerate(occs)}
+    dim = d ** r
+    iso = np.zeros((dim, len(occs)), dtype=complex)
+    weights = [1.0 / math.sqrt(math.factorial(r) / math.prod(math.factorial(n) for n in occ))
+               for occ in occs]
+    for flat, word in enumerate(product(range(d), repeat=r)):
+        occ = tuple(word.count(level) for level in range(d))
+        col = index[occ]
+        iso[flat, col] = weights[col]
+    return iso
+
+
+def sym_space(d: int, r: int) -> SymSpace:
+    """Symmetric subspace with its explicit tensor-space isometry.
+
+    Guarded by ``d^r <= 4096``; :func:`sym_frame_coefficients` needs no
+    space at all.
+    """
+    if d < 2 or r < 1:
+        raise ValidationError(f"need d >= 2 and r >= 1, got d={d}, r={r}")
+    if d ** r > TENSOR_BUDGET:
+        raise ResourceLimitError(
+            f"d^r = {d**r} exceeds the tensor budget {TENSOR_BUDGET}; "
+            "use sym_frame_coefficients for the isometry-free route")
+    occs = tuple(occupations(d, r))
+    iso = _build_isometry(d, r, occs)
+    dev = np.max(np.abs(iso.conj().T @ iso - np.eye(len(occs))))
+    if dev > TOL.isometry_atol:
+        raise ValidationError(f"isometry columns not orthonormal (dev {dev:.2e})")
+    return SymSpace(d=d, r=r, D=len(occs), isometry=iso)
+
+
+def collective(space: SymSpace, a) -> np.ndarray:
+    """r-fold collective operator {A}_r = isometry^dagger (sum_s A^(s)) isometry."""
+    a = assert_hermitian(a, name="A")
+    if a.shape[0] != space.d:
+        raise ValidationError(f"operator dimension {a.shape[0]} != d = {space.d}")
+    iso_t = space.isometry.reshape((space.d,) * space.r + (space.D,))
+    acc = np.zeros_like(iso_t)
+    for slot in range(space.r):
+        acc += np.moveaxis(np.tensordot(a, iso_t, axes=([1], [slot])), 0, slot)
+    summed = acc.reshape(space.d ** space.r, space.D)
+    out = space.isometry.conj().T @ summed
+    return 0.5 * (out + out.conj().T)
+
+
+def f4_coeff(d: int, r: int) -> float:
+    return r * (r + d) * (6 * r * r + 6 * d * r + d * d - d) / (
+        d * (d + 1) * (d + 2) * (d + 3))
+
+
+def f22_coeff(d: int, r: int) -> float:
+    return 3 * r * (r + d) * (r - 1) * (d + r + 1) / (
+        d * (d + 1) * (d + 2) * (d + 3))
+
+
+def collective_trace_moments(space: SymSpace, x) -> dict:
+    """Second and fourth trace moments of {X}_r against their closed forms.
+
+    (1/D) Tr {X}_r^2 = F2 Tr X^2 and
+    (1/D) Tr {X}_r^4 = F4 Tr X^4 + F22 (Tr X^2)^2 for traceless Hermitian X.
+    """
+    x = assert_hermitian(x, name="X")
+    if abs(np.trace(x)) > TOL.generator_trace_atol:
+        raise ValidationError(f"X must be traceless, got trace {np.trace(x):.3e}")
+    cx = collective(space, x)
+    cx2 = cx @ cx
+    tr_x2 = float(np.trace(x @ x).real)
+    tr_x4 = float(np.trace((x @ x) @ (x @ x)).real)
+    f2, f4, f22 = space.f2, f4_coeff(space.d, space.r), f22_coeff(space.d, space.r)
+    return {
+        "m2_actual": float(np.trace(cx2).real) / space.D,
+        "m2_predicted": f2 * tr_x2,
+        "m4_actual": float(np.trace(cx2 @ cx2).real) / space.D,
+        "m4_predicted": f4 * tr_x4 + f22 * tr_x2 ** 2,
+        "F2": f2,
+        "F4": f4,
+        "F22": f22,
+    }
+
+
+def unitary_principal_log(u) -> np.ndarray:
+    """Hermitian M with exp(-i M) = U and eigenvalues of M in (-pi, pi].
+
+    Raises :class:`BranchCutError` when an eigenphase of U sits within
+    ``TOL.branch_cut_atol`` of the branch cut at -pi, where the principal
+    generator is ambiguous.
+    """
+    u = assert_unitary(u, name="U")
+    eigs, q = unitary_eig(u)
+    phases = np.angle(eigs)  # in (-pi, pi]
+    if np.any(np.pi - np.abs(phases) < TOL.branch_cut_atol):
+        worst = float(np.min(np.pi - np.abs(phases)))
+        raise BranchCutError(
+            f"eigenphase within {worst:.2e} of the -pi branch cut; "
+            "principal logarithm is ambiguous")
+    m = (q * (-phases)) @ q.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+def magnus_operator(h_star, h_theta, tau: float) -> np.ndarray:
+    """Hermitian M with exp(-i tau M) = exp(+i tau H*) exp(-i tau H_theta).
+
+    Extracted exactly through the principal logarithm; callers must keep
+    tau (||H*|| + ||H_theta||) < pi so the branch is unambiguous (a
+    :class:`BranchCutError` is raised otherwise).
+    """
+    if tau == 0:
+        raise ValidationError("Magnus generator is undefined at tau = 0")
+    u = hermitian_expm(h_star, -tau) @ hermitian_expm(h_theta, tau)
+    return unitary_principal_log(u) / tau
+
 
 # basis: orthonormal (D^2, m+1) columns; norm_factor = 1/sqrt(F2(d, r)), sqrt(d) at r = 1
 Frame = namedtuple("Frame", "basis norm_factor")

@@ -18,9 +18,8 @@ from hamest.linalg import PureState, haar_state
 from hamest.model import hamiltonian, make_model
 from hamest.probe import Schedule, evolve, mes, qfi_matrix
 from hamest.runner import run_sweep
-from hamest.symmetric import collective_trace_moments, sym_space
-from hamest.verify import (delta_resolution, frame_projection, postselection_frame,
-                          random_schedule, run_suite)
+from hamest.verify import (collective_trace_moments, delta_resolution, frame_projection,
+                           postselection_frame, random_schedule, run_suite, sym_space)
 
 DELTAS = [0.2, 0.1, 0.05, 0.025]
 

@@ -96,7 +96,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("override", ["kappa=0", "alpha=0", "beta=-1", "p_crit=0",
                                           "p_crit=1", "r_max=0", "r_max=-3",
-                                          "trotter_slices=-1"])
+                                          "trotter_slices=-1", "delta=0.05"])
     def test_bad_constants_rejected_before_any_trial(self, override, tmp_path, capsys):
         field = override.split("=")[0]
         text = MINI.format(trials=1) + override + "\n"
@@ -106,6 +106,13 @@ class TestConfig:
                      "--out", str(tmp_path / "res.csv")]) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "res.csv").exists()
+
+    def test_repeated_key_names_both_lines(self):
+        # MINI sets delta on line 5; a later value must not silently win
+        with pytest.raises(ValidationError, match="'delta' given twice, on lines 5 and 9"):
+            parse_config_text(MINI.format(trials=1) + "delta = 0.05\n")
+        with pytest.raises(ValidationError, match="'e' given twice, on lines 6 and 9"):
+            parse_config_text(MINI.format(trials=1) + "e = 2.0\n")
 
 
 class TestRunner:
@@ -330,6 +337,26 @@ class TestCli:
         assert main([*command, "--config", cfg_path, "--out", str(out)]) == 2
         assert "E finite, got delta=0.1, E=inf" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])
+    @pytest.mark.parametrize("target", ["csv", "json"])
+    def test_missing_output_directory_exit_2(self, tmp_path, capsys, monkeypatch,
+                                             command, target):
+        def no_trial(*args):
+            pytest.fail("a trial ran")
+
+        monkeypatch.setattr(runner, "_run_trial", no_trial)
+        missing = tmp_path / "nodir"
+        if target == "csv":
+            cfg_path, out = write_cfg(tmp_path, MINI.format(trials=2)), missing / "x.csv"
+            argv = [*command, "--config", cfg_path, "--out", str(out)]
+        else:
+            out = missing / "x.summary.json"
+            text = MINI.format(trials=2) + f"out_csv = {tmp_path / 'x.csv'}\nout_json = {out}\n"
+            argv = [*command, "--config", write_cfg(tmp_path, text)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: output directory does not exist: {out}\n"
+        assert not missing.exists() and not (tmp_path / "x.csv").exists()
 
     def test_missing_config_exit_2(self, capsys):
         assert main(["run", "--config", "/nonexistent.cfg"]) == 2

@@ -23,8 +23,9 @@ from hamest.linalg import haar_state, hermitian_expm, hermitian_expm_derivatives
 from hamest.model import hamiltonian, make_model
 from hamest.probe import Schedule, evolve, mes
 from hamest.runner import run_experiment
-from hamest.symmetric import sym_frame_coefficients, sym_space
-from hamest.verify import delta_resolution, frame_projection, postselection_frame, superop_S
+from hamest.symmetric import sym_frame_coefficients
+from hamest.verify import (delta_resolution, frame_projection, postselection_frame,
+                           superop_S, sym_space)
 
 FULL2 = make_model("full", 2)
 CONST = SchemeConstants()

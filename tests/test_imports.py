@@ -42,6 +42,19 @@ assert "concurrent.futures.process" not in sys.modules
 """
 
 
+# The dense oracles live in hamest.verify, which the package itself never imports.
+NO_DENSE_ORACLES = """
+import sys
+import hamest, hamest.linalg, hamest.symmetric
+assert "hamest.verify" not in sys.modules
+removed = ("SymSpace", "sym_space", "collective", "collective_trace_moments",
+           "magnus_operator", "unitary_principal_log")
+for mod in (hamest, hamest.symmetric, hamest.linalg):
+    left = [name for name in removed if hasattr(mod, name)]
+    assert not left, (mod.__name__, left)
+"""
+
+
 def run_fresh(code):
     src = str(Path(hamest.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -52,6 +65,11 @@ def run_fresh(code):
 
 def test_run_path_imports_no_scipy():
     proc = run_fresh(RUN_PATH)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_no_dense_oracle():
+    proc = run_fresh(NO_DENSE_ORACLES)
     assert proc.returncode == 0, proc.stderr
 
 

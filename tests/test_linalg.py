@@ -5,10 +5,9 @@ import pytest
 
 from hamest.errors import BranchCutError, ValidationError
 from hamest.linalg import (PureState, haar_state, haar_unitary, hermitian_expm,
-                           hermitian_expm_derivatives, hs_inner, su_basis, unitary_eig,
-                           unitary_principal_log)
+                           hermitian_expm_derivatives, hs_inner, su_basis, unitary_eig)
 from hamest.model import hamiltonian, make_model
-from hamest.verify import richardson_derivative
+from hamest.verify import richardson_derivative, unitary_principal_log
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])

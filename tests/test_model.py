@@ -8,7 +8,7 @@ from hamest.errors import ValidationError
 from hamest.linalg import hs_inner, su_basis
 from hamest.model import hamiltonian, make_model, max_energy
 from hamest.probe import Schedule, mes, qfi_matrix
-from hamest.symmetric import sym_space
+from hamest.verify import sym_space
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 

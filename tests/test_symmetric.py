@@ -7,11 +7,10 @@ import pytest
 from hamest.errors import BranchCutError, ResourceLimitError, ValidationError
 from hamest.linalg import haar_unitary, hermitian_expm, hermitian_expm_derivatives, hs_inner
 from hamest.model import hamiltonian, make_model
-from hamest.symmetric import (collective, collective_trace_moments, f2_coeff,
-                              f4_coeff, f22_coeff, magnus_operator, occupations,
-                              sym_dim, sym_frame_coefficients, sym_frame_tangents,
-                              sym_space)
-from hamest.verify import frame_projection, postselection_frame, richardson_derivative
+from hamest.symmetric import f2_coeff, sym_dim, sym_frame_coefficients, sym_frame_tangents
+from hamest.verify import (collective, collective_trace_moments, f4_coeff, f22_coeff,
+                           frame_projection, magnus_operator, occupations,
+                           postselection_frame, richardson_derivative, sym_space)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
