@@ -24,7 +24,8 @@ from .verify import SUITES, run_suite
 def _output_paths(args, cfg) -> tuple[str, str]:
     """The CSV (--out, else the config's, else <command>_<scheme>.csv) and summary paths.
 
-    Both are checked before any trial runs, so a missing directory costs no run.
+    Both are checked before any trial runs, so a missing directory, or a
+    target that is a directory, costs no run.
     """
     csv_path = args.out or cfg.out_csv or f"{args.command}_{cfg.scheme}.csv"
     json_path = (cfg.out_json if cfg.out_json and not args.out
@@ -32,6 +33,8 @@ def _output_paths(args, cfg) -> tuple[str, str]:
     for path in (csv_path, json_path):
         if not Path(path).parent.is_dir():
             raise ValidationError(f"output directory does not exist: {path}")
+        if Path(path).is_dir():
+            raise ValidationError(f"output path is a directory: {path}")
     return csv_path, json_path
 
 

@@ -358,6 +358,20 @@ class TestCli:
         assert capsys.readouterr().err == f"error: output directory does not exist: {out}\n"
         assert not missing.exists() and not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])
+    def test_directory_as_output_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        def no_trial(*args):
+            pytest.fail("a trial ran")
+
+        monkeypatch.setattr(runner, "_run_trial", no_trial)
+        out = tmp_path / "outdir"
+        out.mkdir()
+        argv = [*command, "--config", write_cfg(tmp_path, MINI.format(trials=2)),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: output path is a directory: {out}\n"
+        assert not any(out.iterdir())
+
     def test_missing_config_exit_2(self, capsys):
         assert main(["run", "--config", "/nonexistent.cfg"]) == 2
 
