@@ -50,8 +50,6 @@ __all__ = [
 # core's L2 cache while two chunks are in flight.
 _TOMOGRAPHY_CHUNK = 1 << 13
 _CHUNK_NORMALS = 1 << 17
-# Threads that fold a stage of two or more chunks: the calling thread and one helper.
-_MAX_WORKERS = 2
 # Processes sharing the usable CPUs; the runner's pool workers set it to their count.
 _PROCESSES = 1
 
@@ -143,51 +141,35 @@ def _chunk_gram(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _pool_workers() -> int:
-    """Threads for a multi-chunk stage: at most _MAX_WORKERS and this process's share of the CPUs."""
+    """Lanes for a multi-chunk stage: two when this process's share of the CPUs allows."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(_MAX_WORKERS, (cpus or 1) // _PROCESSES))
+    return 2 if (cpus or 1) // _PROCESSES >= 2 else 1
 
 
-def _lane_grams(dim: int, chunks) -> list:
-    """The chunks' Grams, in chunk order, folded by this thread and one helper thread.
+def _lane_grams(dim: int, chunks, lanes: int) -> list:
+    """The chunks' Grams in chunk order; lane j folds chunks j, j + lanes, j + 2 lanes, ...
 
-    Each lane takes the next chunk index under a lock and stores the Gram in
-    its slot.  A lane that raises drains the indices, so the other stops after
-    its current chunk; the helper is joined before this returns or raises, and
-    its exception, if any, reaches the caller as itself.
+    Lane 0 is this thread, every other lane a daemon helper joined before this
+    returns or raises; a lane's exception reaches the caller as itself.
     """
-    grams = [None] * len(chunks)
-    order = iter(range(len(chunks)))
-    lock = threading.Lock()
-    raised = []
+    grams, raised = [None] * len(chunks), []
 
-    def take():
-        with lock:
-            return next(order, None)
-
-    def lane():
+    def lane(j):
         try:
-            for i in iter(take, None):
+            for i in range(j, len(chunks), lanes):
                 grams[i] = _chunk_gram(dim, *chunks[i])
-        except BaseException:
-            with lock:
-                for _ in order:
-                    pass
-            raise
-
-    def helper():
-        try:
-            lane()
         except BaseException as exc:
             raised.append(exc)
 
     # daemon: an interrupt that lands in the join below must not hold up interpreter exit
-    thread = threading.Thread(target=helper, daemon=True)
-    thread.start()
+    helpers = [threading.Thread(target=lane, args=(j,), daemon=True) for j in range(1, lanes)]
+    for thread in helpers:
+        thread.start()
     try:
-        lane()
+        lane(0)
     finally:
-        thread.join()
+        for thread in helpers:
+            thread.join()
     if raised:
         raise raised[0]
     return grams
@@ -200,18 +182,15 @@ def _outcome_projector_mean(psi: np.ndarray, n_copies: int,
     Each chunk of :func:`_outcome_chunks` is folded into its own real Gram
     of the aligned rows, and the Grams are summed in chunk order, so the
     result depends on (rng state, n_copies, dim) alone, not on the thread
-    count.  A stage of two or more chunks folds them on this thread and one
-    helper (:func:`_lane_grams`) when :func:`_pool_workers` allows two; a
-    one-chunk stage folds on this thread.  The sum is folded once into the
-    complex sum S of o o^dag; the mean is B S B^dag / n.
+    count.  :func:`_lane_grams` folds a stage of two or more chunks on two
+    lanes when :func:`_pool_workers` allows, the odd chunks on a helper
+    thread, and any other stage on this thread.  The sum is folded once into
+    the complex sum S of o o^dag; the mean is B S B^dag / n.
     """
     dim = psi.size
     chunks = _outcome_chunks(dim, n_copies, rng)
-    if len(chunks) > 1 and _pool_workers() > 1:
-        grams = _lane_grams(dim, chunks)
-    else:
-        grams = (_chunk_gram(dim, *chunk) for chunk in chunks)
-    gram = sum(grams, np.zeros((2 * dim, 2 * dim)))
+    lanes = 2 if len(chunks) > 1 and _pool_workers() > 1 else 1
+    gram = sum(_lane_grams(dim, chunks, lanes), np.zeros((2 * dim, 2 * dim)))
     gram[2:, 0] = gram[0, 2:]
     s = gram[0::2, 0::2] + gram[1::2, 1::2] + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2])
     basis = _aligned_basis(psi)

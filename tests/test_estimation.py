@@ -304,10 +304,11 @@ class TestTomography:
         assert means[0].tobytes() == means[1].tobytes()
         assert nexts[0] == nexts[1]
 
-    @pytest.mark.parametrize("where", ["chunk 1", "helper lane"])
+    @pytest.mark.parametrize("where", ["chunk 1", "chunk 2", "helper lane"])
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     def test_lane_error_propagates_and_joins(self, error, where, monkeypatch):
-        # the failing lane's exception reaches the caller as itself, after the helper is joined
+        # the failing lane's exception reaches the caller as itself, after the helper is
+        # joined; the helper folds the odd chunks and the calling thread the even ones
         plan, helper_took = [], threading.Event()
         real_chunks, real_gram = estimation._outcome_chunks, estimation._chunk_gram
 
@@ -321,7 +322,7 @@ class TestTomography:
                 helper_took.set()
             else:
                 helper_took.wait(timeout=10)     # the helper folds at least one chunk
-            if gen is plan[1][1] if where == "chunk 1" else helper:
+            if gen is plan[int(where[-1])][1] if where.startswith("chunk") else helper:
                 raise error("lane failed")
             return real_gram(dim, n, gen)
 
@@ -350,7 +351,7 @@ class TestTomography:
         try:
             for _ in range(50):
                 folded.clear()
-                grams = estimation._lane_grams(1, [(i, None) for i in range(64)])
+                grams = estimation._lane_grams(1, [(i, None) for i in range(64)], 2)
                 assert sorted(folded) == list(range(64))
                 assert [g[0, 0] for g in grams] == list(range(64))
         finally:
