@@ -9,6 +9,7 @@ arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -73,8 +74,10 @@ class SchemeConstants:
 
     def __post_init__(self):
         for name, ok, need in (
-                ("kappa", self.kappa > 0, "> 0"), ("alpha", self.alpha > 0, "> 0"),
-                ("beta", self.beta >= 0, ">= 0"), ("p_crit", 0 < self.p_crit < 1, "in (0, 1)"),
+                ("kappa", 0 < self.kappa < math.inf, "finite and > 0"),
+                ("alpha", 0 < self.alpha < math.inf, "finite and > 0"),
+                ("beta", 0 <= self.beta < math.inf, "finite and >= 0"),
+                ("p_crit", 0 < self.p_crit < 1, "in (0, 1)"),
                 ("r_max", self.r_max is None or self.r_max >= 1, "None or >= 1"),
                 ("trotter_slices", self.trotter_slices >= 0, ">= 0")):
             if not ok:

@@ -38,7 +38,6 @@ from .symmetric import f2_coeff, sym_frame_coefficients, sym_frame_tangents
 __all__ = [
     "EstimationRecord",
     "StageRecord",
-    "sample_haar_outcomes",
     "reconstruct_from_projector_mean",
     "invert_theta",
     "run_one_channel",
@@ -100,21 +99,6 @@ def _outcome_chunks(dim: int, n: int, rng: np.random.Generator):
                                 for k, key in zip(sizes[1:], keys)]
 
 
-def sample_haar_outcomes(state, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Outcome vectors of n Haar-random-basis measurements of ``state``, one per row.
-
-    The per-outcome reference for the stage's tomography: B times each row
-    of the shared draw core :func:`_aligned_outcomes`, with B the basis whose
-    first column is ``state``.  It walks the projector sum's chunk plan
-    serially, so it makes the same draws and leaves ``rng`` in the same state.
-    """
-    psi = np.asarray(state, dtype=complex).reshape(-1)
-    outs = [np.column_stack((x0, w.view(complex)))
-            for x0, w in (_aligned_outcomes(psi.size, k, gen)
-                          for k, gen in _outcome_chunks(psi.size, n, rng))]
-    return np.concatenate(outs or [np.empty((0, psi.size))]) @ _aligned_basis(psi).T
-
-
 def reconstruct_from_projector_mean(mean_projector: np.ndarray) -> np.ndarray:
     """Linear inversion: rho_hat = (D+1) * mean outcome projector - I.
 
@@ -140,10 +124,14 @@ def _chunk_gram(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return gram
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _pool_workers() -> int:
     """Lanes for a multi-chunk stage: two when this process's share of the CPUs allows."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return 2 if (cpus or 1) // _PROCESSES >= 2 else 1
+    return 2 if _usable_cpus() // _PROCESSES >= 2 else 1
 
 
 def _lane_grams(dim: int, chunks, lanes: int) -> list:
@@ -321,16 +309,23 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
     per-stage failure budget p_crit / 2^n, but N_n does not read p_crit yet.
     adaptive: r = 1 and R = 2^n delta, so tau grows as the radius shrinks.
     many_channel: every stage keeps the tau of R = 2^n0 delta and entangles
-    r_n = min(2^(n0-n) d, r_max) channels instead.
+    r_n = min(2^(n0-n) d, r_max) channels instead.  Every stage needs finite tau > 0, N < 2^63.
     """
+    def stage(n, radius, r, copies):
+        tau = constants.kappa / max_energy(model, radius)
+        if not (0 < tau < math.inf and copies < 2 ** 63):
+            raise ValidationError(f"stage {n} cannot run: need 0 < tau < inf and fewer than "
+                                  f"2^63 copies, got tau={tau!r}, copies={copies!r}")
+        return _Stage(n, tau, r, int(math.ceil(copies)))
+
     if scheme == "one_channel":
-        copies = int(math.ceil(constants.alpha * model.m * model.d * e_radius ** 2 / delta ** 2))
-        return [_Stage(0, constants.kappa / max_energy(model, e_radius), 1, copies)]
+        return [stage(0, e_radius, 1,
+                      constants.alpha * model.m * model.d * e_radius ** 2 / delta ** 2)]
     many = {"adaptive": False, "many_channel": True}[scheme]
     n0 = max(1, math.ceil(math.log2(e_radius / delta)))
-    return [_Stage(n, constants.kappa / max_energy(model, 2.0 ** (n0 if many else n) * delta),
-                   min(2 ** (n0 - n) * model.d, constants.effective_r_max(model.d)) if many else 1,
-                   int(math.ceil(constants.alpha * model.m * (1.0 + constants.beta * n))))
+    return [stage(n, 2.0 ** (n0 if many else n) * delta,
+                  min(2 ** (n0 - n) * model.d, constants.effective_r_max(model.d)) if many else 1,
+                  constants.alpha * model.m * (1.0 + constants.beta * n))
             for n in range(n0, 0, -1)]
 
 

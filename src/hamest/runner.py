@@ -98,9 +98,9 @@ def _run_trial(cfg: ExperimentConfig, model: HamiltonianModel, delta: float, mas
     return row
 
 
-def _share_cpus(jobs: int) -> None:
+def _share_cpus(workers: int) -> None:
     """Pool-worker initializer: a worker folds a stage's chunks on its share of the CPUs only."""
-    estimation._PROCESSES = jobs
+    estimation._PROCESSES = workers
 
 
 def _capped_stages(cfg: ExperimentConfig, model: HamiltonianModel, delta: float) -> int:
@@ -111,29 +111,36 @@ def _capped_stages(cfg: ExperimentConfig, model: HamiltonianModel, delta: float)
     return sum(r < free for r, free in zip(rs(cfg.constants), rs(lifted)))
 
 
-def _run_block(cfg: ExperimentConfig, delta: float, master: int,
+def _planned_model(cfg: ExperimentConfig) -> HamiltonianModel:
+    """cfg's model, once cfg's plan is built, so that a stage that cannot run fails early."""
+    model = make_model(cfg.model_kind, cfg.d)
+    estimation._plan(cfg.scheme, model, cfg.delta, cfg.e_radius, cfg.constants)
+    return model
+
+
+def _run_block(cfg: ExperimentConfig, model: HamiltonianModel, delta: float, master: int,
                jobs: int) -> tuple[list[dict], dict]:
     """The cfg.trials rows at one delta, in trial order, and their summary.
 
-    One model serves every trial.  Only jobs > 1 imports and starts a process
-    pool; jobs < 1 is rejected.
+    One model serves every trial, on min(jobs, trials, usable CPUs) processes;
+    only more than one imports and starts a process pool.  jobs < 1 is rejected.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    model = make_model(cfg.model_kind, cfg.d)
     trial = functools.partial(_run_trial, cfg, model, delta, master)
-    if jobs <= 1:
+    workers = min(jobs, cfg.trials, estimation._usable_cpus())
+    if workers == 1:
         rows = [trial(i) for i in range(cfg.trials)]
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_share_cpus,
-                                 initargs=(jobs,)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share_cpus,
+                                 initargs=(workers,)) as pool:
             rows = list(pool.map(trial, range(cfg.trials), chunksize=1))
     return rows, dict(summarize(rows), capped_stages=_capped_stages(cfg, model, delta))
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[dict], dict]:
-    return _run_block(cfg, cfg.delta, cfg.master_seed, jobs)
+    return _run_block(cfg, _planned_model(cfg), cfg.delta, cfg.master_seed, jobs)
 
 
 def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict], dict]:
@@ -143,12 +150,11 @@ def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict],
         raise ValidationError("sweep needs at least 3 delta values")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValidationError("delta values must be strictly decreasing")
-    for delta in deltas:
-        dataclasses.replace(cfg, delta=delta)         # the config's own delta/E check
-    rows = []
-    per_delta = []
-    for di, delta in enumerate(deltas):
-        block, stats = _run_block(cfg, delta, trial_seed(cfg.master_seed, di), jobs)
+    # every delta's config check and plan come before the first trial
+    models = [_planned_model(dataclasses.replace(cfg, delta=delta)) for delta in deltas]
+    rows, per_delta = [], []
+    for di, (delta, model) in enumerate(zip(deltas, models)):
+        block, stats = _run_block(cfg, model, delta, trial_seed(cfg.master_seed, di), jobs)
         rows.extend(block)
         if stats["n_errors"] == len(block):
             raise ValidationError(

@@ -22,7 +22,8 @@ from .config import ExperimentConfig
 from .constants import TOL
 from .errors import (AuditFailure, BranchCutError, DegenerateProjectionError,
                      ResourceLimitError, ValidationError)
-from .estimation import _frame_family, invert_theta
+from .estimation import (_aligned_basis, _aligned_outcomes, _frame_family, _outcome_chunks,
+                         invert_theta)
 from .linalg import (PureState, assert_hermitian, assert_unitary, haar_state, haar_unitary,
                      hermitian_expm, hermitian_expm_derivatives, hs_inner, unitary_eig)
 from .model import HamiltonianModel, hamiltonian, make_model
@@ -179,6 +180,21 @@ def magnus_operator(h_star, h_theta, tau: float) -> np.ndarray:
         raise ValidationError("Magnus generator is undefined at tau = 0")
     u = hermitian_expm(h_star, -tau) @ hermitian_expm(h_theta, tau)
     return unitary_principal_log(u) / tau
+
+
+def sample_haar_outcomes(state, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Outcome vectors of n Haar-random-basis measurements of ``state``, one per row.
+
+    The per-outcome reference for the stage's tomography: B times each row
+    of the shared draw core :func:`_aligned_outcomes`, with B the basis whose
+    first column is ``state``.  It walks the projector sum's chunk plan
+    serially, so it makes the same draws and leaves ``rng`` in the same state.
+    """
+    psi = np.asarray(state, dtype=complex).reshape(-1)
+    outs = [np.column_stack((x0, w.view(complex)))
+            for x0, w in (_aligned_outcomes(psi.size, k, gen)
+                          for k, gen in _outcome_chunks(psi.size, n, rng))]
+    return np.concatenate(outs or [np.empty((0, psi.size))]) @ _aligned_basis(psi).T
 
 
 # basis: orthonormal (D^2, m+1) columns; norm_factor = 1/sqrt(F2(d, r)), sqrt(d) at r = 1

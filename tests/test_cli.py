@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -96,7 +97,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("override", ["kappa=0", "alpha=0", "beta=-1", "p_crit=0",
                                           "p_crit=1", "r_max=0", "r_max=-3",
-                                          "trotter_slices=-1", "delta=0.05"])
+                                          "trotter_slices=-1", "delta=0.05",
+                                          "kappa=inf", "alpha=inf", "beta=inf"])
     def test_bad_constants_rejected_before_any_trial(self, override, tmp_path, capsys):
         field = override.split("=")[0]
         text = MINI.format(trials=1) + override + "\n"
@@ -222,6 +224,33 @@ class TestRunner:
             assert [r["error"] for r in rows] == [f"ValidationError: threads={threads}"] * 4
         assert estimation._pool_workers() == 2
 
+    @pytest.mark.parametrize("jobs, trials, cpus, workers", [
+        (64, 3, 8, 3), (64, 10, 2, 2), (3, 10, 8, 3), (8, 10, 1, None), (2, 1, 8, None)])
+    def test_jobs_capped_at_trials_and_cpus(self, monkeypatch, jobs, trials, cpus, workers):
+        # a pool forks all of its workers at the first submit, so it gets no more than can run
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append((max_workers, initializer, initargs))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        cfg = parse_config_text(MINI.format(trials=trials))
+        rows, _ = run_experiment(cfg, jobs=jobs)
+        assert started == ([] if workers is None else
+                           [(workers, runner._share_cpus, (workers,))])
+        assert rows_to_csv(rows) == rows_to_csv(run_experiment(cfg, jobs=1)[0])
+
     def test_trial_seeds_distinct(self):
         seeds = {trial_seed(4242, i) for i in range(1000)}
         assert len(seeds) == 1000
@@ -337,6 +366,26 @@ class TestCli:
         assert main([*command, "--config", cfg_path, "--out", str(out)]) == 2
         assert "E finite, got delta=0.1, E=inf" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])
+    @pytest.mark.parametrize("override, message", [
+        ("kappa=inf", "kappa must be finite and > 0, got inf"),
+        ("alpha=inf", "alpha must be finite and > 0, got inf"),
+        ("beta=inf", "beta must be finite and >= 0, got inf"),
+        ("alpha=1e308", "cannot run: need 0 < tau < inf and fewer than 2^63 copies, got tau="),
+    ])
+    def test_unplannable_constants_exit_2(self, tmp_path, capsys, monkeypatch, command,
+                                          override, message):
+        def no_trial(*args):
+            pytest.fail("a trial ran")
+
+        monkeypatch.setattr(runner, "_run_trial", no_trial)
+        text = MINI.format(trials=2) + override + "\n"
+        cfg_path, out = write_cfg(tmp_path, text), tmp_path / "res.csv"
+        assert main([*command, "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists() and not (tmp_path / "res.summary.json").exists()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])
     @pytest.mark.parametrize("target", ["csv", "json"])

@@ -17,15 +17,14 @@ from hamest.estimation import (_TOMOGRAPHY_CHUNK as STAGE_CHUNK, EstimationRecor
                                _outcome_projector_mean, _plan, _refine_gauss_newton, _Stage,
                                _stage_estimate, _symmetric_probe, invert_theta,
                                reconstruct_from_projector_mean,
-                               run_adaptive, run_many_channel, run_one_channel,
-                               sample_haar_outcomes)
+                               run_adaptive, run_many_channel, run_one_channel)
 from hamest.linalg import haar_state, hermitian_expm, hermitian_expm_derivatives
 from hamest.model import hamiltonian, make_model
 from hamest.probe import Schedule, evolve, mes
 from hamest.runner import run_experiment
 from hamest.symmetric import sym_frame_coefficients
 from hamest.verify import (delta_resolution, frame_projection, postselection_frame,
-                           superop_S, sym_space)
+                           sample_haar_outcomes, superop_S, sym_space)
 
 FULL2 = make_model("full", 2)
 CONST = SchemeConstants()

@@ -42,16 +42,18 @@ assert "concurrent.futures.process" not in sys.modules
 """
 
 
-# The dense oracles live in hamest.verify, which the package itself never imports.
+# The dense oracles and the per-outcome reference sampler live in hamest.verify,
+# which the package itself never imports.
 NO_DENSE_ORACLES = """
 import sys
-import hamest, hamest.linalg, hamest.symmetric
+import hamest, hamest.estimation, hamest.linalg, hamest.symmetric
 assert "hamest.verify" not in sys.modules
 removed = ("SymSpace", "sym_space", "collective", "collective_trace_moments",
            "magnus_operator", "unitary_principal_log")
 for mod in (hamest, hamest.symmetric, hamest.linalg):
     left = [name for name in removed if hasattr(mod, name)]
     assert not left, (mod.__name__, left)
+assert not hasattr(hamest.estimation, "sample_haar_outcomes")
 """
 
 
