@@ -368,14 +368,9 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])
-    @pytest.mark.parametrize("override, message", [
-        ("kappa=inf", "kappa must be finite and > 0, got inf"),
-        ("alpha=inf", "alpha must be finite and > 0, got inf"),
-        ("beta=inf", "beta must be finite and >= 0, got inf"),
-        ("alpha=1e308", "cannot run: need 0 < tau < inf and fewer than 2^63 copies, got tau="),
-    ])
-    def test_unplannable_constants_exit_2(self, tmp_path, capsys, monkeypatch, command,
-                                          override, message):
+    @pytest.mark.parametrize("override", ["alpha=1e308", "alpha=1e300"])
+    def test_unplannable_stage_exit_2(self, tmp_path, capsys, monkeypatch, command, override):
+        # the constants parse, but a stage's copy count overflows to inf or past int64
         def no_trial(*args):
             pytest.fail("a trial ran")
 
@@ -384,7 +379,7 @@ class TestCli:
         cfg_path, out = write_cfg(tmp_path, text), tmp_path / "res.csv"
         assert main([*command, "--config", cfg_path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: stage ") and "fewer than 2^63 copies" in err
         assert not out.exists() and not (tmp_path / "res.summary.json").exists()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])

@@ -744,6 +744,20 @@ class TestPlan:
         with pytest.raises(ValidationError, match="must be finite"):
             DRIVERS[scheme](FULL2, theta, delta, e_radius, CONST)
 
+    @pytest.mark.parametrize("scheme", DRIVERS)
+    @pytest.mark.parametrize("delta, e_radius, const, bad", [
+        (2e-321, 1e-320, CONST, "tau=inf"),                        # 0.5 / max_energy overflows
+        (0.1, 1.0, SchemeConstants(alpha=1e300), r"copies=\d"),    # finite, but past int64
+        (0.1, 1.0, SchemeConstants(alpha=1e308), "copies=inf"),
+    ], ids=["subnormal_E", "alpha=1e300", "alpha=1e308"])
+    def test_rejects_stage_that_cannot_run(self, scheme, delta, e_radius, const, bad, request):
+        if scheme == "one_channel" and e_radius < 1e-300:
+            request.applymarker(pytest.mark.xfail(
+                raises=ZeroDivisionError, strict=True,
+                reason="known defect: one_channel's E^2 / delta^2 underflows to 0 / 0"))
+        with pytest.raises(ValidationError, match=f"cannot run: .*{bad}"):
+            _plan(scheme, FULL2, delta, e_radius, const)
+
 
 class TestRecord:
     def test_success_definition(self):
