@@ -294,7 +294,8 @@ def _stage_estimate(reduced_exact, p, copies, tau, norm_factor, family,
     return theta, rate
 
 
-_Stage = namedtuple("_Stage", "n tau r copies")   # r: entangled channels
+# r: entangled channels; capped: r_max holds r below the doubling 2^(n0-n) d
+_Stage = namedtuple("_Stage", "n tau r copies capped", defaults=(False,))
 
 
 def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
@@ -309,23 +310,29 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
     per-stage failure budget p_crit / 2^n, but N_n does not read p_crit yet.
     adaptive: r = 1 and R = 2^n delta, so tau grows as the radius shrinks.
     many_channel: every stage keeps the tau of R = 2^n0 delta and entangles
-    r_n = min(2^(n0-n) d, r_max) channels instead.  Every stage needs finite tau > 0, N < 2^63.
+    r_n = min(2^(n0-n) d, r_max) channels instead; a stage is capped where r_n < 2^(n0-n) d.
+    Every stage needs finite tau > 0 and N < 2^63; an N past the float range counts as inf.
     """
-    def stage(n, radius, r, copies):
+    r_max = constants.effective_r_max(model.d)
+
+    def stage(n, radius, doubling, count):
         tau = constants.kappa / max_energy(model, radius)
+        try:
+            copies = count()
+        except (OverflowError, ZeroDivisionError):
+            copies = math.inf
         if not (0 < tau < math.inf and copies < 2 ** 63):
             raise ValidationError(f"stage {n} cannot run: need 0 < tau < inf and fewer than "
                                   f"2^63 copies, got tau={tau!r}, copies={copies!r}")
-        return _Stage(n, tau, r, int(math.ceil(copies)))
+        return _Stage(n, tau, min(doubling, r_max), int(math.ceil(copies)), r_max < doubling)
 
     if scheme == "one_channel":
         return [stage(0, e_radius, 1,
-                      constants.alpha * model.m * model.d * e_radius ** 2 / delta ** 2)]
+                      lambda: constants.alpha * model.m * model.d * e_radius ** 2 / delta ** 2)]
     many = {"adaptive": False, "many_channel": True}[scheme]
     n0 = max(1, math.ceil(math.log2(e_radius / delta)))
-    return [stage(n, 2.0 ** (n0 if many else n) * delta,
-                  min(2 ** (n0 - n) * model.d, constants.effective_r_max(model.d)) if many else 1,
-                  constants.alpha * model.m * (1.0 + constants.beta * n))
+    return [stage(n, 2.0 ** (n0 if many else n) * delta, 2 ** (n0 - n) * model.d if many else 1,
+                  lambda: constants.alpha * model.m * (1.0 + constants.beta * n))
             for n in range(n0, 0, -1)]
 
 

@@ -76,18 +76,17 @@ def _format_stages(stages) -> str:
                     for s in stages)
 
 
-def _run_trial(cfg: ExperimentConfig, model: HamiltonianModel, delta: float, master: int,
-               index: int) -> dict:
+def _run_trial(cfg: ExperimentConfig, model: HamiltonianModel, master: int, index: int) -> dict:
     seed = trial_seed(master, index)
     rng = trial_rng(seed)
     theta = _sample_theta(model.m, cfg.e_radius, cfg.worst_case_grid, rng)
     runner = _SCHEME_RUNNERS[cfg.scheme]
     row = {
         "trial": index, "seed": seed, "scheme": cfg.scheme, "d": cfg.d,
-        "m": model.m, "delta": delta, "E": cfg.e_radius,
+        "m": model.m, "delta": cfg.delta, "E": cfg.e_radius,
     }
     try:
-        rec = runner(model, theta, delta, cfg.e_radius, cfg.constants,
+        rec = runner(model, theta, cfg.delta, cfg.e_radius, cfg.constants,
                      rng=rng, seed=seed)
         row.update(theta_err=rec.error, total_time=rec.total_time,
                    success=rec.success, stages=_format_stages(rec.stages),
@@ -103,31 +102,17 @@ def _share_cpus(workers: int) -> None:
     estimation._PROCESSES = workers
 
 
-def _capped_stages(cfg: ExperimentConfig, model: HamiltonianModel, delta: float) -> int:
-    """Plan stages whose r is below the r of the same plan with r_max lifted."""
-    def rs(constants):
-        return [s.r for s in estimation._plan(cfg.scheme, model, delta, cfg.e_radius, constants)]
-    lifted = dataclasses.replace(cfg.constants, r_max=2 ** 62)
-    return sum(r < free for r, free in zip(rs(cfg.constants), rs(lifted)))
-
-
-def _planned_model(cfg: ExperimentConfig) -> HamiltonianModel:
-    """cfg's model, once cfg's plan is built, so that a stage that cannot run fails early."""
-    model = make_model(cfg.model_kind, cfg.d)
-    estimation._plan(cfg.scheme, model, cfg.delta, cfg.e_radius, cfg.constants)
-    return model
-
-
-def _run_block(cfg: ExperimentConfig, model: HamiltonianModel, delta: float, master: int,
+def _run_block(cfg: ExperimentConfig, model: HamiltonianModel, plan: list, master: int,
                jobs: int) -> tuple[list[dict], dict]:
-    """The cfg.trials rows at one delta, in trial order, and their summary.
+    """The cfg.trials rows at cfg.delta, in trial order, and their summary.
 
     One model serves every trial, on min(jobs, trials, usable CPUs) processes;
     only more than one imports and starts a process pool.  jobs < 1 is rejected.
+    ``capped_stages`` counts the stages of ``plan`` whose r the r_max cap holds back.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    trial = functools.partial(_run_trial, cfg, model, delta, master)
+    trial = functools.partial(_run_trial, cfg, model, master)
     workers = min(jobs, cfg.trials, estimation._usable_cpus())
     if workers == 1:
         rows = [trial(i) for i in range(cfg.trials)]
@@ -136,11 +121,13 @@ def _run_block(cfg: ExperimentConfig, model: HamiltonianModel, delta: float, mas
         with ProcessPoolExecutor(max_workers=workers, initializer=_share_cpus,
                                  initargs=(workers,)) as pool:
             rows = list(pool.map(trial, range(cfg.trials), chunksize=1))
-    return rows, dict(summarize(rows), capped_stages=_capped_stages(cfg, model, delta))
+    return rows, dict(summarize(rows), capped_stages=sum(s.capped for s in plan))
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[dict], dict]:
-    return _run_block(cfg, _planned_model(cfg), cfg.delta, cfg.master_seed, jobs)
+    model = make_model(cfg.model_kind, cfg.d)
+    plan = estimation._plan(cfg.scheme, model, cfg.delta, cfg.e_radius, cfg.constants)
+    return _run_block(cfg, model, plan, cfg.master_seed, jobs)
 
 
 def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict], dict]:
@@ -150,11 +137,14 @@ def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict],
         raise ValidationError("sweep needs at least 3 delta values")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValidationError("delta values must be strictly decreasing")
-    # every delta's config check and plan come before the first trial
-    models = [_planned_model(dataclasses.replace(cfg, delta=delta)) for delta in deltas]
+    # one model serves every delta; each delta's config check and plan come before any trial
+    model = make_model(cfg.model_kind, cfg.d)
+    cfgs = [dataclasses.replace(cfg, delta=delta) for delta in deltas]
+    plans = [estimation._plan(cfg.scheme, model, delta, cfg.e_radius, cfg.constants)
+             for delta in deltas]
     rows, per_delta = [], []
-    for di, (delta, model) in enumerate(zip(deltas, models)):
-        block, stats = _run_block(cfg, model, delta, trial_seed(cfg.master_seed, di), jobs)
+    for di, (delta, block_cfg, plan) in enumerate(zip(deltas, cfgs, plans)):
+        block, stats = _run_block(block_cfg, model, plan, trial_seed(cfg.master_seed, di), jobs)
         rows.extend(block)
         if stats["n_errors"] == len(block):
             raise ValidationError(

@@ -134,6 +134,11 @@ class TestReport:
         with pytest.raises(ValidationError, match="positive and finite"):
             bound_report(make_model("full", 2), delta, e_radius)
 
+    @pytest.mark.parametrize("delta, e_radius", [(1e199, 1e200), (1e-170, 1.0)])
+    def test_rejects_unplannable_one_channel_stage(self, delta, e_radius):
+        with pytest.raises(ValidationError, match="stage 0 cannot run"):
+            bound_report(make_model("full", 2), delta, e_radius)
+
     def test_homogeneity_suite(self):
         check_delta_homogeneity()
 

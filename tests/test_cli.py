@@ -193,7 +193,22 @@ class TestRunner:
         assert built == [("full", 2)]
         built.clear()
         run_sweep(parse_config_text(MINI.format(trials=2)), [0.2, 0.15, 0.1])
-        assert built == [("full", 2)] * 3
+        assert built == [("full", 2)]
+
+    def test_one_plan_per_block(self, monkeypatch):
+        # one plan per delta before any trial, then one inside each trial's driver
+        calls, plan = [], estimation._plan
+
+        def counting_plan(*args):
+            calls.append(args[2])
+            return plan(*args)
+
+        monkeypatch.setattr(estimation, "_plan", counting_plan)
+        run_experiment(parse_config_text(MINI.format(trials=3)), jobs=1)
+        assert calls == [0.1] * 4
+        calls.clear()
+        run_sweep(parse_config_text(MINI.format(trials=2)), [0.2, 0.15, 0.1], jobs=1)
+        assert calls == [0.2, 0.15, 0.1] + [0.2] * 2 + [0.15] * 2 + [0.1] * 2
 
     def test_pickled_model_stays_read_only(self):
         model = pickle.loads(pickle.dumps(make_model("full", 3)))
@@ -380,6 +395,26 @@ class TestCli:
         assert main([*command, "--config", cfg_path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: stage ") and "fewer than 2^63 copies" in err
+        assert not out.exists() and not (tmp_path / "res.summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("e_radius, deltas", [("1e200", "1e199,5e198,2e198"),
+                                                  ("1.0", "1e-170,5e-171,2e-171")],
+                             ids=["E^2_overflows", "delta^2_underflows"])
+    def test_one_channel_copy_overflow_exit_2(self, tmp_path, capsys, monkeypatch, command,
+                                              e_radius, deltas):
+        def no_trial(*args):
+            pytest.fail("a trial ran")
+
+        monkeypatch.setattr(runner, "_run_trial", no_trial)
+        text = (MINI.format(trials=2).replace("scheme = adaptive", "scheme = one_channel")
+                .replace("E = 1.0", f"E = {e_radius}")
+                .replace("delta = 0.1", f"delta = {deltas.split(',')[0]}"))
+        cfg_path, out = write_cfg(tmp_path, text), tmp_path / "res.csv"
+        argv = [command, "--config", cfg_path, "--out", str(out)]
+        assert main(argv + (["--delta-list", deltas] if command == "sweep" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 0 cannot run") and "copies=inf" in err
         assert not out.exists() and not (tmp_path / "res.summary.json").exists()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])

@@ -750,13 +750,32 @@ class TestPlan:
         (0.1, 1.0, SchemeConstants(alpha=1e300), r"copies=\d"),    # finite, but past int64
         (0.1, 1.0, SchemeConstants(alpha=1e308), "copies=inf"),
     ], ids=["subnormal_E", "alpha=1e300", "alpha=1e308"])
-    def test_rejects_stage_that_cannot_run(self, scheme, delta, e_radius, const, bad, request):
-        if scheme == "one_channel" and e_radius < 1e-300:
-            request.applymarker(pytest.mark.xfail(
-                raises=ZeroDivisionError, strict=True,
-                reason="known defect: one_channel's E^2 / delta^2 underflows to 0 / 0"))
+    def test_rejects_stage_that_cannot_run(self, scheme, delta, e_radius, const, bad):
         with pytest.raises(ValidationError, match=f"cannot run: .*{bad}"):
             _plan(scheme, FULL2, delta, e_radius, const)
+
+    @pytest.mark.parametrize("delta, e_radius", [(1e199, 1e200), (1e-170, 1.0)],
+                             ids=["E^2_overflows", "delta^2_underflows"])
+    def test_one_channel_copy_arithmetic_reads_inf(self, delta, e_radius):
+        with pytest.raises(ValidationError, match=r"stage 0 cannot run: .*copies=inf"):
+            _plan("one_channel", FULL2, delta, e_radius, CONST)
+
+    @pytest.mark.parametrize("scheme", DRIVERS)
+    @pytest.mark.parametrize("kind", ["full", "phase", "offdiag"])
+    def test_capped_marks_stages_r_max_holds_back(self, scheme, kind):
+        # the oracle: a stage is capped where lifting r_max raises its r
+        flags = []
+        for d in (2, 3, 4):
+            model = make_model(kind, d)
+            for delta in (0.2, 0.1, 0.05, 0.025, 1e-4):
+                lifted = _plan(scheme, model, delta, 1.0, SchemeConstants(r_max=2 ** 62))
+                for r_max in (None, 1, 3, 8):
+                    plan = _plan(scheme, model, delta, 1.0, SchemeConstants(r_max=r_max))
+                    assert ([s.capped for s in plan]
+                            == [s.r < t.r for s, t in zip(plan, lifted)]), (d, delta, r_max)
+                    flags += [s.capped for s in plan]
+        # r_max = 1 caps every many-channel stage, and no other scheme entangles channels
+        assert any(flags) == (scheme == "many_channel")
 
 
 class TestRecord:
