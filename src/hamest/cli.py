@@ -45,6 +45,13 @@ def _load_config(args):
     return cfg
 
 
+def _warn_capped(cfg, summary) -> None:
+    """Name on stderr the plan stages whose r the r_max cap holds back, if any."""
+    if summary["capped_stages"]:
+        print(f"warning: r_max = {cfg.constants.effective_r_max(cfg.d)} caps r in "
+              f"{summary['capped_stages']} plan stages", file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     csv_path, json_path = _output_paths(args, cfg)
@@ -56,9 +63,7 @@ def cmd_run(args) -> int:
     print(f"wrote {len(rows)} trials to {csv_path}; "
           f"success_rate={summary['success_rate']:.3f} "
           f"median_T={summary['median_T']:.6g}")
-    if summary["capped_stages"]:
-        print(f"warning: r_max = {cfg.constants.effective_r_max(cfg.d)} caps r in "
-              f"{summary['capped_stages']} plan stages", file=sys.stderr)
+    _warn_capped(cfg, summary)
     if summary["n_errors"] == summary["n_trials"]:
         print(f"error: no trial completed: {summary['errors_by_type']}", file=sys.stderr)
         return 1
@@ -75,6 +80,7 @@ def cmd_sweep(args) -> int:
     rows, summary = run_sweep(cfg, deltas, jobs=args.jobs)
     write_outputs(rows, summary, csv_path, json_path)
     print(f"wrote {len(rows)} trials to {csv_path}; slope={summary['slope']:.4f}")
+    _warn_capped(cfg, summary)
     return 0
 
 

@@ -54,6 +54,9 @@ class SchemeConstants:
     r_max   cap on the many-channel r_n of ``estimation._plan``; ``None``
             means 2048 // d.  A cap below the plan's largest r keeps every
             later stage at the cap, so those stages stop sharpening the estimate.
+            The default bounds a plan's series length r d: the frame series
+            cost O(d r) per call, but lifting the cap needs a plan-time
+            memory rule first (ROADMAP item 5).
     refine  apply one Gauss-Newton fidelity refinement after the first-order
             inversion (removes the O(kappa^2) inversion bias).  The step uses
             the exact Jacobian of the stage's normalized frame coefficients:

@@ -318,6 +318,16 @@ class TestCli:
                      "--out", str(tmp_path / "free.csv")]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_sweep_warns_when_r_max_caps_the_plan(self, tmp_path, capsys):
+        # r_max = 8 caps 1, 2 and 3 stages at delta 0.1, 0.05 and 0.025
+        text = (GOLDEN / "many_channel_rmax8.cfg").read_text().replace("trials = 10", "trials = 1")
+        assert main(["sweep", "--config", write_cfg(tmp_path, text), "--delta-list",
+                     "0.1,0.05,0.025", "--out", str(tmp_path / "capped.csv")]) == 0
+        assert capsys.readouterr().err == "warning: r_max = 8 caps r in 6 plan stages\n"
+        assert main(["sweep", "--config", write_cfg(tmp_path, MINI.format(trials=1)),
+                     "--delta-list", "0.2,0.1,0.05", "--out", str(tmp_path / "free.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_run_without_completed_trial_exits_1(self, tmp_path, capsys,
                                                  failing_adaptive):
         cfg_path = write_cfg(tmp_path, MINI.format(trials=2))

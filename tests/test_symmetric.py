@@ -4,8 +4,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+from hamest import symmetric
 from hamest.errors import BranchCutError, ResourceLimitError, ValidationError
-from hamest.linalg import haar_unitary, hermitian_expm, hermitian_expm_derivatives, hs_inner
+from hamest.linalg import (haar_unitary, hermitian_expm, hermitian_expm_derivatives, hs_inner,
+                           unitary_eig)
 from hamest.model import hamiltonian, make_model
 from hamest.symmetric import f2_coeff, sym_dim, sym_frame_coefficients, sym_frame_tangents
 from hamest.verify import (collective, collective_trace_moments, f4_coeff, f22_coeff,
@@ -142,6 +144,84 @@ class TestFrameCoefficients:
             model = make_model("full", d)
             c = sym_frame_coefficients(np.eye(d), model.generators, r)
             assert np.max(np.abs(c - np.eye(model.m + 1)[0])) < 1e-12
+
+
+def convolution_series(eigs, r):
+    """h_k = Tr Sym^k(V) (k <= r) and g_a = h / (1 - lambda_a z) (k < r) by truncated convolution.
+
+    The O(d r^2) construction that the cumulative-sum division replaced, kept as its reference.
+    """
+    powers = eigs[:, None] ** np.arange(r + 1)
+    h = np.ones(1, dtype=complex)
+    for series in powers:
+        h = np.convolve(h, series)[:r + 1]
+    return h, np.array([np.convolve(series, h[:r])[:r] for series in powers[:, :r]])
+
+
+def recorded_series(monkeypatch, v, ops, r):
+    """Every series that symmetric._divide returns in one sym_frame_coefficients call."""
+    divide, out = symmetric._divide, []
+
+    def record(s, p):
+        out.append(divide(s, p))
+        return out[-1]
+    monkeypatch.setattr(symmetric, "_divide", record)
+    sym_frame_coefficients(v, ops, r)
+    return out
+
+
+def spectrum_case(case, d, r, rng):
+    """Haar, near the identity (tau = 0.3 / r), exactly I, or a two-fold eigenvalue."""
+    if case == "haar":
+        return haar_unitary(d, rng)
+    if case == "near_identity":
+        return hermitian_expm(random_hermitian(d, rng), 0.3 / r)
+    if case == "identity":
+        return np.eye(d, dtype=complex)
+    phases = rng.uniform(-math.pi, math.pi, d)
+    phases[1] = phases[0]
+    q = haar_unitary(d, rng)
+    return q @ np.diag(np.exp(1j * phases)) @ q.conj().T
+
+
+class TestSeriesRecurrence:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("case", ["haar", "near_identity", "identity", "twofold"])
+    @pytest.mark.parametrize("r", [2, 16, 64, 256, 1024])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_convolution(self, monkeypatch, d, r, case):
+        # d - 1 divisions of lambda_0^k give h, one more gives every g_a; the
+        # tolerance is fixed from float64 eps, relative to the series' largest entry
+        v = spectrum_case(case, d, r, np.random.default_rng(10 * d + r))
+        calls = recorded_series(monkeypatch, v, make_model("full", d).generators, r)
+        assert len(calls) == d
+        h, g = calls[-2], calls[-1]
+        ref_h, ref_g = convolution_series(unitary_eig(v)[0], r)
+        assert h.shape == ref_h.shape and g.shape == ref_g.shape
+        tol = 256 * r * self.EPS
+        assert np.max(np.abs(h - ref_h)) <= tol * np.max(np.abs(ref_h))
+        assert np.max(np.abs(g - ref_g)) <= tol * np.max(np.abs(ref_g))
+
+    def test_two_level_closed_form_at_large_r(self):
+        # d = 2: h_k = (l1^(k+1) - l2^(k+1)) / (l1 - l2), |h_k| <= 1 / |sin(dphi / 2)|
+        r = 32768
+        v = haar_unitary(2, np.random.default_rng(32768))
+        phi = np.angle(unitary_eig(v)[0])
+        lam, top = np.exp(1j * phi), np.exp(1j * (r + 1) * phi)
+        closed = (top[0] - top[1]) / (lam[0] - lam[1])
+        c0 = sym_frame_coefficients(v, make_model("full", 2).generators, r)[0]
+        bound = 256 * r * self.EPS / abs(math.sin((phi[0] - phi[1]) / 2))
+        assert abs(c0 - closed / (r + 1)) <= bound / (r + 1)
+
+    @pytest.mark.parametrize("r", [0, -1, 2.0])
+    def test_rejects_r_not_positive_integer(self, r):
+        model = make_model("full", 2)
+        v = haar_unitary(2, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="r must be an integer >= 1"):
+            sym_frame_coefficients(v, model.generators, r)
+        with pytest.raises(ValidationError, match="r must be an integer >= 1"):
+            sym_frame_tangents(v, np.zeros((1, 2, 2)), model.generators, r)
 
 
 # (d, r) of the Jacobian oracle; (3, 682) and (2, 1024) are the largest r that
