@@ -164,6 +164,13 @@ class TestRunner:
         for key in ("median_T", "q1_T", "q3_T"):
             assert np.isnan(summary[key])
 
+    def test_errored_row_csv_cells(self, failing_adaptive):
+        rows, _ = run_experiment(parse_config_text(MINI.format(trials=1)))
+        header, line = rows_to_csv(rows).splitlines()
+        cells = dict(zip(header.split(","), line.split(",")))
+        assert (cells["theta_err"], cells["total_time"], cells["success"], cells["stages"]) \
+            == ("nan", "0.0", "false", "")
+
     def test_sweep_rejects_delta_without_completed_trial(self, failing_adaptive):
         cfg = parse_config_text(MINI.format(trials=1))
         with pytest.raises(ValidationError, match="no trial completed at delta 0.025"):
