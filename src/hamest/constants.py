@@ -56,7 +56,7 @@ class SchemeConstants:
             later stage at the cap, so those stages stop sharpening the estimate.
             The default bounds a plan's series length r d: the frame series
             cost O(d r) per call, but lifting the cap needs a plan-time
-            memory rule first (ROADMAP item 5).
+            memory rule first (ROADMAP item 11).
     refine  apply one Gauss-Newton fidelity refinement after the first-order
             inversion (removes the O(kappa^2) inversion bias).  The step uses
             the exact Jacobian of the stage's normalized frame coefficients:

@@ -12,9 +12,9 @@ T ~ 1/delta^2 scaling), :func:`run_adaptive` (feedback staging, T ~ 1/delta),
 and :func:`run_many_channel` (entangled channels in the symmetric subspace,
 measurement-side counter-rotation, no feedback during evolution).  Each
 driver takes its stages from :func:`_plan` and picks a probe, a d x d stage
-unitary V whose collective MES Sym^r(V) is measured (the MES is r = 1).  One
-stage body takes its frame coefficients from :func:`sym_frame_coefficients`,
-and the staged drivers share one stage loop.
+unitary V whose collective MES Sym^r(V) is measured (the MES is r = 1).  All
+three drivers share one stage loop, :func:`_run_stages`, whose stage body
+takes its frame coefficients from :func:`sym_frame_coefficients`.
 """
 
 from __future__ import annotations
@@ -185,11 +185,6 @@ def _outcome_projector_mean(psi: np.ndarray, n_copies: int,
     return basis @ s @ basis.conj().T / n_copies
 
 
-def _measure_and_reconstruct(psi: np.ndarray, n_copies: int,
-                             rng: np.random.Generator) -> np.ndarray:
-    return reconstruct_from_projector_mean(_outcome_projector_mean(psi, n_copies, rng))
-
-
 def _refine_gauss_newton(family, reduced: np.ndarray, theta0: np.ndarray) -> np.ndarray:
     """One Gauss-Newton step maximizing fidelity of family(theta) to reduced."""
     c0, jac = family(theta0)
@@ -289,34 +284,39 @@ def _stage_estimate(reduced_exact, p, copies, tau, norm_factor, family,
     if rate < TOL.starvation_rate or n_accepted < reduced_exact.size:
         raise PostselectionStarvedError(
             f"postselection starved: accepted {n_accepted} of {copies}")
-    estimate = _measure_and_reconstruct(reduced_exact, n_accepted, rng)
-    theta = invert_theta(estimate, tau, norm_factor, family=family)
-    return theta, rate
+    mean = _outcome_projector_mean(reduced_exact, n_accepted, rng)
+    return invert_theta(reconstruct_from_projector_mean(mean), tau, norm_factor, family), rate
 
 
-# r: entangled channels; capped: r_max holds r below the doubling 2^(n0-n) d
-_Stage = namedtuple("_Stage", "n tau r copies capped", defaults=(False,))
+# r: entangled channels; radius: the search ball; capped: r_max holds r below 2^(n0-n) d
+_Stage = namedtuple("_Stage", "n tau r copies radius capped", defaults=(math.inf, False))
+
+
+def _total_time(plan) -> float:
+    """The time resource T = sum N r tau of a plan, rejected copies and failed stages included."""
+    return sum(s.copies * s.r * s.tau for s in plan)
 
 
 def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
           constants: SchemeConstants) -> list[_Stage]:
     """The stages of a scheme in run order; they fix T = sum N r tau before any draw.
 
-    A stage searching radius R evolves for tau = kappa / max_energy(R), so
-    tau ||H_theta|| <= kappa on that ball.  one_channel: one stage n = 0, R = E,
+    A stage searching radius R (its ``radius``) evolves for tau = kappa / max_energy(R),
+    so tau ||H_theta|| <= kappa on that ball.  one_channel: one stage n = 0, R = E,
     r = 1, N = ceil(alpha m d E^2 / delta^2) copies to resolve the tomography
     noise at scale delta.  Staged: n = n0 .. 1, n0 = max(1, ceil(log2(E / delta))),
     N_n = ceil(alpha m (1 + beta n)); the (1 + beta n) is meant to cover a
     per-stage failure budget p_crit / 2^n, but N_n does not read p_crit yet.
     adaptive: r = 1 and R = 2^n delta, so tau grows as the radius shrinks.
-    many_channel: every stage keeps the tau of R = 2^n0 delta and entangles
+    many_channel: R = 2^n delta too, but every stage keeps the tau of 2^n0 delta and entangles
     r_n = min(2^(n0-n) d, r_max) channels instead; a stage is capped where r_n < 2^(n0-n) d.
-    Every stage needs finite tau > 0 and N < 2^63; an N past the float range counts as inf.
+    Every stage needs finite tau > 0 and N < 2^63 (an N past the float range counts as
+    inf), the plan a finite T, and a staged plan E / delta <= 2^1023, so that 2^n0 is a float.
     """
     r_max = constants.effective_r_max(model.d)
 
-    def stage(n, radius, doubling, count):
-        tau = constants.kappa / max_energy(model, radius)
+    def stage(n, radius, tau_radius, doubling, count):
+        tau = constants.kappa / max_energy(model, tau_radius)
         try:
             copies = count()
         except (OverflowError, ZeroDivisionError):
@@ -324,16 +324,23 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
         if not (0 < tau < math.inf and copies < 2 ** 63):
             raise ValidationError(f"stage {n} cannot run: need 0 < tau < inf and fewer than "
                                   f"2^63 copies, got tau={tau!r}, copies={copies!r}")
-        return _Stage(n, tau, min(doubling, r_max), int(math.ceil(copies)), r_max < doubling)
+        return _Stage(n, tau, min(doubling, r_max), math.ceil(copies), radius, r_max < doubling)
 
     if scheme == "one_channel":
-        return [stage(0, e_radius, 1,
+        plan = [stage(0, e_radius, e_radius, 1,
                       lambda: constants.alpha * model.m * model.d * e_radius ** 2 / delta ** 2)]
-    many = {"adaptive": False, "many_channel": True}[scheme]
-    n0 = max(1, math.ceil(math.log2(e_radius / delta)))
-    return [stage(n, 2.0 ** (n0 if many else n) * delta, 2 ** (n0 - n) * model.d if many else 1,
-                  lambda: constants.alpha * model.m * (1.0 + constants.beta * n))
-            for n in range(n0, 0, -1)]
+    elif e_radius / delta <= 2.0 ** 1023:
+        many = {"adaptive": False, "many_channel": True}[scheme]
+        n0 = max(1, math.ceil(math.log2(e_radius / delta)))
+        plan = [stage(n, 2.0 ** n * delta, 2.0 ** (n0 if many else n) * delta,
+                      2 ** (n0 - n) * model.d if many else 1,
+                      lambda: constants.alpha * model.m * (1.0 + constants.beta * n))
+                for n in range(n0, 0, -1)]
+    else:
+        raise ValidationError(f"E/delta must be at most 2^1023, got E/delta={e_radius / delta!r}")
+    if not _total_time(plan) < math.inf:
+        raise ValidationError(f"the planned T must be finite, got T={_total_time(plan)!r}")
+    return plan
 
 
 def _mes_probe(model: HamiltonianModel, theta_true: np.ndarray, trotter_slices: int):
@@ -413,47 +420,43 @@ def _run_stage(model, stage: _Stage, probe, theta_star, refine: bool, rng):
                            _frame_family(unitary, ops, stage.r) if refine else None, rng)
 
 
-def _run_stages(model, plan, probe, theta_true, delta, seed, refine, rng) -> EstimationRecord:
-    """Feed each stage's increment back; a failed stage is recorded and skipped.
+def _run_stages(scheme, make_probe, model, theta_true, delta, e_radius, constants, rng, seed):
+    """Check the inputs, plan the scheme, and run its stages on make_probe(theta_true).
 
-    An increment longer than the stage's search radius 2^n delta is projected
-    onto that ball, so a starved stage cannot throw theta* out of the region
-    the later stages search.
+    A failed stage is recorded and skipped.  An increment longer than the stage's search
+    radius is projected onto that ball, so that no stage throws theta* out of the region
+    the later stages search, and one_channel's estimate stays in the ball of radius E.
     """
+    theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
+    plan, probe = _plan(scheme, model, delta, e_radius, constants), make_probe(theta_true)
     theta_star = np.zeros(theta_true.size)
     records = []
     for stage in plan:
         try:
-            increment, rate = _run_stage(model, stage, probe, theta_star, refine, rng)
-            radius, norm = 2.0 ** stage.n * delta, np.linalg.norm(increment)
-            if norm > radius:
-                increment = increment * (radius / norm)
+            increment, rate = _run_stage(model, stage, probe, theta_star, constants.refine, rng)
+            norm = np.linalg.norm(increment)
+            if norm > stage.radius:
+                increment = increment * (stage.radius / norm)
             theta_star, failed = theta_star + increment, False
         except (DegenerateProjectionError, PostselectionStarvedError,
                 InversionUnstableError):
             rate, failed = 0.0, True
         records.append(StageRecord(stage.n, stage.tau, stage.copies, rate, failed))
-    total_time = sum(s.copies * s.r * s.tau for s in plan)
     return EstimationRecord.build(theta_true, theta_star, records,
-                                  total_time=total_time, delta=delta, seed=seed)
+                                  total_time=_total_time(plan), delta=delta, seed=seed)
 
 
 def run_one_channel(model: HamiltonianModel, theta_true, delta: float,
                     e_radius: float, constants: SchemeConstants = DEFAULT_CONSTANTS,
                     rng: np.random.Generator | None = None,
                     seed: int = 0) -> EstimationRecord:
-    """Single-radius estimation: MES probe, fixed tau, N ~ E^2 / delta^2 copies.
+    """Single-radius estimation: one MES stage, fixed tau, N ~ E^2 / delta^2 copies.
 
-    No feedback, so T = N tau ~ 1 / delta^2; a failed stage raises.
+    No feedback, so T = N tau ~ 1 / delta^2.  The estimate is projected onto the
+    ball of radius E, and a failed stage is recorded, not raised: theta_hat = 0.
     """
-    theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
-    [stage] = plan = _plan("one_channel", model, delta, e_radius, constants)
-    theta_hat, rate = _run_stage(model, stage, _mes_probe(model, theta_true, 0),
-                                 np.zeros(model.m), constants.refine, rng)
-    return EstimationRecord.build(theta_true, theta_hat,
-                                  [StageRecord(stage.n, stage.tau, stage.copies, rate)],
-                                  total_time=sum(s.copies * s.r * s.tau for s in plan),
-                                  delta=delta, seed=seed)
+    return _run_stages("one_channel", lambda theta: _mes_probe(model, theta, 0),
+                       model, theta_true, delta, e_radius, constants, rng, seed)
 
 
 def run_adaptive(model: HamiltonianModel, theta_true, delta: float,
@@ -466,10 +469,8 @@ def run_adaptive(model: HamiltonianModel, theta_true, delta: float,
     driven Hamiltonian is H_{theta-theta*} (kicks between slices when
     ``trotter_slices`` > 0).  Stage failures are recorded, not raised.
     """
-    theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
-    return _run_stages(model, _plan("adaptive", model, delta, e_radius, constants),
-                       _mes_probe(model, theta_true, constants.trotter_slices),
-                       theta_true, delta, seed, constants.refine, rng)
+    return _run_stages("adaptive", lambda theta: _mes_probe(model, theta, constants.trotter_slices),
+                       model, theta_true, delta, e_radius, constants, rng, seed)
 
 
 def run_many_channel(model: HamiltonianModel, theta_true, delta: float,
@@ -482,7 +483,5 @@ def run_many_channel(model: HamiltonianModel, theta_true, delta: float,
     preceding estimate enters only as the measurement-side counter-rotation
     exp(+i tau {H_theta*}_r).  Stage failures are recorded, not raised.
     """
-    theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
-    return _run_stages(model, _plan("many_channel", model, delta, e_radius, constants),
-                       _symmetric_probe(model, theta_true), theta_true, delta, seed,
-                       constants.refine, rng)
+    return _run_stages("many_channel", lambda theta: _symmetric_probe(model, theta),
+                       model, theta_true, delta, e_radius, constants, rng, seed)

@@ -13,7 +13,8 @@ from hamest.bounds import biased_cr_rhs
 from hamest.config import ExperimentConfig
 from hamest.constants import DEFAULT_CONSTANTS
 from hamest.errors import AuditFailure
-from hamest.estimation import _measure_and_reconstruct, invert_theta
+from hamest.estimation import (_outcome_projector_mean, invert_theta,
+                               reconstruct_from_projector_mean)
 from hamest.linalg import PureState, haar_state
 from hamest.model import hamiltonian, make_model
 from hamest.probe import Schedule, evolve, mes, qfi_matrix
@@ -157,7 +158,7 @@ def test_07_tomography_overhead():
             for s in range(500):
                 rng = np.random.default_rng((dim, n_copies, s))
                 psi = haar_state(dim, rng)
-                est = _measure_and_reconstruct(psi, n_copies, rng)
+                est = reconstruct_from_projector_mean(_outcome_projector_mean(psi, n_copies, rng))
                 total += 1.0 - abs(np.vdot(est, psi)) ** 2
             msi = total / 500
             budget = 10 * (dim - 1) / n_copies
@@ -172,7 +173,7 @@ def _tomographic_estimator(model, frame, tau, n_copies, theta, rng):
                    Schedule(r=1, initial=mes(model.d), steps=((tau, None),)))
     reduced, p = frame_projection(frame, probe.amplitudes)
     accepted = int(rng.binomial(n_copies, p))
-    estimate = _measure_and_reconstruct(reduced, accepted, rng)
+    estimate = reconstruct_from_projector_mean(_outcome_projector_mean(reduced, accepted, rng))
     return invert_theta(estimate, tau, frame.norm_factor)  # first-order, deliberately biased
 
 

@@ -415,6 +415,24 @@ class TestCli:
         assert not out.exists() and not (tmp_path / "res.summary.json").exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("deltas, bound", [
+        ("1e-310,5e-311,2e-311", "E/delta must be at most 2^1023, got E/delta=inf"),
+        ("1e-306,5e-307,2e-307", "the planned T must be finite, got T=inf"),
+    ], ids=["E/delta_overflows", "T_overflows"])
+    def test_unplannable_delta_exit_2(self, tmp_path, capsys, monkeypatch, command, deltas,
+                                      bound):
+        def no_trial(*args):
+            pytest.fail("a trial ran")
+
+        monkeypatch.setattr(runner, "_run_trial", no_trial)
+        text = MINI.format(trials=2).replace("delta = 0.1", f"delta = {deltas.split(',')[0]}")
+        cfg_path, out = write_cfg(tmp_path, text), tmp_path / "res.csv"
+        argv = [command, "--config", cfg_path, "--out", str(out)]
+        assert main(argv + (["--delta-list", deltas] if command == "sweep" else [])) == 2
+        assert capsys.readouterr().err == f"error: {bound}\n"
+        assert not out.exists() and not (tmp_path / "res.summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("e_radius, deltas", [("1e200", "1e199,5e198,2e198"),
                                                   ("1.0", "1e-170,5e-171,2e-171")],
                              ids=["E^2_overflows", "delta^2_underflows"])

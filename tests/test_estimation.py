@@ -2,18 +2,21 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
 import hamest.estimation as estimation
-from hamest.config import ExperimentConfig
+from hamest import runner
+from hamest.config import ExperimentConfig, parse_config
 from hamest.constants import SchemeConstants
 from hamest.errors import (DegenerateProjectionError, InversionUnstableError,
                            PostselectionStarvedError, ValidationError)
 from hamest.estimation import (_TOMOGRAPHY_CHUNK as STAGE_CHUNK, EstimationRecord,
-                               _frame_family, _measure_and_reconstruct, _mes_probe,
+                               _frame_family, _mes_probe,
                                _outcome_projector_mean, _plan, _refine_gauss_newton, _Stage,
                                _stage_estimate, _symmetric_probe, invert_theta,
                                reconstruct_from_projector_mean,
@@ -26,6 +29,7 @@ from hamest.symmetric import sym_frame_coefficients
 from hamest.verify import (delta_resolution, frame_projection, postselection_frame,
                            sample_haar_outcomes, superop_S, sym_space)
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
 FULL2 = make_model("full", 2)
 CONST = SchemeConstants()
 _TOMOGRAPHY_CHUNK = 1 << 16
@@ -178,7 +182,7 @@ class TestTomography:
             for s in range(seeds):
                 r = np.random.default_rng(5000 + 17 * s + dim)
                 psi = haar_state(dim, r)
-                est = _measure_and_reconstruct(psi, n_copies, r)
+                est = reconstruct_from_projector_mean(_outcome_projector_mean(psi, n_copies, r))
                 total += 1.0 - abs(np.vdot(est, psi)) ** 2
             assert total / seeds <= 10 * (dim - 1) / n_copies
 
@@ -375,7 +379,7 @@ class TestTomography:
         rng = np.random.default_rng(71)
         tracemalloc.start()
         try:
-            _measure_and_reconstruct(psi, 230_400, rng)
+            reconstruct_from_projector_mean(_outcome_projector_mean(psi, 230_400, rng))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -555,6 +559,35 @@ class TestRunOneChannel:
     def test_rejects_large_delta(self):
         with pytest.raises(ValidationError):
             run_one_channel(FULL2, np.zeros(3), 0.5, 1.0, CONST)
+
+    def test_worst_case_estimates_stay_in_search_ball(self, monkeypatch):
+        # the phase golden's unrefined kappa = 2.5 stage overshoots E from near the boundary
+        estimates = []
+
+        def recording(*args, **kwargs):
+            rec = run_one_channel(*args, **kwargs)
+            estimates.append(np.linalg.norm(rec.theta_hat))
+            return rec
+
+        monkeypatch.setitem(runner._SCHEME_RUNNERS, "one_channel", recording)
+        cfg = parse_config(GOLDEN / "one_channel_phase_failed_stage.cfg")
+        _, summary = run_experiment(replace(cfg, worst_case_grid=True))
+        assert max(estimates) <= cfg.e_radius * (1 + 1e-12), estimates
+        assert sum(math.isclose(x, cfg.e_radius, rel_tol=1e-12) for x in estimates) >= 2
+        assert summary["n_errors"] == 0 and len(estimates) == cfg.trials
+
+    def test_failed_stage_is_recorded(self, monkeypatch):
+        def unstable(*args, **kwargs):
+            raise InversionUnstableError("|c_0| below the inversion threshold")
+
+        monkeypatch.setattr(estimation, "invert_theta", unstable)
+        theta = np.array([0.3, -0.2, 0.1])
+        [stage] = plan = _plan("one_channel", FULL2, 0.1, 1.0, CONST)
+        rec = run_one_channel(FULL2, theta, 0.1, 1.0, CONST, seed=3)
+        assert runner._format_stages(rec.stages) == f"0:{stage.tau!r}:{stage.copies}:0.0:failed"
+        assert rec.theta_hat == (0.0, 0.0, 0.0) and not rec.success
+        assert rec.error == np.linalg.norm(theta)
+        assert rec.total_time == sum(s.copies * s.r * s.tau for s in plan)
 
     def test_starvation_raises(self):
         frame = postselection_frame(FULL2)
@@ -759,6 +792,35 @@ class TestPlan:
     def test_one_channel_copy_arithmetic_reads_inf(self, delta, e_radius):
         with pytest.raises(ValidationError, match=r"stage 0 cannot run: .*copies=inf"):
             _plan("one_channel", FULL2, delta, e_radius, CONST)
+
+    @pytest.mark.parametrize("scheme", DRIVERS)
+    def test_stage_search_radius(self, scheme):
+        # E for the one-channel stage, 2^n delta for n = n0 .. 1 otherwise (n0 = 5 at E/delta = 20)
+        plan = _plan(scheme, FULL2, 0.1, 2.0, CONST)
+        want = [2.0] if scheme == "one_channel" else [2.0 ** n * 0.1 for n in range(5, 0, -1)]
+        assert [s.radius for s in plan] == want
+        assert _Stage(n=1, tau=0.5, r=1, copies=0).radius == math.inf
+
+    @pytest.mark.parametrize("scheme", ["adaptive", "many_channel"])
+    @pytest.mark.parametrize("delta, e_radius", [(1e-310, 1.0), (1e-308, 1.0),
+                                                 (2.0 ** -1023, 1.0 + 2.0 ** -52)],
+                             ids=["E/delta=inf", "E/delta=1e308", "just_past_2^1023"])
+    def test_rejects_e_over_delta_past_2_to_1023(self, scheme, delta, e_radius):
+        # 2^n0 would leave the float range, or log2(E/delta) is infinite
+        with pytest.raises(ValidationError, match=r"E/delta must be at most 2\^1023"):
+            _plan(scheme, FULL2, delta, e_radius, CONST)
+
+    def test_plans_e_over_delta_of_2_to_1023(self):
+        plan = _plan("many_channel", FULL2, 2.0 ** -1023, 1.0, CONST)
+        assert (len(plan), plan[0].n, plan[0].radius) == (1023, 1023, 1.0)
+
+    def test_rejects_infinite_planned_time(self):
+        # adaptive's tau = kappa / max_energy(2^n delta) is finite at every stage,
+        # but N r tau of the last stages overflows; many_channel keeps the tau of 2^n0 delta
+        with pytest.raises(ValidationError, match=r"planned T must be finite, got T=inf"):
+            _plan("adaptive", FULL2, 1e-306, 1.0, CONST)
+        plan = _plan("many_channel", FULL2, 1e-306, 1.0, CONST)
+        assert math.isfinite(sum(s.copies * s.r * s.tau for s in plan))
 
     @pytest.mark.parametrize("scheme", DRIVERS)
     @pytest.mark.parametrize("kind", ["full", "phase", "offdiag"])

@@ -64,8 +64,8 @@ def test_run_reproduces_golden_csv(name):
             assert same_float(gtau, wtau) and same_float(grate, wrate), (*where, wn)
 
 
-def test_golden_set_covers_error_row_and_failed_stage():
+def test_golden_set_covers_failed_stage():
+    # no valid config yields an errored row; tests/test_cli.py checks that row's cells
     assert len(NAMES) == 7
     rows = [row for name in NAMES for row in golden_rows(name)]
-    assert any((row["theta_err"], row["stages"]) == ("nan", "") for row in rows)
     assert any(stage[4] for row in rows for stage in parse_stages(row["stages"]))
