@@ -35,8 +35,6 @@ class ExperimentConfig:
     master_seed: int = 0
     constants: SchemeConstants = DEFAULT_CONSTANTS
     worst_case_grid: bool = False
-    out_csv: str | None = None
-    out_json: str | None = None
 
     def __post_init__(self):
         if self.model_kind not in _CONFIG_MODELS:    # a config cannot supply generators
@@ -60,7 +58,7 @@ _CONFIG_KEYS = {
     "model": str, "d": int, "scheme": str, "delta": float, "e": float,
     "trials": int, "seed": int, "kappa": float, "alpha": float, "beta": float,
     "p_crit": float, "r_max": int, "refine": bool, "trotter_slices": int,
-    "worst_case_grid": bool, "out_csv": str, "out_json": str,
+    "worst_case_grid": bool,
 }
 # Keys named otherwise in ExperimentConfig; SchemeConstants' own fields go to `constants`.
 _FIELD_OF_KEY = {"model": "model_kind", "e": "e_radius", "seed": "master_seed"}

@@ -131,7 +131,13 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[dict], di
 
 
 def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict], dict]:
-    """Run the experiment at each delta and fit log(median T) vs log(delta)."""
+    """Run the experiment at each delta and fit log(T) vs log(delta).
+
+    T is each delta's planned time resource, which every completed trial at
+    that delta carries, so the fit is that of the median T and needs no
+    completed trial.  A delta that completed none keeps NaN quartiles in
+    ``per_delta``.
+    """
     deltas = [float(x) for x in deltas]
     if len(deltas) < 3:
         raise ValidationError("sweep needs at least 3 delta values")
@@ -143,17 +149,13 @@ def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict],
     plans = [estimation._plan(cfg.scheme, model, delta, cfg.e_radius, cfg.constants)
              for delta in deltas]
     rows, per_delta = [], []
-    for di, (delta, block_cfg, plan) in enumerate(zip(deltas, cfgs, plans)):
+    for di, (block_cfg, plan) in enumerate(zip(cfgs, plans)):
         block, stats = _run_block(block_cfg, model, plan, trial_seed(cfg.master_seed, di), jobs)
         rows.extend(block)
-        if stats["n_errors"] == len(block):
-            raise ValidationError(
-                f"no trial completed at delta {delta}: {stats['errors_by_type']}")
-        stats["delta"] = delta
-        per_delta.append(stats)
+        per_delta.append(dict(stats, delta=block_cfg.delta))
 
     x = np.log(np.asarray(deltas))
-    y = np.log(np.asarray([s["median_T"] for s in per_delta]))
+    y = np.log(np.asarray([estimation._total_time(plan) for plan in plans]))
     slope, intercept = np.polyfit(x, y, 1)
     residuals = (y - (slope * x + intercept)).tolist()
     summary = summarize(rows)
@@ -199,12 +201,19 @@ def rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _null_quartiles(summary: dict) -> dict:
+    """The summary with NaN time quartiles, its own and those in per_delta, as None."""
+    out = {k: None if k in ("median_T", "q1_T", "q3_T") and math.isnan(v) else v
+           for k, v in summary.items()}
+    if "per_delta" in out:
+        out["per_delta"] = [_null_quartiles(s) for s in out["per_delta"]]
+    return out
+
+
 def write_outputs(rows, summary, csv_path, json_path) -> None:
     """CSV rows and JSON summary; time quartiles with no completed trial become null."""
-    summary = {k: None if k in ("median_T", "q1_T", "q3_T") and math.isnan(v) else v
-               for k, v in summary.items()}
     with open(csv_path, "w") as fh:
         fh.write(rows_to_csv(rows))
     with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(_null_quartiles(summary), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

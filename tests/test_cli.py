@@ -44,11 +44,19 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
 
 @pytest.fixture
 def failing_adaptive(monkeypatch):
-    """Every adaptive trial raises, as a trial whose inversion is unstable does."""
-    def fail(*args, **kwargs):
+    """Adaptive trials raise, as a trial whose inversion is unstable does.
+
+    Every delta fails unless the test adds deltas to the returned set; then only those do.
+    """
+    only, adaptive = set(), runner._SCHEME_RUNNERS["adaptive"]
+
+    def fail(model, theta, delta, *args, **kwargs):
+        if only and delta not in only:
+            return adaptive(model, theta, delta, *args, **kwargs)
         raise InversionUnstableError("|c_0| below the inversion threshold")
 
     monkeypatch.setitem(runner._SCHEME_RUNNERS, "adaptive", fail)
+    return only
 
 
 class TestConfig:
@@ -171,10 +179,22 @@ class TestRunner:
         assert (cells["theta_err"], cells["total_time"], cells["success"], cells["stages"]) \
             == ("nan", "0.0", "false", "")
 
-    def test_sweep_rejects_delta_without_completed_trial(self, failing_adaptive):
-        cfg = parse_config_text(MINI.format(trials=1))
-        with pytest.raises(ValidationError, match="no trial completed at delta 0.025"):
-            run_sweep(cfg, [0.025, 0.02, 0.0125])
+    def test_sweep_keeps_delta_without_completed_trial(self, failing_adaptive):
+        # the slope is the plans' and needs no completed trial at any delta
+        failing_adaptive.add(0.15)
+        cfg, deltas = parse_config_text(MINI.format(trials=2)), [0.2, 0.15, 0.1]
+        rows, summary = run_sweep(cfg, deltas)
+        assert [r["delta"] for r in rows] == [0.2, 0.2, 0.15, 0.15, 0.1, 0.1]
+        empty = summary["per_delta"][1]
+        assert empty["delta"] == 0.15 and empty["n_errors"] == empty["n_trials"] == 2
+        assert all(np.isnan(empty[k]) for k in ("median_T", "q1_T", "q3_T"))
+        model = make_model("full", 2)
+        plan_T = [estimation._total_time(estimation._plan("adaptive", model, delta, 1.0,
+                                                          cfg.constants))
+                  for delta in deltas]
+        slope, intercept = np.polyfit(np.log(deltas), np.log(plan_T), 1)
+        assert (summary["slope"], summary["intercept"]) == (slope, intercept)
+        assert [p["median_T"] for p in summary["per_delta"][::2]] == plan_T[::2]
 
     def test_deterministic_body(self):
         cfg = parse_config_text(MINI.format(trials=3))
@@ -453,24 +473,34 @@ class TestCli:
         assert not out.exists() and not (tmp_path / "res.summary.json").exists()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])
-    @pytest.mark.parametrize("target", ["csv", "json"])
+    @pytest.mark.parametrize("target", ["csv"])
     def test_missing_output_directory_exit_2(self, tmp_path, capsys, monkeypatch,
                                              command, target):
+        # the summary goes next to the CSV, so this covers both
         def no_trial(*args):
             pytest.fail("a trial ran")
 
         monkeypatch.setattr(runner, "_run_trial", no_trial)
         missing = tmp_path / "nodir"
-        if target == "csv":
-            cfg_path, out = write_cfg(tmp_path, MINI.format(trials=2)), missing / "x.csv"
-            argv = [*command, "--config", cfg_path, "--out", str(out)]
-        else:
-            out = missing / "x.summary.json"
-            text = MINI.format(trials=2) + f"out_csv = {tmp_path / 'x.csv'}\nout_json = {out}\n"
-            argv = [*command, "--config", write_cfg(tmp_path, text)]
-        assert main(argv) == 2
+        cfg_path, out = write_cfg(tmp_path, MINI.format(trials=2)), missing / f"x.{target}"
+        assert main([*command, "--config", cfg_path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: output directory does not exist: {out}\n"
-        assert not missing.exists() and not (tmp_path / "x.csv").exists()
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])
+    @pytest.mark.parametrize("key", ["out_csv", "out_json"])
+    def test_output_path_config_key_exit_2(self, tmp_path, capsys, monkeypatch, command, key):
+        # the CSV path is --out alone, and the summary goes next to it
+        def no_trial(*args):
+            pytest.fail("a trial ran")
+
+        monkeypatch.setattr(runner, "_run_trial", no_trial)
+        monkeypatch.chdir(tmp_path)
+        text = MINI.format(trials=2) + f"{key} = {tmp_path / 'x.csv'}\n"
+        cfg_path = write_cfg(tmp_path, text)
+        assert main([*command, "--config", cfg_path]) == 2
+        assert f"{cfg_path}:9: unknown key {key!r}; valid keys: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [Path(cfg_path)]
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])
     def test_directory_as_output_exit_2(self, tmp_path, capsys, monkeypatch, command):
@@ -497,6 +527,23 @@ class TestCli:
         assert code == 0
         summary = json.loads((tmp_path / "sweep.summary.json").read_text())
         assert "slope" in summary
+
+    def test_sweep_without_completed_trial_at_one_delta_exits_1(self, tmp_path, capsys,
+                                                                failing_adaptive):
+        failing_adaptive.add(0.15)
+        cfg_path, out = write_cfg(tmp_path, MINI.format(trials=2)), tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg_path, "--delta-list", "0.2,0.15,0.1",
+                     "--out", str(out)]) == 1
+        assert [line.split(",")[5] for line in out.read_text().splitlines()[1:]] \
+            == ["0.2", "0.2", "0.15", "0.15", "0.1", "0.1"]
+        text = (tmp_path / "sweep.summary.json").read_text()
+        summary = json.loads(text, parse_constant=lambda c: pytest.fail(f"bare {c}"))
+        assert [[p[k] is None for k in ("median_T", "q1_T", "q3_T")]
+                for p in summary["per_delta"]] == [[False] * 3, [True] * 3, [False] * 3]
+        assert capsys.readouterr().err.splitlines() == [
+            "trial 0 at delta 0.15: InversionUnstableError: |c_0| below the inversion threshold",
+            "trial 1 at delta 0.15: InversionUnstableError: |c_0| below the inversion threshold",
+            "error: no trial completed at delta 0.15: {'InversionUnstableError': 2}"]
 
     def test_sweep_duplicate_delta_exit_2(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, MINI.format(trials=1))
