@@ -57,13 +57,12 @@ def time_lower_bound(m: int, d: int, delta: float) -> float:
 
 
 def nonspherical_time_lower(c: float, d: int, delta: float) -> float:
-    """Growth-law time bound for models with sum X_j^2 not proportional to I.
+    """Growth-law time bound d sqrt(c) / (2 delta), for any model.
 
-    Substitutes the operator norm c for m/d in the spherical chain, giving
-    d sqrt(c) / (2 delta); at c = m/d this reduces exactly to
-    :func:`time_lower_bound`.  The delta exponent is 1 by that consistency
-    requirement; a delta^-2 variant of this bound circulates but does not
-    reduce to the spherical value.
+    Substitutes the operator norm c for m/d in the spherical chain; at
+    c = m/d, the spherical case, it is :func:`time_lower_bound`.  The delta
+    exponent is 1 by that consistency requirement; a delta^-2 variant of this
+    bound circulates but does not reduce to the spherical value.
     """
     if min(c, d, delta) <= 0:
         raise ValidationError("nonspherical_time_lower requires positive arguments")
@@ -144,22 +143,21 @@ def bound_report(model: HamiltonianModel, delta: float, e_radius: float,
                  constants: SchemeConstants = DEFAULT_CONSTANTS) -> BoundReport:
     """Assemble the bound values at the evolution time tau of the one_channel plan.
 
-    ``preferred_upper`` names the few-parameter bound only where it holds,
-    for spherical models, and only where it is the tighter of the two.
+    ``qfi_upper`` (4 c tau^2) and ``time_lower`` take the growth-law constant
+    c alone; a spherical model has c = m/d.  ``preferred_upper`` names the
+    few-parameter bound only where it holds, for spherical models, and only
+    where it is the tighter of the two.
     """
     if not (0 < delta < math.inf and 0 < e_radius < math.inf):
         raise ValidationError(f"delta and E must be positive and finite, got {delta}, {e_radius}")
     m, d = model.m, model.d
     tau = _plan("one_channel", model, delta, e_radius, constants)[0].tau
-    qfi_upper = 4.0 * m * tau ** 2 / d if model.spherical else 4.0 * model.c * tau ** 2
-    lower = time_lower_bound(m, d, delta) if model.spherical \
-        else nonspherical_time_lower(model.c, d, delta)
     upper = time_upper_general(m, d, delta, constants)
     few = fewparam_time_upper(m, d, delta, constants)
     return BoundReport(
-        qfi_upper=qfi_upper,
+        qfi_upper=4.0 * model.c * tau ** 2,
         copies_lower=m * d / (4.0 * delta ** 2 * tau ** 2),
-        time_lower=lower,
+        time_lower=nonspherical_time_lower(model.c, d, delta),
         time_upper_general=upper,
         time_upper_fewparam=few,
         constants_used={

@@ -1,7 +1,7 @@
 """Command-line harness: `hamest run|sweep|verify`.
 
 run     execute the configured experiment, write a CSV of per-trial records
-        and a JSON summary (success rate, median/quartile time resource).
+        and a JSON summary (success rate, the planned time resource T).
 sweep   rerun the experiment over a decreasing list of error tolerances and
         fit the log-log slope of the planned time resource, which every
         completed trial of a delta carries as its T.
@@ -57,7 +57,7 @@ def cmd_experiment(args) -> int:
     else:
         rows, summary = run_experiment(cfg, jobs=args.jobs)
         report = (f"success_rate={summary['success_rate']:.3f} "
-               f"median_T={summary['median_T']:.6g}")
+                  f"total_time={summary['total_time']:.6g}")
     write_outputs(rows, summary, csv_path, json_path)
     for r in rows:
         if r["error"]:

@@ -149,7 +149,6 @@ class QfiReport:
     G: np.ndarray
     trace_J: float
     bound_4ct2: float
-    spherical_bound: float | None
 
     def __post_init__(self):
         j = np.asarray(self.J, dtype=float)
@@ -198,10 +197,8 @@ def qfi_matrix(model: HamiltonianModel, theta, schedule: Schedule) -> QfiReport:
     gmat = cvecs.conj() @ cvecs.T
 
     t_eff = schedule.r * schedule.total_time
-    bound = 4.0 * model.c * t_eff ** 2
-    sph = 4.0 * model.m * t_eff ** 2 / model.d if model.spherical else None
     return QfiReport(J=jmat, G=gmat, trace_J=float(np.trace(jmat)),
-                     bound_4ct2=bound, spherical_bound=sph)
+                     bound_4ct2=4.0 * model.c * t_eff ** 2)
 
 
 def _truncate(schedule: Schedule, t: float) -> Schedule:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 from collections import Counter
 
 import numpy as np
@@ -108,6 +107,7 @@ def _run_block(cfg: ExperimentConfig, model: HamiltonianModel, plan: list, maste
 
     One model serves every trial, on min(jobs, trials, usable CPUs) processes;
     only more than one imports and starts a process pool.  jobs < 1 is rejected.
+    ``total_time`` is the plan's T, which every completed trial carries, and
     ``capped_stages`` counts the stages of ``plan`` whose r the r_max cap holds back.
     """
     if jobs < 1:
@@ -121,7 +121,8 @@ def _run_block(cfg: ExperimentConfig, model: HamiltonianModel, plan: list, maste
         with ProcessPoolExecutor(max_workers=workers, initializer=_share_cpus,
                                  initargs=(workers,)) as pool:
             rows = list(pool.map(trial, range(cfg.trials), chunksize=1))
-    return rows, dict(summarize(rows), capped_stages=sum(s.capped for s in plan))
+    return rows, dict(summarize(rows), total_time=estimation._total_time(plan),
+                      capped_stages=sum(s.capped for s in plan))
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[dict], dict]:
@@ -133,10 +134,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[dict], di
 def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict], dict]:
     """Run the experiment at each delta and fit log(T) vs log(delta).
 
-    T is each delta's planned time resource, which every completed trial at
-    that delta carries, so the fit is that of the median T and needs no
-    completed trial.  A delta that completed none keeps NaN quartiles in
-    ``per_delta``.
+    T is each delta's planned time resource, its ``total_time`` in
+    ``per_delta``, so the fit needs no completed trial.
     """
     deltas = [float(x) for x in deltas]
     if len(deltas) < 3:
@@ -155,7 +154,7 @@ def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict],
         per_delta.append(dict(stats, delta=block_cfg.delta))
 
     x = np.log(np.asarray(deltas))
-    y = np.log(np.asarray([estimation._total_time(plan) for plan in plans]))
+    y = np.log(np.asarray([s["total_time"] for s in per_delta]))
     slope, intercept = np.polyfit(x, y, 1)
     residuals = (y - (slope * x + intercept)).tolist()
     summary = summarize(rows)
@@ -166,20 +165,12 @@ def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict],
 
 
 def summarize(rows) -> dict:
-    """Success rate over all trials; T quartiles and failed stages over completed ones.
-
-    The quartiles are NaN when no trial completed.
-    """
+    """Success rate over all trials, errors by type, and failed stages of the completed ones."""
     errors = Counter(r["error"].split(":", 1)[0] for r in rows if r.get("error"))
     completed = [r for r in rows if not r.get("error")]
-    times = [r["total_time"] for r in completed] or [math.nan]
-    q1, med, q3 = (np.percentile(times, q) for q in (25, 50, 75))
     return {
         "n_trials": len(rows),
         "success_rate": float(np.mean([bool(r["success"]) for r in rows])),
-        "median_T": float(med),
-        "q1_T": float(q1),
-        "q3_T": float(q3),
         "n_errors": sum(errors.values()),
         "errors_by_type": dict(sorted(errors.items())),
         "stage_failures": sum(r["stages"].count(":failed") for r in completed),
@@ -201,19 +192,10 @@ def rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _null_quartiles(summary: dict) -> dict:
-    """The summary with NaN time quartiles, its own and those in per_delta, as None."""
-    out = {k: None if k in ("median_T", "q1_T", "q3_T") and math.isnan(v) else v
-           for k, v in summary.items()}
-    if "per_delta" in out:
-        out["per_delta"] = [_null_quartiles(s) for s in out["per_delta"]]
-    return out
-
-
 def write_outputs(rows, summary, csv_path, json_path) -> None:
-    """CSV rows and JSON summary; time quartiles with no completed trial become null."""
+    """CSV rows and JSON summary."""
     with open(csv_path, "w") as fh:
         fh.write(rows_to_csv(rows))
     with open(json_path, "w") as fh:
-        json.dump(_null_quartiles(summary), fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

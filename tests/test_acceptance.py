@@ -31,8 +31,8 @@ def _line(num, name, detail=""):
 
 
 @pytest.fixture(scope="module")
-def sweep_medians():
-    """Median time resource per delta for the staged schemes (100 trials)."""
+def staged_sweeps():
+    """Sweep summaries of the staged schemes, 100 trials per delta."""
     out = {}
     for scheme in ("adaptive", "many_channel"):
         cfg = ExperimentConfig(model_kind="full", d=2, scheme=scheme,
@@ -106,8 +106,8 @@ def test_03_collective_moment_identities():
     _line(3, "collective trace-moment identities", "4/3 and 8/3 reproduced")
 
 
-def test_04_scaling_separation(sweep_medians):
-    adaptive_slope = sweep_medians["adaptive"]["slope"]
+def test_04_scaling_separation(staged_sweeps):
+    adaptive_slope = staged_sweeps["adaptive"]["slope"]
     assert -1.25 <= adaptive_slope <= -0.8, adaptive_slope
 
     cfg = ExperimentConfig(model_kind="full", d=2, scheme="one_channel",
@@ -120,12 +120,12 @@ def test_04_scaling_separation(sweep_medians):
           f"adaptive slope {adaptive_slope:.3f}, one-channel slope {one_slope:.3f}")
 
 
-def test_05_scheme_equivalence(sweep_medians):
+def test_05_scheme_equivalence(staged_sweeps):
     ratios = []
-    for pa, pm in zip(sweep_medians["adaptive"]["per_delta"],
-                      sweep_medians["many_channel"]["per_delta"]):
+    for pa, pm in zip(staged_sweeps["adaptive"]["per_delta"],
+                      staged_sweeps["many_channel"]["per_delta"]):
         assert pa["delta"] == pm["delta"]
-        ratio = pm["median_T"] / pa["median_T"]
+        ratio = pm["total_time"] / pa["total_time"]
         ratios.append(ratio)
         assert 1 / 4 <= ratio <= 4, (pa["delta"], ratio)
     _line(5, "sequential/parallel time equivalence",

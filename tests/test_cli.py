@@ -42,6 +42,21 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
     return str(path)
 
 
+def plan_time(cfg, delta):
+    """The planned T of cfg's experiment at delta: Sigma N r tau of its stage plan."""
+    model = make_model(cfg.model_kind, cfg.d)
+    return estimation._total_time(estimation._plan(cfg.scheme, model, delta, cfg.e_radius,
+                                                   cfg.constants))
+
+
+def completed_times(csv_text, delta):
+    """The total_time cells, as floats, of the completed rows at delta."""
+    header, *lines = csv_text.splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    return [float(r["total_time"]) for r in rows
+            if r["delta"] == repr(delta) and r["stages"]]
+
+
 @pytest.fixture
 def failing_adaptive(monkeypatch):
     """Adaptive trials raise, as a trial whose inversion is unstable does.
@@ -134,9 +149,10 @@ class TestRunner:
         assert CSV_HEADER == ("trial,seed,scheme,d,m,delta,E,theta_err,"
                               "total_time,success,stages")
         assert len(text.splitlines()) == 3
-        assert set(summary) == {"n_trials", "success_rate", "median_T",
-                                "q1_T", "q3_T", "n_errors", "errors_by_type",
-                                "stage_failures", "capped_stages"}
+        assert set(summary) == {"n_trials", "success_rate", "total_time", "n_errors",
+                                "errors_by_type", "stage_failures", "capped_stages"}
+        assert summary["total_time"] == plan_time(cfg, cfg.delta)
+        assert completed_times(text, cfg.delta) == [summary["total_time"]] * 2
 
     @pytest.mark.parametrize("path, capped", [
         (GOLDEN / "many_channel_rmax8.cfg", 3),      # r = 2, 4, 8, 8, 8, 8 for 2 ... 64
@@ -162,15 +178,15 @@ class TestRunner:
         assert failed >= 1
         assert summary["stage_failures"] == failed
 
-    def test_errored_trials_stay_out_of_time_quartiles(self, failing_adaptive):
+    def test_errored_trials_stay_out_of_block_time(self, failing_adaptive):
+        # the block's T is its plan's, whatever the 0.0 of an errored row
         cfg = parse_config_text(MINI.format(trials=2))
         rows, summary = run_experiment(cfg)
         assert [r["total_time"] for r in rows] == [0.0, 0.0]
         assert summary["n_errors"] == 2
         assert summary["errors_by_type"] == {"InversionUnstableError": 2}
         assert summary["success_rate"] == 0.0
-        for key in ("median_T", "q1_T", "q3_T"):
-            assert np.isnan(summary[key])
+        assert summary["total_time"] == plan_time(cfg, 0.1)
 
     def test_errored_row_csv_cells(self, failing_adaptive):
         rows, _ = run_experiment(parse_config_text(MINI.format(trials=1)))
@@ -187,14 +203,14 @@ class TestRunner:
         assert [r["delta"] for r in rows] == [0.2, 0.2, 0.15, 0.15, 0.1, 0.1]
         empty = summary["per_delta"][1]
         assert empty["delta"] == 0.15 and empty["n_errors"] == empty["n_trials"] == 2
-        assert all(np.isnan(empty[k]) for k in ("median_T", "q1_T", "q3_T"))
-        model = make_model("full", 2)
-        plan_T = [estimation._total_time(estimation._plan("adaptive", model, delta, 1.0,
-                                                          cfg.constants))
-                  for delta in deltas]
+        plan_T = [plan_time(cfg, delta) for delta in deltas]
         slope, intercept = np.polyfit(np.log(deltas), np.log(plan_T), 1)
         assert (summary["slope"], summary["intercept"]) == (slope, intercept)
-        assert [p["median_T"] for p in summary["per_delta"][::2]] == plan_T[::2]
+        assert [p["total_time"] for p in summary["per_delta"]] == plan_T
+        text = rows_to_csv(rows)
+        assert [completed_times(text, delta) for delta in deltas] \
+            == [[plan_T[0]] * 2, [], [plan_T[2]] * 2]
+        assert "total_time" not in summary
 
     def test_deterministic_body(self):
         cfg = parse_config_text(MINI.format(trials=3))
@@ -310,10 +326,14 @@ class TestRunner:
         cfg = parse_config_text(MINI.format(trials=2))
         rows, summary = run_sweep(cfg, [0.2, 0.15, 0.1])
         assert len(rows) == 6
-        for key in ("success_rate", "median_T", "q1_T", "q3_T", "slope",
-                    "intercept", "residuals", "per_delta"):
-            assert key in summary
+        assert set(summary) == {"n_trials", "success_rate", "n_errors", "errors_by_type",
+                                "stage_failures", "capped_stages", "slope", "intercept",
+                                "residuals", "per_delta"}
         assert [p["delta"] for p in summary["per_delta"]] == [0.2, 0.15, 0.1]
+        text = rows_to_csv(rows)
+        for p in summary["per_delta"]:
+            assert p["total_time"] == plan_time(cfg, p["delta"])
+            assert completed_times(text, p["delta"]) == [p["total_time"]] * 2
 
     def test_worst_case_grid_sampling(self):
         cfg = parse_config_text(MINI.format(trials=6) + "worst_case_grid=true\n")
@@ -365,7 +385,8 @@ class TestCli:
         text = (tmp_path / "res.summary.json").read_text()
         summary = json.loads(text, parse_constant=lambda c: pytest.fail(f"bare {c}"))
         assert summary["n_errors"] == 2
-        assert [summary[k] for k in ("median_T", "q1_T", "q3_T")] == [None, None, None]
+        assert summary["total_time"] == plan_time(parse_config(cfg_path), 0.1)
+        assert completed_times(out.read_text(), 0.1) == []
 
     def test_rerun_identical(self, tmp_path):
         cfg_path = write_cfg(tmp_path, MINI.format(trials=2))
@@ -538,8 +559,11 @@ class TestCli:
             == ["0.2", "0.2", "0.15", "0.15", "0.1", "0.1"]
         text = (tmp_path / "sweep.summary.json").read_text()
         summary = json.loads(text, parse_constant=lambda c: pytest.fail(f"bare {c}"))
-        assert [[p[k] is None for k in ("median_T", "q1_T", "q3_T")]
-                for p in summary["per_delta"]] == [[False] * 3, [True] * 3, [False] * 3]
+        cfg, deltas = parse_config(cfg_path), (0.2, 0.15, 0.1)
+        plan_T = [plan_time(cfg, delta) for delta in deltas]
+        assert [p["total_time"] for p in summary["per_delta"]] == plan_T
+        assert [completed_times(out.read_text(), delta) for delta in deltas] \
+            == [[plan_T[0]] * 2, [], [plan_T[2]] * 2]
         assert capsys.readouterr().err.splitlines() == [
             "trial 0 at delta 0.15: InversionUnstableError: |c_0| below the inversion threshold",
             "trial 1 at delta 0.15: InversionUnstableError: |c_0| below the inversion threshold",

@@ -149,11 +149,14 @@ class TestQfi:
         assert np.max(np.abs(rep.G - loop)) < 1e-12
 
     def test_spherical_bound_reported(self):
-        rep = qfi_matrix(make_model("full", 2), np.zeros(3), free_schedule(2, 1.0))
-        assert rep.spherical_bound == pytest.approx(4 * 3 / 2 * 1.0 ** 2)
-        rep2 = qfi_matrix(make_model("offdiag", 3), np.zeros(2),
-                          free_schedule(3, 1.0))
-        assert rep2.spherical_bound is None
+        # for a spherical model 4 c t^2 is 4 (m/d) t^2
+        t = 1.3
+        for kind, d in (("full", 2), ("full", 3), ("phase", 3), ("offdiag", 3)):
+            model = make_model(kind, d)
+            rep = qfi_matrix(model, np.zeros(model.m), free_schedule(d, t))
+            assert model.spherical == (kind != "offdiag")
+            expected = 4 * model.m / d * t ** 2 if model.spherical else 4 * model.c * t ** 2
+            assert rep.bound_4ct2 == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_r2_time_accounting(self):
         # entangling two channels doubles the effective time in the bound
