@@ -6,8 +6,7 @@ adaptive-feedback, and many-channel estimation procedures end to end.
 """
 
 from .bounds import (BoundReport, biased_cr_rhs, bound_report, fewparam_time_upper,
-                     nonspherical_time_lower, qcr_chain, time_lower_bound,
-                     time_upper_general)
+                     nonspherical_time_lower, qcr_chain, time_upper_general)
 from .config import ExperimentConfig, parse_config
 from .constants import DEFAULT_CONSTANTS, TOL, SchemeConstants, Tolerances
 from .estimation import (EstimationRecord, invert_theta, run_adaptive,

@@ -22,7 +22,6 @@ from .model import HamiltonianModel
 __all__ = [
     "BoundReport",
     "qcr_chain",
-    "time_lower_bound",
     "nonspherical_time_lower",
     "fewparam_time_upper",
     "time_upper_general",
@@ -31,7 +30,7 @@ __all__ = [
 ]
 
 EQ_CHAIN_CONSTANT = 0.25   # Tr V >= m d / (4 N tau^2)
-EQ_TIME_CONSTANT = 0.5     # T >= sqrt(m d) / (2 delta)
+EQ_TIME_CONSTANT = 0.5     # T >= d sqrt(c) / (2 delta)
 
 
 def qcr_chain(m: int, d: int, delta: float, tau: float, n_copies: int) -> dict:
@@ -42,31 +41,23 @@ def qcr_chain(m: int, d: int, delta: float, tau: float, n_copies: int) -> dict:
     """
     if min(m, d, delta, tau, n_copies) <= 0:
         raise ValidationError("qcr_chain requires positive arguments")
-    trv_lower = m * d / (4.0 * n_copies * tau * tau)
     return {
-        "trV_lower": trv_lower,
-        "tradeoff_ok": bool(n_copies * tau * tau >= m * d / (4.0 * delta * delta)),
+        "trV_lower": EQ_CHAIN_CONSTANT * m * d / (n_copies * tau * tau),
+        "tradeoff_ok": bool(n_copies * tau * tau >= EQ_CHAIN_CONSTANT * m * d / (delta * delta)),
     }
-
-
-def time_lower_bound(m: int, d: int, delta: float) -> float:
-    """sqrt(m d) / (2 delta): chain the covariance bound with N >= 1."""
-    if min(m, d, delta) <= 0:
-        raise ValidationError("time_lower_bound requires positive arguments")
-    return math.sqrt(m * d) / (2.0 * delta)
 
 
 def nonspherical_time_lower(c: float, d: int, delta: float) -> float:
     """Growth-law time bound d sqrt(c) / (2 delta), for any model.
 
-    Substitutes the operator norm c for m/d in the spherical chain; at
-    c = m/d, the spherical case, it is :func:`time_lower_bound`.  The delta
+    Chains the covariance bound with Tr J <= 4 c t^2 and N >= 1.  A spherical
+    model has c = m/d, where the bound is sqrt(m d) / (2 delta).  The delta
     exponent is 1 by that consistency requirement; a delta^-2 variant of this
     bound circulates but does not reduce to the spherical value.
     """
     if min(c, d, delta) <= 0:
         raise ValidationError("nonspherical_time_lower requires positive arguments")
-    return d * math.sqrt(c) / (2.0 * delta)
+    return EQ_TIME_CONSTANT * d * math.sqrt(c) / delta
 
 
 def time_upper_general(m: int, d: int, delta: float,
@@ -156,7 +147,7 @@ def bound_report(model: HamiltonianModel, delta: float, e_radius: float,
     few = fewparam_time_upper(m, d, delta, constants)
     return BoundReport(
         qfi_upper=4.0 * model.c * tau ** 2,
-        copies_lower=m * d / (4.0 * delta ** 2 * tau ** 2),
+        copies_lower=EQ_CHAIN_CONSTANT * m * d / (delta ** 2 * tau ** 2),
         time_lower=nonspherical_time_lower(model.c, d, delta),
         time_upper_general=upper,
         time_upper_fewparam=few,

@@ -312,6 +312,12 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
     r_n = min(2^(n0-n) d, r_max) channels instead; a stage is capped where r_n < 2^(n0-n) d.
     Every stage needs finite tau > 0 and N < 2^63 (an N past the float range counts as
     inf), the plan a finite T, and a staged plan E / delta <= 2^1023, so that 2^n0 is a float.
+    Last, E <= 2^480, so that no vector norm a trial takes overflows.  The longest such
+    vector is a stage's unclipped first-order increment (norm_factor / tau) Im(c_j / c_0):
+    |c_0| >= TOL.min_c0 = 0.1 and |c| = 1 bound Im(c / c_0) by 10, norm_factor is at
+    most sqrt(d), and 1 / tau = sqrt(c) R / kappa with R < 2E.  So the increment is at most
+    20 sqrt(d c) E / kappa, and its square stays below 2^1024 while 20 sqrt(d c) / kappa
+    < 2^32, as it does at the default kappa for every built-in model (c < d) with d < 10^8.
     """
     r_max = constants.effective_r_max(model.d)
 
@@ -340,6 +346,8 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
         raise ValidationError(f"E/delta must be at most 2^1023, got E/delta={e_radius / delta!r}")
     if not _total_time(plan) < math.inf:
         raise ValidationError(f"the planned T must be finite, got T={_total_time(plan)!r}")
+    if e_radius > 2.0 ** 480:
+        raise ValidationError(f"E must be at most 2^480, got E={e_radius!r}")
     return plan
 
 

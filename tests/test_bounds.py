@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import hamest
+from hamest import bounds
 from hamest.bounds import (bound_report, biased_cr_rhs, fewparam_time_upper,
-                           nonspherical_time_lower, qcr_chain, time_lower_bound,
-                           time_upper_general)
+                           nonspherical_time_lower, qcr_chain, time_upper_general)
 from hamest.constants import SchemeConstants
 from hamest.errors import ValidationError
 from hamest.estimation import _plan
@@ -24,6 +25,17 @@ class TestQcrChain:
         b = qcr_chain(3, 2, 0.1, 1.0, 40)["trV_lower"]
         assert a / b == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("args, trv_lower, tradeoff_ok", [
+        ((3, 2, 0.1, 1.0, 1), 1.5, False),
+        ((3, 2, 0.1, 1.0, 10), 0.15, False),
+        ((3, 2, 0.1, 1.0, 40), 0.0375, False),
+        ((3, 2, 0.1, 0.7, 307), 0.009971415276208205, True),
+        ((3, 2, 0.1, 0.7, 305), 0.010036801605888258, False),
+    ])
+    def test_worked_points_exact(self, args, trv_lower, tradeoff_ok):
+        # the values the literal 1/4 gave; the chain constant is a power of two
+        assert qcr_chain(*args) == {"trV_lower": trv_lower, "tradeoff_ok": tradeoff_ok}
+
     def test_tradeoff_boundary(self):
         m, d, delta, tau = 3, 2, 0.1, 0.7
         n_critical = m * d / (4 * delta ** 2 * tau ** 2)
@@ -32,18 +44,24 @@ class TestQcrChain:
 
 
 class TestTimeLower:
+    """The time lower bound of a spherical model, c = m/d: sqrt(m d) / (2 delta)."""
+
     def test_worked_value(self):
-        assert time_lower_bound(3, 2, 0.1) == pytest.approx(math.sqrt(6) / 0.2)
+        assert nonspherical_time_lower(3 / 2, 2, 0.1) == pytest.approx(math.sqrt(6) / 0.2)
 
     def test_delta_halving_doubles(self):
-        assert time_lower_bound(3, 2, 0.05) == pytest.approx(
-            2 * time_lower_bound(3, 2, 0.1))
+        assert nonspherical_time_lower(3 / 2, 2, 0.05) == pytest.approx(
+            2 * nonspherical_time_lower(3 / 2, 2, 0.1))
 
     def test_full_model_exponent(self):
         # m = d^2 - 1: bound grows as d^{3/2} / (2 delta)
         for d in (3, 5, 9):
-            val = time_lower_bound(d * d - 1, d, 0.1)
+            val = nonspherical_time_lower((d * d - 1) / d, d, 0.1)
             assert val == pytest.approx(math.sqrt((d * d - 1) * d) / 0.2)
+
+    def test_spherical_form_is_gone(self):
+        assert not hasattr(hamest, "time_lower_bound")
+        assert not hasattr(bounds, "time_lower_bound")
 
 
 class TestNonsphericalLower:
@@ -51,9 +69,25 @@ class TestNonsphericalLower:
         assert nonspherical_time_lower(1.0, 3, 0.1) > 0
 
     def test_reduces_to_spherical(self):
-        m, d = 5, 3
-        assert nonspherical_time_lower(m / d, d, 0.07) == pytest.approx(
-            time_lower_bound(m, d, 0.07))
+        for kind in ("full", "phase"):
+            for d in (2, 3, 4):
+                model = make_model(kind, d)
+                assert model.spherical
+                assert bound_report(model, 0.07, 1.0).time_lower == pytest.approx(
+                    math.sqrt(model.m * d) / (2 * 0.07), rel=1e-15), (kind, d)
+
+    @pytest.mark.parametrize("c, d, delta, value", [
+        (1.0, 3, 0.1, 15.0),
+        (5 / 3, 3, 0.07, 27.664166758624404),
+        (3 / 2, 2, 0.1, 12.247448713915889),
+        (3 / 2, 2, 0.05, 24.494897427831777),
+        (8 / 3, 3, 0.1, 24.494897427831777),
+        (24 / 5, 5, 0.1, 54.7722557505166),
+        (80 / 9, 9, 0.1, 134.16407864998737),
+    ])
+    def test_worked_points_exact(self, c, d, delta, value):
+        # the values the literal 2 gave; the time constant is a power of two
+        assert nonspherical_time_lower(c, d, delta) == value
 
     def test_saturating_offdiag_audit(self):
         # free evolution of the offdiag model attains Tr J = 4 c t^2
@@ -72,8 +106,8 @@ class TestNonsphericalLower:
 
 class TestFewParam:
     def test_single_parameter_matches_lower_scaling(self):
-        # m = 1: upper m^{3/2} sqrt(d) and lower sqrt(md) both scale as sqrt(d)
-        vals = [fewparam_time_upper(1, d, 0.1) / time_lower_bound(1, d, 0.1)
+        # m = 1, c = 1/d: upper m^{3/2} sqrt(d) and lower sqrt(md) both scale as sqrt(d)
+        vals = [fewparam_time_upper(1, d, 0.1) / nonspherical_time_lower(1 / d, d, 0.1)
                 for d in (2, 4, 8, 16)]
         assert np.ptp(vals) < 1e-9
 
@@ -128,6 +162,21 @@ class TestReport:
         used = rep.constants_used
         assert used["kappa"] == 0.4 and used["alpha"] == 50.0
         assert used["chain_constant"] == 0.25 and used["time_constant"] == 0.5
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    @pytest.mark.parametrize("kind", ["full", "phase", "offdiag"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_values_follow_echoed_constants(self, monkeypatch, scale, kind, d):
+        # scale 3 moves both constants off their defaults: the values must follow the echo
+        monkeypatch.setattr(bounds, "EQ_CHAIN_CONSTANT", scale * bounds.EQ_CHAIN_CONSTANT)
+        monkeypatch.setattr(bounds, "EQ_TIME_CONSTANT", scale * bounds.EQ_TIME_CONSTANT)
+        model, delta = make_model(kind, d), 0.05
+        rep = bound_report(model, delta, 1.0)
+        used = rep.constants_used
+        assert rep.time_lower == pytest.approx(
+            used["time_constant"] * d * math.sqrt(model.c) / delta, rel=1e-15)
+        assert rep.copies_lower == pytest.approx(
+            used["chain_constant"] * model.m * d / (delta * used["tau"]) ** 2, rel=1e-15)
 
     @pytest.mark.parametrize("delta, e_radius", [(math.nan, 1.0), (0.1, math.inf), (0.0, 1.0)])
     def test_rejects_bad_delta_or_radius(self, delta, e_radius):

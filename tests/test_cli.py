@@ -3,6 +3,8 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from hamest.errors import InversionUnstableError, ValidationError
 from hamest.model import make_model
 from hamest.runner import (CSV_HEADER, rows_to_csv, run_experiment, run_sweep,
                            trial_seed)
+from hamest.verify import SUITES, run_suite
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -474,6 +477,24 @@ class TestCli:
         assert not out.exists() and not (tmp_path / "res.summary.json").exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_search_radius_past_2_to_480_exit_2(self, tmp_path, capsys, monkeypatch, recwarn,
+                                                command):
+        # np.linalg.norm of a theta this long overflows, so every staged trial would error
+        def no_trial(*args):
+            pytest.fail("a trial ran")
+
+        monkeypatch.setattr(runner, "_run_trial", no_trial)
+        deltas = "1e300,5e299,2.5e299"
+        text = (MINI.format(trials=2).replace("E = 1.0", "E = 1e301")
+                .replace("delta = 0.1", "delta = 1e300"))
+        cfg_path, out = write_cfg(tmp_path, text), tmp_path / "res.csv"
+        argv = [command, "--config", cfg_path, "--out", str(out)]
+        assert main(argv + (["--delta-list", deltas] if command == "sweep" else [])) == 2
+        assert capsys.readouterr().err == "error: E must be at most 2^480, got E=1e+301\n"
+        assert not out.exists() and not (tmp_path / "res.summary.json").exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("e_radius, deltas", [("1e200", "1e199,5e198,2e198"),
                                                   ("1.0", "1e-170,5e-171,2e-171")],
                              ids=["E^2_overflows", "delta^2_underflows"])
@@ -578,6 +599,19 @@ class TestCli:
         assert main(["verify", "bounds"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_verify_lines_carry_wall_time(self, monkeypatch):
+        def fail():
+            raise AssertionError("margin 0.5")
+
+        monkeypatch.setitem(SUITES, "bounds", [("slow", lambda: time.sleep(0.02)),
+                                               ("failing", fail)])
+        lines = []
+        assert not run_suite("bounds", printer=lines.append)
+        slow, failing = lines
+        match = re.fullmatch(r"PASS slow \((\d+\.\d{3}) s\)", slow)
+        assert match and float(match[1]) >= 0.02
+        assert re.fullmatch(r"FAIL failing \(\d+\.\d{3} s\): margin 0\.5", failing)
 
 
 class TestShippedConfigs:

@@ -814,6 +814,17 @@ class TestPlan:
         plan = _plan("many_channel", FULL2, 2.0 ** -1023, 1.0, CONST)
         assert (len(plan), plan[0].n, plan[0].radius) == (1023, 1023, 1.0)
 
+    @pytest.mark.parametrize("scheme", DRIVERS)
+    def test_rejects_e_past_2_to_480(self, scheme):
+        # one_channel's E^2 overflows at E = 1e301, so its stage check names the cause there
+        first = "stage 0 cannot run" if scheme == "one_channel" else r"E must be at most 2\^480"
+        with pytest.raises(ValidationError, match=first):
+            _plan(scheme, FULL2, 1e300, 1e301, CONST)
+        with pytest.raises(ValidationError, match=r"E must be at most 2\^480, got E=6\.2"):
+            _plan(scheme, FULL2, 2.0 ** 481 / 10, 2.0 ** 481, CONST)
+        for e_radius in (2.0 ** 400, 2.0 ** 480):
+            assert _plan(scheme, FULL2, e_radius / 10, e_radius, CONST)
+
     def test_rejects_infinite_planned_time(self):
         # adaptive's tau = kappa / max_energy(2^n delta) is finite at every stage,
         # but N r tau of the last stages overflows; many_channel keeps the tau of 2^n0 delta
