@@ -57,11 +57,13 @@ class SchemeConstants:
             The default bounds a plan's series length r d: the frame series
             cost O(d r) per call, but lifting the cap needs a plan-time
             memory rule first (ROADMAP item 11).
-    refine  apply one Gauss-Newton fidelity refinement after the first-order
-            inversion (removes the O(kappa^2) inversion bias).  The step uses
-            the exact Jacobian of the stage's normalized frame coefficients:
-            the Frechet derivative of exp(-i tau H) pushed through the
-            frame-coefficient map, with no finite differences.
+    refine  one_channel only.  Apply one Gauss-Newton fidelity refinement
+            after the first-order inversion of its single stage (removes the
+            O(kappa^2) inversion bias, which no later stage measures away).
+            The step uses the exact Jacobian of the stage's normalized frame
+            coefficients: the Frechet derivative of exp(-i tau H) pushed
+            through the frame-coefficient map, with no finite differences.
+            The staged schemes always invert to first order.
     trotter_slices  adaptive only.  0 = exact feedback, V = exp(-i tau H_{theta-theta*});
             k > 0 = kicks exp(+i s H_theta*) between k slices exp(-i s H_theta),
             s = tau / k, in the symmetric d x d splitting (error O(tau^3 / k^2)).

@@ -5,7 +5,10 @@ evolved probe onto the (m+1)-dimensional frame spanned by the unperturbed
 probe and its first-order responses (a postselection), reconstruct the
 projected state by single-copy random-basis tomography, invert the frame
 coefficients to a parameter estimate, and (for the staged schemes) feed the
-estimate back and halve the search radius.
+estimate back and halve the search radius.  The staged schemes invert to first
+order: each stage only has to land inside the radius the next stage searches,
+and the next stage measures the earlier bias away.  one_channel has no later
+stage, so it adds one Gauss-Newton step (``SchemeConstants.refine``).
 
 Three drivers are provided: :func:`run_one_channel` (fixed radius, classical
 T ~ 1/delta^2 scaling), :func:`run_adaptive` (feedback staging, T ~ 1/delta),
@@ -205,9 +208,10 @@ def invert_theta(reduced, tau: float, norm_factor: float,
     ``norm_factor`` is 1/sqrt(F2(d, r)) of the probe's frame, sqrt(d) for a
     single channel.  After fixing the phase of c_0 to be real positive,
     theta_j = -(norm_factor / tau) Im(c_j / c_0), exact to first order in
-    tau * ||theta||.  When ``family`` is supplied, a callable theta -> (f, df)
-    with f the exact normalized frame coefficients and df = df/dtheta their
-    (m+1, m) Jacobian, one Gauss-Newton fidelity refinement is applied on top.
+    tau * ||theta||; the staged schemes stop here.  When ``family`` is supplied,
+    a callable theta -> (f, df) with f the exact normalized frame coefficients
+    and df = df/dtheta their (m+1, m) Jacobian, one Gauss-Newton fidelity
+    refinement is applied on top, as one_channel does.
     """
     c = np.asarray(reduced, dtype=complex).reshape(-1)
     if c.size < 2:
@@ -316,8 +320,9 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
     vector is a stage's unclipped first-order increment (norm_factor / tau) Im(c_j / c_0):
     |c_0| >= TOL.min_c0 = 0.1 and |c| = 1 bound Im(c / c_0) by 10, norm_factor is at
     most sqrt(d), and 1 / tau = sqrt(c) R / kappa with R < 2E.  So the increment is at most
-    20 sqrt(d c) E / kappa, and its square stays below 2^1024 while 20 sqrt(d c) / kappa
-    < 2^32, as it does at the default kappa for every built-in model (c < d) with d < 10^8.
+    20 sqrt(d c) E / kappa, and its square stays below 2^1024 while that bound is below
+    2^512, which is checked last.  At the default kappa it follows from E <= 2^480 for
+    every built-in model (c < d) with d < 10^8.
     """
     r_max = constants.effective_r_max(model.d)
 
@@ -348,66 +353,59 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
         raise ValidationError(f"the planned T must be finite, got T={_total_time(plan)!r}")
     if e_radius > 2.0 ** 480:
         raise ValidationError(f"E must be at most 2^480, got E={e_radius!r}")
+    increment = 20 * math.sqrt(model.d * model.c) * e_radius / constants.kappa
+    if not increment < 2.0 ** 512:
+        raise ValidationError(f"the increment bound 20 sqrt(d c) E / kappa must be below 2^512, "
+                              f"got {increment!r} (E={e_radius!r}, kappa={constants.kappa!r})")
     return plan
 
 
 def _mes_probe(model: HamiltonianModel, theta_true: np.ndarray, trotter_slices: int):
-    """(V_true, inc -> (V, dV)) of the MES (r = 1), V = exp(-i tau H_{theta - theta*}).
+    """(stage, theta*) -> V_true of the MES (r = 1), V = exp(-i tau H_{theta - theta*}).
 
     With k = trotter_slices > 0, V_true is the symmetric splitting half (U_s full)^(k-1)
     U_s half, s = tau / k, half = exp(+i (s/2) H*), full = half^2, U_s =
     exp(-i s H_theta): feedback kicks between slices, error O(tau^3 / k^2).
-    The refinement family stays the exact V with its m derivatives dV.
     """
     def probe(stage: _Stage, theta_star: np.ndarray):
-        def unitary(inc):
-            return hermitian_expm_derivatives(hamiltonian(model, inc), stage.tau,
-                                              model.generators)
-
         if trotter_slices == 0:
-            return hermitian_expm(hamiltonian(model, theta_true - theta_star), stage.tau), unitary
+            return hermitian_expm(hamiltonian(model, theta_true - theta_star), stage.tau)
         s = stage.tau / trotter_slices
         half = hermitian_expm(hamiltonian(model, theta_star), -0.5 * s)
         u_s = hermitian_expm(hamiltonian(model, theta_true), s)
         steps = np.linalg.matrix_power(u_s @ half @ half, trotter_slices - 1)
-        return half @ steps @ u_s @ half, unitary
+        return half @ steps @ u_s @ half
 
     return probe
 
 
 def _symmetric_probe(model: HamiltonianModel, theta_true: np.ndarray):
-    """(V_true, inc -> (V, dV)) of the collective MES, V = exp(+i tau H_theta*) exp(-i tau H_theta).
+    """(stage, theta*) -> V_true of the collective MES, V = exp(+i tau H*) exp(-i tau H_theta).
 
-    Sym^r(V) is exp(+i tau {H_theta*}_r) exp(-i tau {H_theta}_r); the
-    counter-rotation is computed once per stage, and dV = counter dU.
-    exp(-i tau H_theta) is computed once per tau, which all stages share.
+    Sym^r(V) is exp(+i tau {H_theta*}_r) exp(-i tau {H_theta}_r).  exp(-i tau H_theta)
+    is computed once per tau, which all stages share.
     """
     @functools.cache
     def truth(tau):
         return hermitian_expm(hamiltonian(model, theta_true), tau)
 
     def probe(stage: _Stage, theta_star: np.ndarray):
-        counter = hermitian_expm(hamiltonian(model, theta_star), -stage.tau)
-
-        def unitary(inc):
-            u, du = hermitian_expm_derivatives(hamiltonian(model, theta_star + inc),
-                                               stage.tau, model.generators)
-            return counter @ u, counter @ du
-
-        return counter @ truth(stage.tau), unitary
+        return hermitian_expm(hamiltonian(model, theta_star), -stage.tau) @ truth(stage.tau)
 
     return probe
 
 
-def _frame_family(unitary, ops, r: int):
-    """inc -> (f, df): normalized frame coefficients of Sym^r(V(inc)) and their Jacobian.
+def _mes_family(model: HamiltonianModel, tau: float):
+    """inc -> (f, df): the normalized frame coefficients of V = exp(-i tau H_inc) and df/dinc.
 
-    With c, dc from :func:`sym_frame_tangents`, f = c / |c| and
-    df = dc / |c| - f Re(f^dag dc) / |c|.
+    one_channel's refinement family.  With c, dc from :func:`sym_frame_tangents` and dV
+    the Frechet derivative of V, f = c / |c| and df = dc / |c| - f Re(f^dag dc) / |c|.
     """
+    ops = model.generators
 
     def family(inc):
-        c, dc = sym_frame_tangents(*unitary(inc), ops, r)
+        c, dc = sym_frame_tangents(*hermitian_expm_derivatives(hamiltonian(model, inc), tau, ops),
+                                   ops)
         norm = np.linalg.norm(c)
         f = c / norm
         return f, (dc - np.outer(f, np.real(f.conj() @ dc))) / norm
@@ -416,19 +414,22 @@ def _frame_family(unitary, ops, r: int):
 
 
 def _run_stage(model, stage: _Stage, probe, theta_star, refine: bool, rng):
-    """Stage unitary -> frame coefficients -> estimate; returns (increment, accept rate)."""
-    v_true, unitary = probe(stage, theta_star)
-    ops = model.generators
-    c = sym_frame_coefficients(v_true, ops, stage.r)
+    """Stage unitary -> frame coefficients -> estimate; returns (increment, accept rate).
+
+    ``refine`` adds the Gauss-Newton step of :func:`_mes_family`, which models the
+    unsliced MES probe; only one_channel sets it.
+    """
+    c = sym_frame_coefficients(probe(stage, theta_star), model.generators, stage.r)
     p = float(np.real(np.vdot(c, c)))          # the postselection probability
     if p < TOL.min_postselect_p:
         raise DegenerateProjectionError(f"projection probability {p:.3e} is degenerate")
     return _stage_estimate(c / math.sqrt(p), min(p, 1.0), stage.copies, stage.tau,
                            1.0 / math.sqrt(f2_coeff(model.d, stage.r)),
-                           _frame_family(unitary, ops, stage.r) if refine else None, rng)
+                           _mes_family(model, stage.tau) if refine else None, rng)
 
 
-def _run_stages(scheme, make_probe, model, theta_true, delta, e_radius, constants, rng, seed):
+def _run_stages(scheme, make_probe, model, theta_true, delta, e_radius, constants, rng, seed,
+                refine=False):
     """Check the inputs, plan the scheme, and run its stages on make_probe(theta_true).
 
     A failed stage is recorded and skipped.  An increment longer than the stage's search
@@ -441,7 +442,7 @@ def _run_stages(scheme, make_probe, model, theta_true, delta, e_radius, constant
     records = []
     for stage in plan:
         try:
-            increment, rate = _run_stage(model, stage, probe, theta_star, constants.refine, rng)
+            increment, rate = _run_stage(model, stage, probe, theta_star, refine, rng)
             norm = np.linalg.norm(increment)
             if norm > stage.radius:
                 increment = increment * (stage.radius / norm)
@@ -460,11 +461,14 @@ def run_one_channel(model: HamiltonianModel, theta_true, delta: float,
                     seed: int = 0) -> EstimationRecord:
     """Single-radius estimation: one MES stage, fixed tau, N ~ E^2 / delta^2 copies.
 
-    No feedback, so T = N tau ~ 1 / delta^2.  The estimate is projected onto the
-    ball of radius E, and a failed stage is recorded, not raised: theta_hat = 0.
+    No feedback, so T = N tau ~ 1 / delta^2.  With ``constants.refine`` the first-order
+    estimate gets one Gauss-Newton step, since no later stage measures its O(kappa^2)
+    bias away.  The estimate is projected onto the ball of radius E, and a failed
+    stage is recorded, not raised: theta_hat = 0.
     """
     return _run_stages("one_channel", lambda theta: _mes_probe(model, theta, 0),
-                       model, theta_true, delta, e_radius, constants, rng, seed)
+                       model, theta_true, delta, e_radius, constants, rng, seed,
+                       refine=constants.refine)
 
 
 def run_adaptive(model: HamiltonianModel, theta_true, delta: float,

@@ -43,23 +43,30 @@ def sym_frame_coefficients(v, ops, r: int) -> np.ndarray:
     At r = 1, Sym^1(V) = V is the single-channel MES probe, and the trace form
     c_0 = Tr V / d, c_j = Tr(X_j V) / sqrt(d) skips the eigenbasis.  r is an integer >= 1.
     """
-    return _frame_coefficients(v, None, ops, r)[0]
+    if not isinstance(r, numbers.Integral) or r < 1:
+        raise ValidationError(f"r must be an integer >= 1, got {r!r}")
+    v, ops = np.asarray(v, dtype=complex), np.asarray(ops)
+    if r == 1:
+        return _trace_frame(v[None], ops)[:, 0]
+    d = v.shape[0]
+    eigs, q = unitary_eig(v)
+    powers = eigs[:, None] ** np.arange(r + 1)                 # (d, r + 1)
+    h = functools.reduce(_divide, powers[1:], powers[0])       # 1 / (1 - lambda_0 z) = lambda_0^k
+    weights = eigs * _divide(h[:r], powers[:, :r])[:, r - 1]  # sum_k lambda_i^k h_{r-k}
+    diag = np.real(np.diagonal(q.conj().T @ ops @ q, axis1=1, axis2=2))
+    dim = sym_dim(d, r)
+    return np.concatenate([[h[r] / dim], diag @ weights / (dim * math.sqrt(f2_coeff(d, r)))])
 
 
-def sym_frame_tangents(v, dv, ops, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Frame coefficients c of Sym^r(V) and the (m+1, K) Jacobian dc along dv[k].
+def sym_frame_tangents(v, dv, ops) -> tuple[np.ndarray, np.ndarray]:
+    """Frame coefficients c of the MES probe V (r = 1) and the (m+1, K) Jacobian dc along dv[k].
 
-    ``dv`` is a (K, d, d) stack of tangents of V.  At r = 1 the trace map is linear, so dc is
-    that map applied to dv.  At r >= 2, with E = Q^dag dV Q in the eigenbasis, the MacMahon
-    generating function gives dh_l = sum_{i<=l} Tr(V^{i-1} dV) h_{l-i}, dc_0 = dh_r / D and
-    dc_j = [sum_ab (Q^dag X_j Q)_ba E_ab M_ab
-            + sum_a (Q^dag X_j Q)_aa sum_k lambda_a^k dh_{r-k}] / (D sqrt(F2)),
-    where M_ab = sum_{p+q<=r-1} lambda_a^p lambda_b^q h_{r-1-p-q} carries
-    d(V^k) = sum_{p+q=k-1} V^p dV V^q without divided differences of lambda^k, so it
-    stays exact at V ~ I and at degenerate spectra.  Both read g_a = h / (1 - lambda_a z):
-    dh_l = sum_a E_aa g_a,l-1 and M_ab = sum_p lambda_a^p g_b,r-1-p, with no r x r matrix.
+    ``dv`` is a (K, d, d) stack of tangents of V.  The trace map is linear, so dc is that
+    map applied to dv.
     """
-    return _frame_coefficients(v, np.asarray(dv), ops, r)
+    cols = _trace_frame(np.concatenate([np.asarray(v, dtype=complex)[None], dv]),
+                        np.asarray(ops))
+    return cols[:, 0], cols[:, 1:]
 
 
 def _divide(s, powers):
@@ -67,39 +74,15 @@ def _divide(s, powers):
     return powers * np.cumsum(powers.conj() * s, axis=-1)      # 1/lambda = conj(lambda)
 
 
-def _frame_coefficients(v, dv, ops, r: int):
-    """(c, dc) for tangents dv, or (c, None) when dv is None."""
-    if not isinstance(r, numbers.Integral) or r < 1:
-        raise ValidationError(f"r must be an integer >= 1, got {r!r}")
-    v, ops = np.asarray(v, dtype=complex), np.asarray(ops)
-    d, m = v.shape[0], len(ops)
-    if r == 1:                       # Tr(X_j V) = vec(X_j) . vec(V^T), linear in V
-        stack = v[None] if dv is None else np.concatenate([v[None], dv])
-        flat_t = stack.transpose(0, 2, 1).reshape(len(stack), -1)
-        cols = np.vstack([np.trace(stack, axis1=1, axis2=2) / d,
-                          ops.reshape(m, -1) @ flat_t.T / math.sqrt(d)])
-        return cols[:, 0], None if dv is None else cols[:, 1:]
-    eigs, q = unitary_eig(v)
-    powers = eigs[:, None] ** np.arange(r + 1)                 # (d, r + 1)
-    h = functools.reduce(_divide, powers[1:], powers[0])       # 1 / (1 - lambda_0 z) = lambda_0^k
-    g = _divide(h[:r], powers[:, :r])                          # g_a = h / (1 - lambda_a z)
-    weights = eigs * g[:, r - 1]                               # sum_k lambda_i^k h_{r-k}
-    xq = q.conj().T @ ops @ q                                  # (m, d, d)
-    diag = np.real(np.diagonal(xq, axis1=1, axis2=2))
-    dim = sym_dim(d, r)
-    scale = dim * math.sqrt(f2_coeff(d, r))
-    c = np.concatenate([[h[r] / dim], diag @ weights / scale])
-    if dv is None:
-        return c, None
-    e = q.conj().T @ dv @ q                                    # (K, d, d)
-    dh = np.diagonal(e, axis1=1, axis2=2) @ g                  # dh_l, l = 1..r
-    dweights = dh[:, r - 2::-1] @ powers[:, 1:r].T             # sum_k lambda_a^k dh_{r-k}
-    mixed = powers[:, :r] @ g[:, ::-1].T                       # M_ab
-    dc = np.empty((m + 1, len(e)), dtype=complex)
-    dc[0] = dh[:, r - 1] / dim
-    dc[1:] = (xq.transpose(0, 2, 1).reshape(m, -1) @ (e * mixed).reshape(len(e), -1).T
-              + diag @ dweights.T) / scale
-    return c, dc
+def _trace_frame(stack, ops):
+    """Columns (Tr V / d, Tr(X_j V) / sqrt(d)) of a (K, d, d) stack of V.
+
+    Tr(X_j V) = vec(X_j) . vec(V^T), linear in V.
+    """
+    d, m = stack.shape[1], len(ops)
+    flat_t = stack.transpose(0, 2, 1).reshape(len(stack), -1)
+    return np.vstack([np.trace(stack, axis1=1, axis2=2) / d,
+                      ops.reshape(m, -1) @ flat_t.T / math.sqrt(d)])
 
 
 def f2_coeff(d: int, r: int) -> float:

@@ -24,10 +24,10 @@ from .config import ExperimentConfig
 from .constants import TOL
 from .errors import (AuditFailure, BranchCutError, DegenerateProjectionError,
                      ResourceLimitError, ValidationError)
-from .estimation import (_aligned_basis, _aligned_outcomes, _frame_family, _outcome_chunks,
+from .estimation import (_aligned_basis, _aligned_outcomes, _mes_family, _outcome_chunks,
                          invert_theta)
 from .linalg import (PureState, assert_hermitian, assert_unitary, haar_state, haar_unitary,
-                     hermitian_expm, hermitian_expm_derivatives, hs_inner, unitary_eig)
+                     hermitian_expm, hs_inner, unitary_eig)
 from .model import HamiltonianModel, hamiltonian, make_model
 from .probe import Schedule, _qfi_from_tangents, evolve, growth_audit, mes, qfi_matrix
 from .runner import _sample_theta, rows_to_csv, run_experiment
@@ -555,10 +555,8 @@ def check_estimator_consistency(seed: int = 55):
     for kind, d in [("full", 2), ("full", 3), ("phase", 4)]:
         model = make_model(kind, d)
         frame = postselection_frame(model)
-        ops = model.generators
         tau = 0.05
-        family = _frame_family(
-            lambda inc: hermitian_expm_derivatives(hamiltonian(model, inc), tau, ops), ops, 1)
+        family = _mes_family(model, tau)
         for _ in range(5):
             theta = rng.standard_normal(model.m)
             theta /= np.linalg.norm(theta)

@@ -495,6 +495,25 @@ class TestCli:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_increment_bound_past_2_to_512_exit_2(self, tmp_path, capsys, monkeypatch, recwarn,
+                                                  command):
+        # E <= 2^480, but kappa = 1e-12 would overflow the first increment's norm
+        def no_trial(*args):
+            pytest.fail("a trial ran")
+
+        monkeypatch.setattr(runner, "_run_trial", no_trial)
+        text = (MINI.format(trials=2).replace("E = 1.0", "E = 1.5e144")
+                .replace("delta = 0.1", "delta = 1.5e143") + "kappa = 1e-12\n")
+        cfg_path, out = write_cfg(tmp_path, text), tmp_path / "res.csv"
+        argv = [command, "--config", cfg_path, "--out", str(out)]
+        deltas = ["--delta-list", "1.5e143,1e143,5e142"] if command == "sweep" else []
+        assert main(argv + deltas) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: the increment bound 20 sqrt(d c) E / kappa must be below 2^512, got 5.19")
+        assert not out.exists() and not (tmp_path / "res.summary.json").exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("e_radius, deltas", [("1e200", "1e199,5e198,2e198"),
                                                   ("1.0", "1e-170,5e-171,2e-171")],
                              ids=["E^2_overflows", "delta^2_underflows"])

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,12 +17,12 @@ from hamest.constants import SchemeConstants
 from hamest.errors import (DegenerateProjectionError, InversionUnstableError,
                            PostselectionStarvedError, ValidationError)
 from hamest.estimation import (_TOMOGRAPHY_CHUNK as STAGE_CHUNK, EstimationRecord,
-                               _frame_family, _mes_probe,
+                               _mes_family, _mes_probe,
                                _outcome_projector_mean, _plan, _refine_gauss_newton, _Stage,
-                               _stage_estimate, _symmetric_probe, invert_theta,
+                               _stage_estimate, invert_theta,
                                reconstruct_from_projector_mean,
                                run_adaptive, run_many_channel, run_one_channel)
-from hamest.linalg import haar_state, hermitian_expm, hermitian_expm_derivatives
+from hamest.linalg import haar_state, hermitian_expm
 from hamest.model import hamiltonian, make_model
 from hamest.probe import Schedule, evolve, mes
 from hamest.runner import run_experiment
@@ -33,13 +34,6 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 FULL2 = make_model("full", 2)
 CONST = SchemeConstants()
 _TOMOGRAPHY_CHUNK = 1 << 16
-
-
-def mes_family(model, tau):
-    """theta -> (f, df) of the single-channel MES probe exp(-i tau H_theta)."""
-    ops = np.asarray(model.generators)
-    return _frame_family(
-        lambda theta: hermitian_expm_derivatives(hamiltonian(model, theta), tau, ops), ops, 1)
 
 
 def _haar_bases(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -433,11 +427,10 @@ class TestInvertTheta:
         theta = rng.standard_normal(model.m)
         theta /= np.linalg.norm(theta)
         frame, reduced, _ = exact_reduced(model, theta, 0.05)
-        est = invert_theta(reduced, 0.05, frame.norm_factor, family=mes_family(model, 0.05))
+        est = invert_theta(reduced, 0.05, frame.norm_factor, family=_mes_family(model, 0.05))
         assert np.linalg.norm(est - theta) <= 1e-3
 
-    @pytest.mark.parametrize("kind,d,r", [("full", 3, 1), ("full", 2, 8), ("full", 3, 6),
-                                          ("offdiag", 4, 4)])
+    @pytest.mark.parametrize("kind,d,r", [("full", 3, 1)])
     def test_refine_gauss_newton_converges_quadratically(self, kind, d, r):
         # noiseless coefficients (any global phase): one exact Gauss-Newton
         # step from inc + eps u lands within O(eps^2) of the true increment
@@ -446,11 +439,10 @@ class TestInvertTheta:
         theta = rng.standard_normal(model.m)
         theta /= np.linalg.norm(theta)
         star = theta + 0.2 * rng.standard_normal(model.m)
-        probe = _mes_probe(model, theta, 0) if r == 1 else _symmetric_probe(model, theta)
-        v, unitary = probe(_Stage(1, 0.3 / r, r, 0), star)
+        v = _mes_probe(model, theta, 0)(_Stage(1, 0.3 / r, r, 0), star)
         c = sym_frame_coefficients(v, model.generators, r)
         reduced = np.exp(0.7j) * c / np.linalg.norm(c)
-        family = _frame_family(unitary, np.asarray(model.generators), r)
+        family = _mes_family(model, 0.3 / r)
         u = rng.standard_normal(model.m)
         u /= np.linalg.norm(u)
         errs = [np.linalg.norm(_refine_gauss_newton(family, reduced, theta - star + eps * u)
@@ -645,8 +637,7 @@ class TestRunAdaptive:
                 probe = evolve(FULL2, theta - theta_star,
                                Schedule(r=1, initial=mes(2), steps=((tau, None),)))
                 reduced, p = frame_projection(frame, probe.amplitudes)
-                inc, _ = _stage_estimate(reduced, p, copies, tau, frame.norm_factor,
-                                         mes_family(FULL2, tau), rng)
+                inc, _ = _stage_estimate(reduced, p, copies, tau, frame.norm_factor, None, rng)
                 theta_star = theta_star + inc
                 err = np.linalg.norm(theta_star - theta)
                 if prior_ok:
@@ -748,6 +739,72 @@ class TestRunManyChannel:
         assert 1 / 4 <= ratio <= 4
 
 
+class TestFirstOrderStages:
+    """The staged schemes invert each stage to first order; one_channel alone refines."""
+
+    @staticmethod
+    def exact_mean(psi, n_copies, rng):
+        return (np.outer(psi, psi.conj()) + np.eye(psi.size)) / (psi.size + 1)
+
+    @pytest.mark.parametrize("delta", [0.1, 0.025])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["full", "phase", "offdiag"])
+    @pytest.mark.parametrize("driver", [run_adaptive, run_many_channel])
+    def test_exact_mean_run_is_exact(self, driver, kind, d, delta, monkeypatch):
+        # with the expected projector mean, each stage's O(kappa^2) bias is
+        # measured away by the next, so no refinement step is needed
+        monkeypatch.setattr(estimation, "_outcome_projector_mean", self.exact_mean)
+        model = make_model(kind, d)
+        rng = np.random.default_rng((27, d))
+        for worst_case in (False, True, False, True):
+            theta = runner._sample_theta(model.m, 1.0, worst_case, rng)
+            rec = driver(model, theta, delta, 1.0, CONST, rng=rng)
+            assert not any(s.failed for s in rec.stages)
+            assert rec.error <= 1e-12 * delta, (worst_case, rec.error)
+
+    @pytest.mark.parametrize("slices", [1, 8])
+    def test_exact_mean_sliced_adaptive_is_exact(self, slices, monkeypatch):
+        monkeypatch.setattr(estimation, "_outcome_projector_mean", self.exact_mean)
+        const = SchemeConstants(trotter_slices=slices)
+        rng = np.random.default_rng((28, slices))
+        for kind, d in [("full", 2), ("full", 3), ("offdiag", 4)]:
+            model = make_model(kind, d)
+            for worst_case in (False, True):
+                theta = runner._sample_theta(model.m, 1.0, worst_case, rng)
+                rec = run_adaptive(model, theta, 0.1, 1.0, const, rng=rng)
+                assert rec.error <= 1e-12 * 0.1, (kind, d, worst_case, rec.error)
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"_refine_gauss_newton": 0, "hermitian_expm_derivatives": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(estimation, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(estimation, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("const", [CONST, SchemeConstants(trotter_slices=2)],
+                             ids=["default", "trotter_slices=2"])
+    @pytest.mark.parametrize("driver", [run_adaptive, run_many_channel])
+    def test_staged_run_never_refines(self, driver, const, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        for kind, d in [("full", 2), ("offdiag", 3)]:
+            model = make_model(kind, d)
+            rec = driver(model, np.full(model.m, 0.1), 0.05, 1.0, const, seed=4)
+            assert len(rec.stages) == 5
+        assert calls == {"_refine_gauss_newton": 0, "hermitian_expm_derivatives": 0}
+
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_one_channel_refines_once_per_stage(self, refine, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        rec = run_one_channel(FULL2, [0.3, -0.2, 0.1], 0.1, 1.0,
+                              SchemeConstants(refine=refine), seed=4)
+        assert len(rec.stages) == 1 and not rec.stages[0].failed
+        assert calls == {"_refine_gauss_newton": int(refine),
+                         "hermitian_expm_derivatives": int(refine)}
+
+
 DRIVERS = {"one_channel": run_one_channel, "adaptive": run_adaptive,
            "many_channel": run_many_channel}
 
@@ -824,6 +881,21 @@ class TestPlan:
             _plan(scheme, FULL2, 2.0 ** 481 / 10, 2.0 ** 481, CONST)
         for e_radius in (2.0 ** 400, 2.0 ** 480):
             assert _plan(scheme, FULL2, e_radius / 10, e_radius, CONST)
+
+    @pytest.mark.parametrize("scheme", DRIVERS)
+    def test_rejects_increment_bound_past_2_to_512(self, scheme):
+        # E <= 2^480, but kappa = 1e-12 lets the first increment's norm overflow
+        const = SchemeConstants(kappa=1e-12)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=r"the increment bound 20 sqrt\(d c\) E / "
+                                                      r"kappa must be below 2\^512, got 1\.08"):
+                DRIVERS[scheme](FULL2, [2.0 ** 479, 0.0, 0.0], 2.0 ** 480 / 10, 2.0 ** 480,
+                                const, rng=rng)
+        assert rng.bit_generator.state == state
+        assert _plan(scheme, FULL2, 0.1, 1.0, const)
 
     def test_rejects_infinite_planned_time(self):
         # adaptive's tau = kappa / max_energy(2^n delta) is finite at every stage,

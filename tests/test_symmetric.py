@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import product
 
@@ -220,8 +221,6 @@ class TestSeriesRecurrence:
         v = haar_unitary(2, np.random.default_rng(0))
         with pytest.raises(ValidationError, match="r must be an integer >= 1"):
             sym_frame_coefficients(v, model.generators, r)
-        with pytest.raises(ValidationError, match="r must be an integer >= 1"):
-            sym_frame_tangents(v, np.zeros((1, 2, 2)), model.generators, r)
 
 
 # (d, r) of the Jacobian oracle; (3, 682) and (2, 1024) are the largest r that
@@ -284,6 +283,25 @@ def mp_stage(mp, model, star, tau, r):
                                       r, dim, scale)
 
 
+@functools.cache
+def mp_reference(case, d, r):
+    """(c, dc) at x of the stage path: mpmath coefficients and their central difference."""
+    mp = pytest.importorskip("mpmath")
+    model, x, star, tau = stage_path(case, d, r)
+    step = mp.mpf("1e-10")
+    with mp.workdps(30):
+        coefficients = mp_stage(mp, model, star, tau, r)
+        ref_c = np.array(coefficients(x), dtype=complex)
+        ref = np.empty((model.m + 1, model.m), dtype=complex)
+        for k in range(model.m):
+            xs = [mp.mpf(t) for t in x]
+            up = xs[:k] + [xs[k] + step] + xs[k + 1:]
+            dn = xs[:k] + [xs[k] - step] + xs[k + 1:]
+            ref[:, k] = [complex((a - b) / (2 * step))
+                         for a, b in zip(coefficients(up), coefficients(dn))]
+    return ref_c, ref
+
+
 def _mp_coefficients(mp, gens, v, r, dim, scale):
     d = v.rows
     powers = [mp.eye(d)]
@@ -308,40 +326,36 @@ def _mp_coefficients(mp, gens, v, r, dim, scale):
 
 
 class TestFrameJacobian:
-    """sym_frame_tangents on V = counter exp(-i tau H_x) with dV from the Frechet derivative."""
+    """Frame coefficients on V = counter exp(-i tau H_x), and at r = 1 sym_frame_tangents
+    with dV from the Frechet derivative."""
 
     CASES = ("generic", "identity", "phase", "counter")
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("d,r", JACOBIAN_PAIRS)
     def test_matches_mpmath(self, d, r, case):
-        mp = pytest.importorskip("mpmath")
         model, x, star, tau = stage_path(case, d, r)
+        ref_c, ref = mp_reference(case, d, r)
         v, dv = numpy_path(model, star, tau)(x)
-        c, dc = sym_frame_tangents(v, dv, model.generators, r)
-        step = mp.mpf("1e-10")
-        with mp.workdps(30):
-            coefficients = mp_stage(mp, model, star, tau, r)
-            ref_c = np.array(coefficients(x), dtype=complex)
-            ref = np.empty(dc.shape, dtype=complex)
-            for k in range(model.m):
-                xs = [mp.mpf(t) for t in x]
-                up = xs[:k] + [xs[k] + step] + xs[k + 1:]
-                dn = xs[:k] + [xs[k] - step] + xs[k + 1:]
-                ref[:, k] = [complex((a - b) / (2 * step))
-                             for a, b in zip(coefficients(up), coefficients(dn))]
+        c = sym_frame_coefficients(v, model.generators, r)
         assert np.max(np.abs(c - ref_c)) < 5e-12
-        rel = np.max(np.abs(dc - ref)) / np.max(np.abs(ref))
-        assert rel < 1e-9, rel
+        if r == 1:
+            c, dc = sym_frame_tangents(v, dv, model.generators)
+            assert np.max(np.abs(c - ref_c)) < 5e-12
+            rel = np.max(np.abs(dc - ref)) / np.max(np.abs(ref))
+            assert rel < 1e-9, rel
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("d,r", JACOBIAN_PAIRS)
     def test_matches_richardson(self, d, r, case):
         # the step-1e-3 difference carries the coefficients' rounding divided
-        # by the step, which grows with r: its own error, not the Jacobian's
+        # by the step, which grows with r: its own error, not the Jacobian's.
+        # At r >= 2, where no analytic Jacobian is computed, the difference of
+        # sym_frame_coefficients is held to the mpmath derivative instead.
         model, x, star, tau = stage_path(case, d, r)
         path = numpy_path(model, star, tau)
-        c, dc = sym_frame_tangents(*path(x), model.generators, r)
+        dc = (sym_frame_tangents(*path(x), model.generators)[1] if r == 1
+              else mp_reference(case, d, r)[1])
         ref = richardson_derivative(
             lambda y: sym_frame_coefficients(path(y)[0], model.generators, r), x, 1e-3)
         rel = np.max(np.abs(dc - ref.T)) / np.max(np.abs(dc))
