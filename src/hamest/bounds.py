@@ -135,9 +135,9 @@ def bound_report(model: HamiltonianModel, delta: float, e_radius: float,
     """Assemble the bound values at the evolution time tau of the one_channel plan.
 
     ``qfi_upper`` (4 c tau^2) and ``time_lower`` take the growth-law constant
-    c alone; a spherical model has c = m/d.  ``preferred_upper`` names the
-    few-parameter bound only where it holds, for spherical models, and only
-    where it is the tighter of the two.
+    c alone; a spherical model has c = m/d.  ``copies_lower`` reads delta tau, free
+    of E.  ``preferred_upper`` names the few-parameter bound only where it holds,
+    for spherical models, and only where it is the tighter of the two.
     """
     if not (0 < delta < math.inf and 0 < e_radius < math.inf):
         raise ValidationError(f"delta and E must be positive and finite, got {delta}, {e_radius}")
@@ -147,7 +147,7 @@ def bound_report(model: HamiltonianModel, delta: float, e_radius: float,
     few = fewparam_time_upper(m, d, delta, constants)
     return BoundReport(
         qfi_upper=4.0 * model.c * tau ** 2,
-        copies_lower=EQ_CHAIN_CONSTANT * m * d / (delta ** 2 * tau ** 2),
+        copies_lower=EQ_CHAIN_CONSTANT * m * d / (delta * tau) ** 2,
         time_lower=nonspherical_time_lower(model.c, d, delta),
         time_upper_general=upper,
         time_upper_fewparam=few,

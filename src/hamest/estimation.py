@@ -16,8 +16,8 @@ and :func:`run_many_channel` (entangled channels in the symmetric subspace,
 measurement-side counter-rotation, no feedback during evolution).  Each
 driver takes its stages from :func:`_plan` and picks a probe, a d x d stage
 unitary V whose collective MES Sym^r(V) is measured (the MES is r = 1).  All
-three drivers share one stage loop, :func:`_run_stages`, whose stage body
-takes its frame coefficients from :func:`sym_frame_coefficients`.
+three drivers share one stage loop, :func:`_run_stages`, which runs in units
+of E; its stage body takes its frame coefficients from :func:`sym_frame_coefficients`.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class EstimationRecord:
-    """Outcome of one estimation run."""
+    """Outcome of one estimation run, in theta_true's units although the stages ran in E's."""
 
     theta_true: tuple[float, ...]
     theta_hat: tuple[float, ...]
@@ -251,29 +251,29 @@ class EstimationRecord:
     seed: int
 
     @staticmethod
-    def build(theta_true, theta_hat, stages, total_time, delta,
-              seed) -> "EstimationRecord":
-        err = float(np.linalg.norm(np.asarray(theta_hat) - np.asarray(theta_true)))
+    def build(theta_true, theta_hat, stages, total_time, delta, seed, e_radius=1.0):
+        """The record of theta_hat; error and success are taken in units of e_radius."""
+        err = float(np.linalg.norm((np.asarray(theta_hat) - np.asarray(theta_true)) / e_radius))
         return EstimationRecord(
             theta_true=tuple(float(x) for x in theta_true),
             theta_hat=tuple(float(x) for x in theta_hat),
-            error=err,
+            error=err * e_radius,
             stages=tuple(stages),
             total_time=float(total_time),
-            success=bool(err <= delta),
+            success=bool(err <= delta / e_radius),
             delta=float(delta),
             seed=int(seed),
         )
 
 
 def _check_run_inputs(model, theta_true, delta, e_radius, rng, seed):
-    """Validated theta_true as a flat array, and the run's generator."""
+    """Validated theta_true as a flat array, and the run's generator; ||theta / E|| <= 1."""
     theta_true = np.asarray(theta_true, dtype=float).reshape(-1)
     if theta_true.size != model.m:
         raise ValidationError(f"theta_true has length {theta_true.size}, m = {model.m}")
     if not (np.isfinite(theta_true).all() and math.isfinite(delta) and math.isfinite(e_radius)):
         raise ValidationError(f"theta_true, delta, E must be finite: delta={delta}, E={e_radius}")
-    if np.linalg.norm(theta_true) > e_radius * (1 + 1e-12):
+    if np.linalg.norm(theta_true / e_radius) > 1 + 1e-12:
         raise ValidationError("theta_true lies outside the search radius")
     if delta <= 0 or delta > e_radius / 5 * (1 + 1e-12):
         raise ValidationError(f"need 0 < delta <= E/5, got delta={delta}, E={e_radius}")
@@ -307,31 +307,32 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
 
     A stage searching radius R (its ``radius``) evolves for tau = kappa / max_energy(R),
     so tau ||H_theta|| <= kappa on that ball.  one_channel: one stage n = 0, R = E,
-    r = 1, N = ceil(alpha m d E^2 / delta^2) copies to resolve the tomography
+    r = 1, N = ceil(alpha m d / (delta / E)^2) copies to resolve the tomography
     noise at scale delta.  Staged: n = n0 .. 1, n0 = max(1, ceil(log2(E / delta))),
     N_n = ceil(alpha m (1 + beta n)); the (1 + beta n) is meant to cover a
     per-stage failure budget p_crit / 2^n, but N_n does not read p_crit yet.
     adaptive: r = 1 and R = 2^n delta, so tau grows as the radius shrinks.
     many_channel: R = 2^n delta too, but every stage keeps the tau of 2^n0 delta and entangles
     r_n = min(2^(n0-n) d, r_max) channels instead; a stage is capped where r_n < 2^(n0-n) d.
-    Every stage needs finite tau > 0 and N < 2^63 (an N past the float range counts as
-    inf), the plan a finite T, and a staged plan E / delta <= 2^1023, so that 2^n0 is a float.
-    Last, E <= 2^480, so that no vector norm a trial takes overflows.  The longest such
-    vector is a stage's unclipped first-order increment (norm_factor / tau) Im(c_j / c_0):
-    |c_0| >= TOL.min_c0 = 0.1 and |c| = 1 bound Im(c / c_0) by 10, norm_factor is at
-    most sqrt(d), and 1 / tau = sqrt(c) R / kappa with R < 2E.  So the increment is at most
-    20 sqrt(d c) E / kappa, and its square stays below 2^1024 while that bound is below
-    2^512, which is checked last.  At the default kappa it follows from E <= 2^480 for
-    every built-in model (c < d) with d < 10^8.
+
+    The stages run in units of E (:func:`_run_stages`), so only delta / E decides whether a
+    plan can run.  First, delta / E >= 2^-40 = 2^12 ulp(1): theta / E lies in the unit ball
+    and theta* / E, a sum of increments clipped to the radii, below 4, so a float grid of
+    spacing <= 2^-51 moves the error by at most sqrt(m) 2^-11 delta; near ulp(1) (delta =
+    1e-17 at E = 1) theta* snaps to the float nearest theta and success is vacuous.  Each
+    stage then needs a finite tau > 0 and N < 2^63 (an N past the float range counts as
+    inf), and the plan a finite T (tau and T are physical).  Last, no norm a trial takes may
+    overflow.  The longest vector is a stage's unclipped increment (norm_factor / tau E)
+    Im(c_j / c_0) in units of E: |c_0| >= TOL.min_c0 = 0.1 and |c| = 1 bound Im(c / c_0) by
+    10, norm_factor <= sqrt(d), and 1 / (tau E) = sqrt(c) (R / E) / kappa with R < 2E.  So it
+    is at most 20 sqrt(d c) / kappa, whose square stays finite while that is below 2^512.
     """
+    if not delta / e_radius >= 2.0 ** -40:
+        raise ValidationError(f"delta/E must be at least 2^-40, got delta/E={delta / e_radius!r}")
     r_max = constants.effective_r_max(model.d)
 
-    def stage(n, radius, tau_radius, doubling, count):
+    def stage(n, radius, tau_radius, doubling, copies):
         tau = constants.kappa / max_energy(model, tau_radius)
-        try:
-            copies = count()
-        except (OverflowError, ZeroDivisionError):
-            copies = math.inf
         if not (0 < tau < math.inf and copies < 2 ** 63):
             raise ValidationError(f"stage {n} cannot run: need 0 < tau < inf and fewer than "
                                   f"2^63 copies, got tau={tau!r}, copies={copies!r}")
@@ -339,24 +340,20 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
 
     if scheme == "one_channel":
         plan = [stage(0, e_radius, e_radius, 1,
-                      lambda: constants.alpha * model.m * model.d * e_radius ** 2 / delta ** 2)]
-    elif e_radius / delta <= 2.0 ** 1023:
+                      constants.alpha * model.m * model.d / (delta / e_radius) ** 2)]
+    else:
         many = {"adaptive": False, "many_channel": True}[scheme]
         n0 = max(1, math.ceil(math.log2(e_radius / delta)))
         plan = [stage(n, 2.0 ** n * delta, 2.0 ** (n0 if many else n) * delta,
                       2 ** (n0 - n) * model.d if many else 1,
-                      lambda: constants.alpha * model.m * (1.0 + constants.beta * n))
+                      constants.alpha * model.m * (1.0 + constants.beta * n))
                 for n in range(n0, 0, -1)]
-    else:
-        raise ValidationError(f"E/delta must be at most 2^1023, got E/delta={e_radius / delta!r}")
     if not _total_time(plan) < math.inf:
         raise ValidationError(f"the planned T must be finite, got T={_total_time(plan)!r}")
-    if e_radius > 2.0 ** 480:
-        raise ValidationError(f"E must be at most 2^480, got E={e_radius!r}")
-    increment = 20 * math.sqrt(model.d * model.c) * e_radius / constants.kappa
+    increment = 20 * math.sqrt(model.d * model.c) / constants.kappa
     if not increment < 2.0 ** 512:
-        raise ValidationError(f"the increment bound 20 sqrt(d c) E / kappa must be below 2^512, "
-                              f"got {increment!r} (E={e_radius!r}, kappa={constants.kappa!r})")
+        raise ValidationError(f"the increment bound 20 sqrt(d c) / kappa must be below 2^512, "
+                              f"got {increment!r} (kappa={constants.kappa!r})")
     return plan
 
 
@@ -430,41 +427,43 @@ def _run_stage(model, stage: _Stage, probe, theta_star, refine: bool, rng):
 
 def _run_stages(scheme, make_probe, model, theta_true, delta, e_radius, constants, rng, seed,
                 refine=False):
-    """Check the inputs, plan the scheme, and run its stages on make_probe(theta_true).
+    """Check the inputs, plan the scheme, and run its stages in units of E on make_probe.
 
-    A failed stage is recorded and skipped.  An increment longer than the stage's search
-    radius is projected onto that ball, so that no stage throws theta* out of the region
-    the later stages search, and one_channel's estimate stays in the ball of radius E.
+    A stage sees theta / E, tau E and its search radius / E, so every norm a trial takes is
+    O(1) for any E.  A failed stage is recorded and skipped.  An increment longer than the
+    stage's search radius is projected onto that ball, so that no stage throws theta* out
+    of the region the later stages search; one_channel's estimate stays in the E-ball.
     """
     theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
-    plan, probe = _plan(scheme, model, delta, e_radius, constants), make_probe(theta_true)
-    theta_star = np.zeros(theta_true.size)
-    records = []
+    plan = _plan(scheme, model, delta, e_radius, constants)
+    probe, theta_star, records = make_probe(theta_true / e_radius), np.zeros(theta_true.size), []
     for stage in plan:
+        unit = stage._replace(tau=stage.tau * e_radius, radius=stage.radius / e_radius)
         try:
-            increment, rate = _run_stage(model, stage, probe, theta_star, refine, rng)
+            increment, rate = _run_stage(model, unit, probe, theta_star, refine, rng)
             norm = np.linalg.norm(increment)
-            if norm > stage.radius:
-                increment = increment * (stage.radius / norm)
+            if norm > unit.radius:
+                increment = increment * (unit.radius / norm)
             theta_star, failed = theta_star + increment, False
         except (DegenerateProjectionError, PostselectionStarvedError,
                 InversionUnstableError):
             rate, failed = 0.0, True
         records.append(StageRecord(stage.n, stage.tau, stage.copies, rate, failed))
-    return EstimationRecord.build(theta_true, theta_star, records,
-                                  total_time=_total_time(plan), delta=delta, seed=seed)
+    return EstimationRecord.build(theta_true, theta_star * e_radius, records,
+                                  total_time=_total_time(plan), delta=delta, seed=seed,
+                                  e_radius=e_radius)
 
 
 def run_one_channel(model: HamiltonianModel, theta_true, delta: float,
                     e_radius: float, constants: SchemeConstants = DEFAULT_CONSTANTS,
                     rng: np.random.Generator | None = None,
                     seed: int = 0) -> EstimationRecord:
-    """Single-radius estimation: one MES stage, fixed tau, N ~ E^2 / delta^2 copies.
+    """Single-radius estimation: one MES stage, fixed tau, N ~ (E / delta)^2 copies.
 
     No feedback, so T = N tau ~ 1 / delta^2.  With ``constants.refine`` the first-order
     estimate gets one Gauss-Newton step, since no later stage measures its O(kappa^2)
-    bias away.  The estimate is projected onto the ball of radius E, and a failed
-    stage is recorded, not raised: theta_hat = 0.
+    bias away.  The estimate is projected onto the ball of radius E, and a failed stage is
+    recorded, not raised: theta_hat = 0.  A delta / E below 2^-40 raises before any draw.
     """
     return _run_stages("one_channel", lambda theta: _mes_probe(model, theta, 0),
                        model, theta_true, delta, e_radius, constants, rng, seed,
@@ -478,8 +477,8 @@ def run_adaptive(model: HamiltonianModel, theta_true, delta: float,
     """Feedback-staged estimation: halve the search radius each stage.
 
     Stage n drives the MES with the simulated external field -H_theta*, so the
-    driven Hamiltonian is H_{theta-theta*} (kicks between slices when
-    ``trotter_slices`` > 0).  Stage failures are recorded, not raised.
+    driven Hamiltonian is H_{theta-theta*} (kicks between slices when ``trotter_slices``
+    > 0).  Stage failures are recorded, not raised; a delta / E below 2^-40 raises.
     """
     return _run_stages("adaptive", lambda theta: _mes_probe(model, theta, constants.trotter_slices),
                        model, theta_true, delta, e_radius, constants, rng, seed)
@@ -491,9 +490,9 @@ def run_many_channel(model: HamiltonianModel, theta_true, delta: float,
                      seed: int = 0) -> EstimationRecord:
     """Entanglement-staged estimation without feedback during evolution.
 
-    Stage n entangles r_n channels through the symmetric subspace, and the
-    preceding estimate enters only as the measurement-side counter-rotation
-    exp(+i tau {H_theta*}_r).  Stage failures are recorded, not raised.
+    Stage n entangles r_n channels through the symmetric subspace, and the preceding
+    estimate enters only as the measurement-side counter-rotation exp(+i tau {H_theta*}_r).
+    Stage failures are recorded, not raised; a delta / E below 2^-40 raises.
     """
     return _run_stages("many_channel", lambda theta: _symmetric_probe(model, theta),
                        model, theta_true, delta, e_radius, constants, rng, seed)

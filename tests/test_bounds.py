@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,8 +186,27 @@ class TestReport:
 
     @pytest.mark.parametrize("delta, e_radius", [(1e199, 1e200), (1e-170, 1.0)])
     def test_rejects_unplannable_one_channel_stage(self, delta, e_radius):
-        with pytest.raises(ValidationError, match="stage 0 cannot run"):
-            bound_report(make_model("full", 2), delta, e_radius)
+        # E = 1e200 plans and reports with no overflow; delta = 1e-170 meets the delta / E floor
+        model = make_model("full", 2)
+        if delta / e_radius < 2.0 ** -40:
+            with pytest.raises(ValidationError, match=r"delta/E must be at least 2\^-40"):
+                bound_report(model, delta, e_radius)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = bound_report(model, delta, e_radius)
+        assert rep.copies_lower == bound_report(model, 0.1, 1.0).copies_lower
+        assert rep.time_lower * e_radius == pytest.approx(bound_report(model, 0.1, 1.0).time_lower)
+
+    @pytest.mark.parametrize("kind", ["full", "phase", "offdiag"])
+    def test_scales_with_e(self, kind):
+        # at E = 4^k and delta / E fixed, copies_lower, time_lower E and qfi_upper E^2 are exact
+        model = make_model(kind, 3)
+        reps = {k: bound_report(model, 0.1 * 4.0 ** k, 4.0 ** k) for k in (-100, 0, 100)}
+        for k, rep in reps.items():
+            e_radius = 4.0 ** k
+            assert ((rep.copies_lower, rep.time_lower * e_radius, rep.qfi_upper * e_radius ** 2)
+                    == (reps[0].copies_lower, reps[0].time_lower, reps[0].qfi_upper)), k
 
     def test_homogeneity_suite(self):
         check_delta_homogeneity()

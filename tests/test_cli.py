@@ -459,78 +459,88 @@ class TestCli:
         assert not out.exists() and not (tmp_path / "res.summary.json").exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("deltas, bound", [
-        ("1e-310,5e-311,2e-311", "E/delta must be at most 2^1023, got E/delta=inf"),
-        ("1e-306,5e-307,2e-307", "the planned T must be finite, got T=inf"),
-    ], ids=["E/delta_overflows", "T_overflows"])
-    def test_unplannable_delta_exit_2(self, tmp_path, capsys, monkeypatch, command, deltas,
-                                      bound):
+    @pytest.mark.parametrize("deltas", [
+        "1e-310,5e-311,2e-311", "1e-306,5e-307,2e-307", "1e-17,5e-18,2e-18", "1e-20,5e-21,2e-21",
+    ], ids=["E/delta_overflows", "T_overflows", "vacuous_1e-17", "vacuous_1e-20"])
+    def test_unplannable_delta_exit_2(self, tmp_path, capsys, monkeypatch, command, deltas):
+        # below the delta / E floor theta* would snap to the float nearest theta (1e-17,
+        # 1e-20) or the plan would leave the float range (1e-310, 1e-306)
         def no_trial(*args):
             pytest.fail("a trial ran")
 
         monkeypatch.setattr(runner, "_run_trial", no_trial)
-        text = MINI.format(trials=2).replace("delta = 0.1", f"delta = {deltas.split(',')[0]}")
+        first = deltas.split(",")[0]
+        text = MINI.format(trials=2).replace("delta = 0.1", f"delta = {first}")
         cfg_path, out = write_cfg(tmp_path, text), tmp_path / "res.csv"
         argv = [command, "--config", cfg_path, "--out", str(out)]
         assert main(argv + (["--delta-list", deltas] if command == "sweep" else [])) == 2
-        assert capsys.readouterr().err == f"error: {bound}\n"
+        assert (capsys.readouterr().err
+                == f"error: delta/E must be at least 2^-40, got delta/E={first}\n")
         assert not out.exists() and not (tmp_path / "res.summary.json").exists()
+
+    @staticmethod
+    def assert_runs(tmp_path, capsys, recwarn, command, text, deltas):
+        """The config runs with exit 0 and no RuntimeWarning, every trial completed and finite."""
+        cfg_path, out = write_cfg(tmp_path, text), tmp_path / "res.csv"
+        argv = [command, "--config", cfg_path, "--out", str(out)]
+        assert main(argv + (["--delta-list", deltas] if command == "sweep" else [])) == 0
+        assert capsys.readouterr().err == ""
+        header, *lines = out.read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert len(rows) == (6 if command == "sweep" else 2)
+        assert all(np.isfinite(float(r["theta_err"])) and r["stages"] for r in rows)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_search_radius_past_2_to_480_exit_2(self, tmp_path, capsys, monkeypatch, recwarn,
-                                                command):
-        # np.linalg.norm of a theta this long overflows, so every staged trial would error
-        def no_trial(*args):
-            pytest.fail("a trial ran")
-
-        monkeypatch.setattr(runner, "_run_trial", no_trial)
-        deltas = "1e300,5e299,2.5e299"
+    def test_search_radius_past_2_to_480_exit_2(self, tmp_path, capsys, recwarn, command):
+        # in units of E, E = 1e301 with delta / E = 0.1 is an ordinary run
         text = (MINI.format(trials=2).replace("E = 1.0", "E = 1e301")
                 .replace("delta = 0.1", "delta = 1e300"))
-        cfg_path, out = write_cfg(tmp_path, text), tmp_path / "res.csv"
-        argv = [command, "--config", cfg_path, "--out", str(out)]
-        assert main(argv + (["--delta-list", deltas] if command == "sweep" else [])) == 2
-        assert capsys.readouterr().err == "error: E must be at most 2^480, got E=1e+301\n"
-        assert not out.exists() and not (tmp_path / "res.summary.json").exists()
-        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        self.assert_runs(tmp_path, capsys, recwarn, command, text, "1e300,5e299,2.5e299")
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_increment_bound_past_2_to_512_exit_2(self, tmp_path, capsys, monkeypatch, recwarn,
                                                   command):
-        # E <= 2^480, but kappa = 1e-12 would overflow the first increment's norm
+        # the bound 20 sqrt(d c) / kappa < 2^512 holds no E: kappa = 1e-12 at E = 1.5e144
+        # runs, and kappa = 1e-160 breaks the bound at any E
+        text = (MINI.format(trials=2).replace("E = 1.0", "E = 1.5e144")
+                .replace("delta = 0.1", "delta = 1.5e143") + "kappa = 1e-12\n")
+        self.assert_runs(tmp_path, capsys, recwarn, command, text, "1.5e143,1e143,5e142")
+
         def no_trial(*args):
             pytest.fail("a trial ran")
 
         monkeypatch.setattr(runner, "_run_trial", no_trial)
-        text = (MINI.format(trials=2).replace("E = 1.0", "E = 1.5e144")
-                .replace("delta = 0.1", "delta = 1.5e143") + "kappa = 1e-12\n")
-        cfg_path, out = write_cfg(tmp_path, text), tmp_path / "res.csv"
+        cfg_path, out = write_cfg(tmp_path, MINI.format(trials=2) + "kappa = 1e-160\n",
+                                  "small_kappa.cfg"), tmp_path / "kappa.csv"
         argv = [command, "--config", cfg_path, "--out", str(out)]
-        deltas = ["--delta-list", "1.5e143,1e143,5e142"] if command == "sweep" else []
-        assert main(argv + deltas) == 2
+        assert main(argv + (["--delta-list", "0.1,0.05,0.025"] if command == "sweep" else [])) == 2
         assert capsys.readouterr().err.startswith(
-            "error: the increment bound 20 sqrt(d c) E / kappa must be below 2^512, got 5.19")
-        assert not out.exists() and not (tmp_path / "res.summary.json").exists()
-        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+            "error: the increment bound 20 sqrt(d c) / kappa must be below 2^512, got 3.46")
+        assert not out.exists() and not (tmp_path / "kappa.summary.json").exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("e_radius, deltas", [("1e200", "1e199,5e198,2e198"),
                                                   ("1.0", "1e-170,5e-171,2e-171")],
                              ids=["E^2_overflows", "delta^2_underflows"])
-    def test_one_channel_copy_overflow_exit_2(self, tmp_path, capsys, monkeypatch, command,
-                                              e_radius, deltas):
+    def test_one_channel_copy_overflow_exit_2(self, tmp_path, capsys, monkeypatch, recwarn,
+                                              command, e_radius, deltas):
+        # the copy count reads delta / E: E = 1e200 runs, delta = 1e-170 meets the floor
+        text = (MINI.format(trials=2).replace("scheme = adaptive", "scheme = one_channel")
+                .replace("E = 1.0", f"E = {e_radius}")
+                .replace("delta = 0.1", f"delta = {deltas.split(',')[0]}"))
+        if e_radius != "1.0":
+            self.assert_runs(tmp_path, capsys, recwarn, command, text, deltas)
+            return
+
         def no_trial(*args):
             pytest.fail("a trial ran")
 
         monkeypatch.setattr(runner, "_run_trial", no_trial)
-        text = (MINI.format(trials=2).replace("scheme = adaptive", "scheme = one_channel")
-                .replace("E = 1.0", f"E = {e_radius}")
-                .replace("delta = 0.1", f"delta = {deltas.split(',')[0]}"))
         cfg_path, out = write_cfg(tmp_path, text), tmp_path / "res.csv"
         argv = [command, "--config", cfg_path, "--out", str(out)]
         assert main(argv + (["--delta-list", deltas] if command == "sweep" else [])) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: stage 0 cannot run") and "copies=inf" in err
+        assert capsys.readouterr().err.startswith("error: delta/E must be at least 2^-40")
         assert not out.exists() and not (tmp_path / "res.summary.json").exists()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])

@@ -33,6 +33,8 @@ from hamest.verify import (delta_resolution, frame_projection, postselection_fra
 GOLDEN = Path(__file__).parent / "data" / "golden"
 FULL2 = make_model("full", 2)
 CONST = SchemeConstants()
+FLOOR = 2.0 ** -40
+FLOOR_MESSAGE = r"delta/E must be at least 2\^-40, got delta/E="
 _TOMOGRAPHY_CHUNK = 1 << 16
 
 
@@ -847,8 +849,20 @@ class TestPlan:
     @pytest.mark.parametrize("delta, e_radius", [(1e199, 1e200), (1e-170, 1.0)],
                              ids=["E^2_overflows", "delta^2_underflows"])
     def test_one_channel_copy_arithmetic_reads_inf(self, delta, e_radius):
-        with pytest.raises(ValidationError, match=r"stage 0 cannot run: .*copies=inf"):
-            _plan("one_channel", FULL2, delta, e_radius, CONST)
+        # the copy count reads delta / E alone, so neither E^2 nor delta^2 is formed:
+        # E = 1e200 plans the copies of delta / E and runs, delta = 1e-170 meets the floor
+        if delta / e_radius < FLOOR:
+            with pytest.raises(ValidationError, match=FLOOR_MESSAGE):
+                _plan("one_channel", FULL2, delta, e_radius, CONST)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            plan = _plan("one_channel", FULL2, delta, e_radius, CONST)
+            rec = run_one_channel(FULL2, [0.3 * e_radius, -0.2 * e_radius, 0.0], delta,
+                                  e_radius, CONST, seed=4)
+        assert plan[0].copies == _plan("one_channel", FULL2, delta / e_radius, 1.0,
+                                       CONST)[0].copies
+        assert math.isfinite(rec.error) and [s.copies for s in rec.stages] == [plan[0].copies]
 
     @pytest.mark.parametrize("scheme", DRIVERS)
     def test_stage_search_radius(self, scheme):
@@ -863,46 +877,69 @@ class TestPlan:
                                                  (2.0 ** -1023, 1.0 + 2.0 ** -52)],
                              ids=["E/delta=inf", "E/delta=1e308", "just_past_2^1023"])
     def test_rejects_e_over_delta_past_2_to_1023(self, scheme, delta, e_radius):
-        # 2^n0 would leave the float range, or log2(E/delta) is infinite
-        with pytest.raises(ValidationError, match=r"E/delta must be at most 2\^1023"):
+        # E/delta past 2^1023 puts delta / E far below the floor, which is checked first
+        with pytest.raises(ValidationError, match=FLOOR_MESSAGE):
             _plan(scheme, FULL2, delta, e_radius, CONST)
 
     def test_plans_e_over_delta_of_2_to_1023(self):
-        plan = _plan("many_channel", FULL2, 2.0 ** -1023, 1.0, CONST)
-        assert (len(plan), plan[0].n, plan[0].radius) == (1023, 1023, 1.0)
+        # the floor's boundary: delta / E = 2^-40 plans n0 = 40 stages, the next float below
+        # is rejected, at E = 1 and at E = 2^100 alike
+        for scheme in ("adaptive", "many_channel"):
+            for e_radius in (1.0, 2.0 ** 100):
+                plan = _plan(scheme, FULL2, FLOOR * e_radius, e_radius, CONST)
+                assert (len(plan), plan[0].n, plan[0].radius) == (40, 40, e_radius)
+                with pytest.raises(ValidationError, match=FLOOR_MESSAGE):
+                    _plan(scheme, FULL2, math.nextafter(FLOOR, 0.0) * e_radius, e_radius, CONST)
 
     @pytest.mark.parametrize("scheme", DRIVERS)
     def test_rejects_e_past_2_to_480(self, scheme):
-        # one_channel's E^2 overflows at E = 1e301, so its stage check names the cause there
-        first = "stage 0 cannot run" if scheme == "one_channel" else r"E must be at most 2\^480"
-        with pytest.raises(ValidationError, match=first):
-            _plan(scheme, FULL2, 1e300, 1e301, CONST)
-        with pytest.raises(ValidationError, match=r"E must be at most 2\^480, got E=6\.2"):
-            _plan(scheme, FULL2, 2.0 ** 481 / 10, 2.0 ** 481, CONST)
-        for e_radius in (2.0 ** 400, 2.0 ** 480):
-            assert _plan(scheme, FULL2, e_radius / 10, e_radius, CONST)
+        # in units of E, E = 1e301 and 2^481 plan and run with no warning, and 2^481
+        # reproduces the E = 1 run bit for bit
+        e = 2.0 ** 481
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for e_radius in (1e301, e, 2.0 ** 400, 2.0 ** 480):
+                assert _plan(scheme, FULL2, e_radius / 10, e_radius, CONST)
+            big = DRIVERS[scheme](FULL2, [0.3e301, -0.2e301, 0.1e301], 1e300, 1e301, CONST, seed=4)
+            scaled = DRIVERS[scheme](FULL2, [0.3 * e, -0.2 * e, 0.1 * e], e / 10, e, CONST, seed=4)
+        unit = DRIVERS[scheme](FULL2, [0.3, -0.2, 0.1], 0.1, 1.0, CONST, seed=4)
+        assert math.isfinite(big.error) and big.success == unit.success
+        assert (scaled.error / e, scaled.total_time * e, scaled.success) == (
+            unit.error, unit.total_time, unit.success)
 
     @pytest.mark.parametrize("scheme", DRIVERS)
     def test_rejects_increment_bound_past_2_to_512(self, scheme):
-        # E <= 2^480, but kappa = 1e-12 lets the first increment's norm overflow
-        const = SchemeConstants(kappa=1e-12)
-        rng = np.random.default_rng(5)
-        state = rng.bit_generator.state
+        # the bound 20 sqrt(d c) / kappa holds no E: kappa = 1e-12 with theta = [2^479, 0, 0]
+        # runs bit for bit as at E = 1, and kappa = 1e-160 breaks the bound at any E and is
+        # rejected before any draw
+        e = 2.0 ** 480
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValidationError, match=r"the increment bound 20 sqrt\(d c\) E / "
-                                                      r"kappa must be below 2\^512, got 1\.08"):
-                DRIVERS[scheme](FULL2, [2.0 ** 479, 0.0, 0.0], 2.0 ** 480 / 10, 2.0 ** 480,
-                                const, rng=rng)
+            big = DRIVERS[scheme](FULL2, [2.0 ** 479, 0.0, 0.0], e / 10, e,
+                                  SchemeConstants(kappa=1e-12), seed=5)
+            unit = DRIVERS[scheme](FULL2, [0.5, 0.0, 0.0], 0.1, 1.0,
+                                   SchemeConstants(kappa=1e-12), seed=5)
+            rng = np.random.default_rng(5)
+            state = rng.bit_generator.state
+            with pytest.raises(ValidationError, match=r"the increment bound 20 sqrt\(d c\) / "
+                                                      r"kappa must be below 2\^512, got 3\.46"):
+                DRIVERS[scheme](FULL2, [0.5, 0.0, 0.0], 0.1, 1.0,
+                                SchemeConstants(kappa=1e-160), rng=rng)
         assert rng.bit_generator.state == state
-        assert _plan(scheme, FULL2, 0.1, 1.0, const)
+        assert (big.error / e, big.total_time * e, big.success) == (
+            unit.error, unit.total_time, unit.success)
+        assert ([(s.tau * e, s.copies, s.accept_rate, s.failed) for s in big.stages]
+                == [(s.tau, s.copies, s.accept_rate, s.failed) for s in unit.stages])
 
     def test_rejects_infinite_planned_time(self):
-        # adaptive's tau = kappa / max_energy(2^n delta) is finite at every stage,
-        # but N r tau of the last stages overflows; many_channel keeps the tau of 2^n0 delta
-        with pytest.raises(ValidationError, match=r"planned T must be finite, got T=inf"):
-            _plan("adaptive", FULL2, 1e-306, 1.0, CONST)
-        plan = _plan("many_channel", FULL2, 1e-306, 1.0, CONST)
+        # tau and T are physical: at E = 2^-1012 every stage's tau = kappa / max_energy(R)
+        # is finite, but N r tau overflows for one_channel's many copies and many_channel's
+        # r = 2^(n0-n) d; adaptive, with r = 1, stays finite
+        e_radius = 2.0 ** -1012
+        for scheme in ("one_channel", "many_channel"):
+            with pytest.raises(ValidationError, match=r"planned T must be finite, got T=inf"):
+                _plan(scheme, FULL2, e_radius / 10, e_radius, CONST)
+        plan = _plan("adaptive", FULL2, e_radius / 10, e_radius, CONST)
         assert math.isfinite(sum(s.copies * s.r * s.tau for s in plan))
 
     @pytest.mark.parametrize("scheme", DRIVERS)
@@ -921,6 +958,35 @@ class TestPlan:
                     flags += [s.capped for s in plan]
         # r_max = 1 caps every many-channel stage, and no other scheme entangles channels
         assert any(flags) == (scheme == "many_channel")
+
+
+class TestUnitsOfE:
+    """The problem is covariant under theta -> theta / E, delta -> delta / E, tau -> tau E.
+
+    The drivers run in units of E, so at E = 4^k and a fixed delta / E every scaling is
+    exact, and a run must reproduce the E = 1 run bit for bit.
+    """
+
+    @staticmethod
+    def scaled_run(scheme, model, e_radius, index):
+        seed = runner.trial_seed(11, index)
+        rng = runner.trial_rng(seed)
+        theta = runner._sample_theta(model.m, e_radius, False, rng)
+        rec = DRIVERS[scheme](model, theta, 0.1 * e_radius, e_radius, CONST, rng=rng, seed=seed)
+        return (rec.error / e_radius, rec.total_time * e_radius, rec.success,
+                [(s.n, s.tau * e_radius, s.copies, s.accept_rate, s.failed)
+                 for s in rec.stages])
+
+    @pytest.mark.parametrize("kind", ["full", "offdiag"])
+    @pytest.mark.parametrize("scheme", DRIVERS)
+    def test_runs_at_e_of_4_to_k_match_e_of_1(self, scheme, kind):
+        model = make_model(kind, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for index in range(3):
+                unit = self.scaled_run(scheme, model, 1.0, index)
+                for k in (-250, -100, -10, 10, 100, 250):
+                    assert self.scaled_run(scheme, model, 4.0 ** k, index) == unit, (index, k)
 
 
 class TestRecord:
