@@ -10,6 +10,7 @@ the estimation schemes.  All constants in force are echoed in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,16 +138,22 @@ def bound_report(model: HamiltonianModel, delta: float, e_radius: float,
     ``qfi_upper`` (4 c tau^2) and ``time_lower`` take the growth-law constant
     c alone; a spherical model has c = m/d.  ``copies_lower`` reads delta tau, free
     of E.  ``preferred_upper`` names the few-parameter bound only where it holds,
-    for spherical models, and only where it is the tighter of the two.
+    for spherical models, and only where it is the tighter of the two.  tau scales
+    as 1 / E, so a ``qfi_upper`` below the smallest normal float (E above about
+    1e154 at c = 1) raises rather than reading as a subnormal or 0.
     """
     if not (0 < delta < math.inf and 0 < e_radius < math.inf):
         raise ValidationError(f"delta and E must be positive and finite, got {delta}, {e_radius}")
     m, d = model.m, model.d
     tau = _plan("one_channel", model, delta, e_radius, constants)[0].tau
+    qfi_upper = 4.0 * model.c * tau ** 2
+    if qfi_upper < sys.float_info.min:
+        raise ValidationError(f"the QFI bound 4 c tau^2 underflows the float range at "
+                              f"E={e_radius!r}: got {qfi_upper!r}")
     upper = time_upper_general(m, d, delta, constants)
     few = fewparam_time_upper(m, d, delta, constants)
     return BoundReport(
-        qfi_upper=4.0 * model.c * tau ** 2,
+        qfi_upper=qfi_upper,
         copies_lower=EQ_CHAIN_CONSTANT * m * d / (delta * tau) ** 2,
         time_lower=nonspherical_time_lower(model.c, d, delta),
         time_upper_general=upper,

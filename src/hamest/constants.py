@@ -57,13 +57,6 @@ class SchemeConstants:
             The default bounds a plan's series length r d: the frame series
             cost O(d r) per call, but lifting the cap needs a plan-time
             memory rule first (ROADMAP item 11).
-    refine  one_channel only.  Apply one Gauss-Newton fidelity refinement
-            after the first-order inversion of its single stage (removes the
-            O(kappa^2) inversion bias, which no later stage measures away).
-            The step uses the exact Jacobian of the stage's normalized frame
-            coefficients: the Frechet derivative of exp(-i tau H) pushed
-            through the frame-coefficient map, with no finite differences.
-            The staged schemes always invert to first order.
     trotter_slices  adaptive only.  0 = exact feedback, V = exp(-i tau H_{theta-theta*});
             k > 0 = kicks exp(+i s H_theta*) between k slices exp(-i s H_theta),
             s = tau / k, in the symmetric d x d splitting (error O(tau^3 / k^2)).
@@ -74,7 +67,6 @@ class SchemeConstants:
     beta: float = 1.0
     p_crit: float = 0.05
     r_max: int | None = None
-    refine: bool = True
     trotter_slices: int = 0
 
     def __post_init__(self):

@@ -8,7 +8,7 @@ coefficients to a parameter estimate, and (for the staged schemes) feed the
 estimate back and halve the search radius.  The staged schemes invert to first
 order: each stage only has to land inside the radius the next stage searches,
 and the next stage measures the earlier bias away.  one_channel has no later
-stage, so it adds one Gauss-Newton step (``SchemeConstants.refine``).
+stage, so its single stage adds one Gauss-Newton step (:func:`_refine_gauss_newton`).
 
 Three drivers are provided: :func:`run_one_channel` (fixed radius, classical
 T ~ 1/delta^2 scaling), :func:`run_adaptive` (feedback staging, T ~ 1/delta),
@@ -188,30 +188,39 @@ def _outcome_projector_mean(psi: np.ndarray, n_copies: int,
     return basis @ s @ basis.conj().T / n_copies
 
 
-def _refine_gauss_newton(family, reduced: np.ndarray, theta0: np.ndarray) -> np.ndarray:
-    """One Gauss-Newton step maximizing fidelity of family(theta) to reduced."""
-    c0, jac = family(theta0)
-    phase = np.vdot(reduced, c0)
+def _refine_gauss_newton(model: HamiltonianModel, tau: float, reduced: np.ndarray,
+                         theta0: np.ndarray) -> np.ndarray:
+    """One Gauss-Newton step fitting the MES frame coefficients of exp(-i tau H_theta) to reduced.
+
+    reduced's global phase is fixed as :func:`invert_theta` fixes it.  With c, dc from
+    :func:`sym_frame_tangents` of V = exp(-i tau H_theta0) and its Frechet derivative,
+    the model is f = c / |c| with Jacobian df = dc / |c| - f Re(f^dag dc) / |c|, and the
+    step is the least-squares fit of df to reduced - f at the phase that aligns the two.
+    """
+    target = reduced * (reduced[0].conj() / abs(reduced[0]))
+    ops = model.generators
+    c, dc = sym_frame_tangents(*hermitian_expm_derivatives(hamiltonian(model, theta0), tau, ops),
+                               ops)
+    norm = np.linalg.norm(c)
+    f = c / norm
+    jac = (dc - np.outer(f, np.real(f.conj() @ dc))) / norm
+    phase = np.vdot(target, f)
     if abs(phase) < 1e-12:
         return theta0
     phi = phase.conj() / abs(phase)
     a = np.concatenate([np.real(phi * jac), np.imag(phi * jac)])
-    b = np.concatenate([np.real(reduced - phi * c0), np.imag(reduced - phi * c0)])
+    b = np.concatenate([np.real(target - phi * f), np.imag(target - phi * f)])
     step, *_ = np.linalg.lstsq(a, b, rcond=None)
     return theta0 + step
 
 
-def invert_theta(reduced, tau: float, norm_factor: float,
-                 family=None) -> np.ndarray:
+def invert_theta(reduced, tau: float, norm_factor: float) -> np.ndarray:
     """First-order inversion of frame coefficients (c_0, c_1 .. c_m) to parameters.
 
     ``norm_factor`` is 1/sqrt(F2(d, r)) of the probe's frame, sqrt(d) for a
     single channel.  After fixing the phase of c_0 to be real positive,
     theta_j = -(norm_factor / tau) Im(c_j / c_0), exact to first order in
-    tau * ||theta||; the staged schemes stop here.  When ``family`` is supplied,
-    a callable theta -> (f, df) with f the exact normalized frame coefficients
-    and df = df/dtheta their (m+1, m) Jacobian, one Gauss-Newton fidelity
-    refinement is applied on top, as one_channel does.
+    tau * ||theta||.
     """
     c = np.asarray(reduced, dtype=complex).reshape(-1)
     if c.size < 2:
@@ -222,10 +231,7 @@ def invert_theta(reduced, tau: float, norm_factor: float,
         raise InversionUnstableError(
             f"|c_0| = {abs(c0):.3f} < {TOL.min_c0}; inversion unstable, reduce tau")
     c = c * (c0.conj() / abs(c0))
-    theta = -(norm_factor / tau) * np.imag(c[1:] / c[0].real)
-    if family is not None:
-        theta = _refine_gauss_newton(family, c, theta)
-    return theta
+    return -(norm_factor / tau) * np.imag(c[1:] / c[0].real)
 
 
 @dataclass(frozen=True)
@@ -280,16 +286,15 @@ def _check_run_inputs(model, theta_true, delta, e_radius, rng, seed):
     return theta_true, np.random.default_rng(seed) if rng is None else rng
 
 
-def _stage_estimate(reduced_exact, p, copies, tau, norm_factor, family,
-                    rng: np.random.Generator):
-    """Postselect `copies` prepared copies, reconstruct, invert."""
+def _stage_estimate(reduced_exact, p, copies, rng: np.random.Generator):
+    """Postselect `copies` prepared copies and reconstruct; returns (state, accept rate)."""
     n_accepted = int(rng.binomial(copies, p))
     rate = n_accepted / copies if copies else 0.0
     if rate < TOL.starvation_rate or n_accepted < reduced_exact.size:
         raise PostselectionStarvedError(
             f"postselection starved: accepted {n_accepted} of {copies}")
     mean = _outcome_projector_mean(reduced_exact, n_accepted, rng)
-    return invert_theta(reconstruct_from_projector_mean(mean), tau, norm_factor, family), rate
+    return reconstruct_from_projector_mean(mean), rate
 
 
 # r: entangled channels; radius: the search ball; capped: r_max holds r below 2^(n0-n) d
@@ -392,41 +397,25 @@ def _symmetric_probe(model: HamiltonianModel, theta_true: np.ndarray):
     return probe
 
 
-def _mes_family(model: HamiltonianModel, tau: float):
-    """inc -> (f, df): the normalized frame coefficients of V = exp(-i tau H_inc) and df/dinc.
-
-    one_channel's refinement family.  With c, dc from :func:`sym_frame_tangents` and dV
-    the Frechet derivative of V, f = c / |c| and df = dc / |c| - f Re(f^dag dc) / |c|.
-    """
-    ops = model.generators
-
-    def family(inc):
-        c, dc = sym_frame_tangents(*hermitian_expm_derivatives(hamiltonian(model, inc), tau, ops),
-                                   ops)
-        norm = np.linalg.norm(c)
-        f = c / norm
-        return f, (dc - np.outer(f, np.real(f.conj() @ dc))) / norm
-
-    return family
-
-
-def _run_stage(model, stage: _Stage, probe, theta_star, refine: bool, rng):
+def _run_stage(model, stage: _Stage, probe, theta_star, rng):
     """Stage unitary -> frame coefficients -> estimate; returns (increment, accept rate).
 
-    ``refine`` adds the Gauss-Newton step of :func:`_mes_family`, which models the
-    unsliced MES probe; only one_channel sets it.
+    Every stage inverts to first order.  The n = 0 stage, which :func:`_plan` gives to
+    one_channel alone, has no later stage to measure its O(kappa^2) bias away, so it adds
+    the Gauss-Newton step of :func:`_refine_gauss_newton`, which models the unsliced MES probe.
     """
     c = sym_frame_coefficients(probe(stage, theta_star), model.generators, stage.r)
     p = float(np.real(np.vdot(c, c)))          # the postselection probability
     if p < TOL.min_postselect_p:
         raise DegenerateProjectionError(f"projection probability {p:.3e} is degenerate")
-    return _stage_estimate(c / math.sqrt(p), min(p, 1.0), stage.copies, stage.tau,
-                           1.0 / math.sqrt(f2_coeff(model.d, stage.r)),
-                           _mes_family(model, stage.tau) if refine else None, rng)
+    reduced, rate = _stage_estimate(c / math.sqrt(p), min(p, 1.0), stage.copies, rng)
+    increment = invert_theta(reduced, stage.tau, 1.0 / math.sqrt(f2_coeff(model.d, stage.r)))
+    if stage.n == 0:
+        increment = _refine_gauss_newton(model, stage.tau, reduced, increment)
+    return increment, rate
 
 
-def _run_stages(scheme, make_probe, model, theta_true, delta, e_radius, constants, rng, seed,
-                refine=False):
+def _run_stages(scheme, make_probe, model, theta_true, delta, e_radius, constants, rng, seed):
     """Check the inputs, plan the scheme, and run its stages in units of E on make_probe.
 
     A stage sees theta / E, tau E and its search radius / E, so every norm a trial takes is
@@ -440,7 +429,7 @@ def _run_stages(scheme, make_probe, model, theta_true, delta, e_radius, constant
     for stage in plan:
         unit = stage._replace(tau=stage.tau * e_radius, radius=stage.radius / e_radius)
         try:
-            increment, rate = _run_stage(model, unit, probe, theta_star, refine, rng)
+            increment, rate = _run_stage(model, unit, probe, theta_star, rng)
             norm = np.linalg.norm(increment)
             if norm > unit.radius:
                 increment = increment * (unit.radius / norm)
@@ -460,14 +449,13 @@ def run_one_channel(model: HamiltonianModel, theta_true, delta: float,
                     seed: int = 0) -> EstimationRecord:
     """Single-radius estimation: one MES stage, fixed tau, N ~ (E / delta)^2 copies.
 
-    No feedback, so T = N tau ~ 1 / delta^2.  With ``constants.refine`` the first-order
-    estimate gets one Gauss-Newton step, since no later stage measures its O(kappa^2)
-    bias away.  The estimate is projected onto the ball of radius E, and a failed stage is
-    recorded, not raised: theta_hat = 0.  A delta / E below 2^-40 raises before any draw.
+    No feedback, so T = N tau ~ 1 / delta^2.  The first-order estimate always gets one
+    Gauss-Newton step, since no later stage measures its O(kappa^2) bias away.  The
+    estimate is projected onto the ball of radius E, and a failed stage is recorded, not
+    raised: theta_hat = 0.  A delta / E below 2^-40 raises before any draw.
     """
     return _run_stages("one_channel", lambda theta: _mes_probe(model, theta, 0),
-                       model, theta_true, delta, e_radius, constants, rng, seed,
-                       refine=constants.refine)
+                       model, theta_true, delta, e_radius, constants, rng, seed)
 
 
 def run_adaptive(model: HamiltonianModel, theta_true, delta: float,

@@ -24,8 +24,8 @@ from .config import ExperimentConfig
 from .constants import TOL
 from .errors import (AuditFailure, BranchCutError, DegenerateProjectionError,
                      ResourceLimitError, ValidationError)
-from .estimation import (_aligned_basis, _aligned_outcomes, _mes_family, _outcome_chunks,
-                         invert_theta)
+from .estimation import (_aligned_basis, _aligned_outcomes, _outcome_chunks,
+                         _refine_gauss_newton, invert_theta)
 from .linalg import (PureState, assert_hermitian, assert_unitary, haar_state, haar_unitary,
                      hermitian_expm, hs_inner, unitary_eig)
 from .model import HamiltonianModel, hamiltonian, make_model
@@ -556,7 +556,6 @@ def check_estimator_consistency(seed: int = 55):
         model = make_model(kind, d)
         frame = postselection_frame(model)
         tau = 0.05
-        family = _mes_family(model, tau)
         for _ in range(5):
             theta = rng.standard_normal(model.m)
             theta /= np.linalg.norm(theta)
@@ -565,7 +564,7 @@ def check_estimator_consistency(seed: int = 55):
             reduced, _ = frame_projection(frame, probe.amplitudes)
             est = invert_theta(reduced, tau, frame.norm_factor)
             assert np.linalg.norm(est - theta) <= 0.01, (kind, d)
-            est2 = invert_theta(reduced, tau, frame.norm_factor, family=family)
+            est2 = _refine_gauss_newton(model, tau, reduced, est)
             assert np.linalg.norm(est2 - theta) <= 1e-3, (kind, d)
 
 

@@ -184,12 +184,18 @@ class TestReport:
         with pytest.raises(ValidationError, match="positive and finite"):
             bound_report(make_model("full", 2), delta, e_radius)
 
-    @pytest.mark.parametrize("delta, e_radius", [(1e199, 1e200), (1e-170, 1.0)])
+    @pytest.mark.parametrize("delta, e_radius", [(1e199, 1e200), (1e-170, 1.0),
+                                                 (1e154, 1e155), (2.0 ** 400 / 10, 2.0 ** 400)])
     def test_rejects_unplannable_one_channel_stage(self, delta, e_radius):
-        # E = 1e200 plans and reports with no overflow; delta = 1e-170 meets the delta / E floor
+        # E = 2^400 reports with no overflow and qfi_upper = 1.5e-241; at E = 1e155 and 1e200
+        # qfi_upper would be subnormal or 0; delta = 1e-170 meets the delta / E floor
         model = make_model("full", 2)
         if delta / e_radius < 2.0 ** -40:
             with pytest.raises(ValidationError, match=r"delta/E must be at least 2\^-40"):
+                bound_report(model, delta, e_radius)
+            return
+        if e_radius > 2.0 ** 400:
+            with pytest.raises(ValidationError, match=r"the QFI bound 4 c tau\^2 underflows"):
                 bound_report(model, delta, e_radius)
             return
         with warnings.catch_warnings():
@@ -197,6 +203,8 @@ class TestReport:
             rep = bound_report(model, delta, e_radius)
         assert rep.copies_lower == bound_report(model, 0.1, 1.0).copies_lower
         assert rep.time_lower * e_radius == pytest.approx(bound_report(model, 0.1, 1.0).time_lower)
+        assert rep.qfi_upper * e_radius ** 2 == pytest.approx(
+            bound_report(model, 0.1, 1.0).qfi_upper)
 
     @pytest.mark.parametrize("kind", ["full", "phase", "offdiag"])
     def test_scales_with_e(self, kind):

@@ -36,7 +36,7 @@ seed = 4242
 
 # A non-default value for every field of SchemeConstants.
 CONSTANT_OVERRIDES = {"kappa": "0.3", "alpha": "10", "beta": "0.5", "p_crit": "0.1",
-                      "r_max": "7", "refine": "false", "trotter_slices": "2"}
+                      "r_max": "7", "trotter_slices": "2"}
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -110,16 +110,14 @@ class TestConfig:
         text = MINI.format(trials=1) + "".join(
             f"{f.name}={CONSTANT_OVERRIDES[f.name]}\n" for f in fields(SchemeConstants))
         assert parse_config_text(text).constants == SchemeConstants(
-            kappa=0.3, alpha=10.0, beta=0.5, p_crit=0.1, r_max=7, refine=False,
-            trotter_slices=2)
+            kappa=0.3, alpha=10.0, beta=0.5, p_crit=0.1, r_max=7, trotter_slices=2)
 
     def test_constants_overrides(self):
         cfg = parse_config_text(MINI.format(trials=1) + "kappa=0.4\nalpha=32\n"
-                                "r_max=16\nrefine=false\n")
+                                "r_max=16\n")
         assert cfg.constants.kappa == 0.4
         assert cfg.constants.alpha == 32
         assert cfg.constants.r_max == 16
-        assert cfg.constants.refine is False
 
     @pytest.mark.parametrize("override", ["kappa=0", "alpha=0", "beta=-1", "p_crit=0",
                                           "p_crit=1", "r_max=0", "r_max=-3",
@@ -559,9 +557,10 @@ class TestCli:
         assert not missing.exists()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])
-    @pytest.mark.parametrize("key", ["out_csv", "out_json"])
+    @pytest.mark.parametrize("key", ["out_csv", "out_json", "refine"])
     def test_output_path_config_key_exit_2(self, tmp_path, capsys, monkeypatch, command, key):
-        # the CSV path is --out alone, and the summary goes next to it
+        # the CSV path is --out alone, and the summary goes next to it; one_channel always
+        # refines, so refine is no key either
         def no_trial(*args):
             pytest.fail("a trial ran")
 

@@ -17,8 +17,8 @@ from hamest.constants import SchemeConstants
 from hamest.errors import (DegenerateProjectionError, InversionUnstableError,
                            PostselectionStarvedError, ValidationError)
 from hamest.estimation import (_TOMOGRAPHY_CHUNK as STAGE_CHUNK, EstimationRecord,
-                               _mes_family, _mes_probe,
-                               _outcome_projector_mean, _plan, _refine_gauss_newton, _Stage,
+                               _mes_probe, _outcome_projector_mean, _plan,
+                               _refine_gauss_newton, _Stage,
                                _stage_estimate, invert_theta,
                                reconstruct_from_projector_mean,
                                run_adaptive, run_many_channel, run_one_channel)
@@ -429,7 +429,8 @@ class TestInvertTheta:
         theta = rng.standard_normal(model.m)
         theta /= np.linalg.norm(theta)
         frame, reduced, _ = exact_reduced(model, theta, 0.05)
-        est = invert_theta(reduced, 0.05, frame.norm_factor, family=_mes_family(model, 0.05))
+        est = _refine_gauss_newton(model, 0.05, reduced,
+                                   invert_theta(reduced, 0.05, frame.norm_factor))
         assert np.linalg.norm(est - theta) <= 1e-3
 
     @pytest.mark.parametrize("kind,d,r", [("full", 3, 1)])
@@ -444,10 +445,10 @@ class TestInvertTheta:
         v = _mes_probe(model, theta, 0)(_Stage(1, 0.3 / r, r, 0), star)
         c = sym_frame_coefficients(v, model.generators, r)
         reduced = np.exp(0.7j) * c / np.linalg.norm(c)
-        family = _mes_family(model, 0.3 / r)
         u = rng.standard_normal(model.m)
         u /= np.linalg.norm(u)
-        errs = [np.linalg.norm(_refine_gauss_newton(family, reduced, theta - star + eps * u)
+        errs = [np.linalg.norm(_refine_gauss_newton(model, 0.3 / r, reduced,
+                                                    theta - star + eps * u)
                                - (theta - star)) for eps in (1e-1, 1e-2, 1e-3)]
         for eps, err in zip((1e-1, 1e-2, 1e-3), errs):
             assert err <= 0.01 * eps ** 2, (eps, err)
@@ -555,7 +556,7 @@ class TestRunOneChannel:
             run_one_channel(FULL2, np.zeros(3), 0.5, 1.0, CONST)
 
     def test_worst_case_estimates_stay_in_search_ball(self, monkeypatch):
-        # the phase golden's unrefined kappa = 2.5 stage overshoots E from near the boundary
+        # the phase golden's kappa = 2.5 stage overshoots E from near the boundary
         estimates = []
 
         def recording(*args, **kwargs):
@@ -584,10 +585,8 @@ class TestRunOneChannel:
         assert rec.total_time == sum(s.copies * s.r * s.tau for s in plan)
 
     def test_starvation_raises(self):
-        frame = postselection_frame(FULL2)
         with pytest.raises(PostselectionStarvedError):
-            _stage_estimate(np.eye(4)[0], 0.001, 1000, 0.3, frame.norm_factor, None,
-                            np.random.default_rng(0))
+            _stage_estimate(np.eye(4)[0], 0.001, 1000, np.random.default_rng(0))
 
 
 class TestRunAdaptive:
@@ -639,8 +638,8 @@ class TestRunAdaptive:
                 probe = evolve(FULL2, theta - theta_star,
                                Schedule(r=1, initial=mes(2), steps=((tau, None),)))
                 reduced, p = frame_projection(frame, probe.amplitudes)
-                inc, _ = _stage_estimate(reduced, p, copies, tau, frame.norm_factor, None, rng)
-                theta_star = theta_star + inc
+                estimate, _ = _stage_estimate(reduced, p, copies, rng)
+                theta_star = theta_star + invert_theta(estimate, tau, frame.norm_factor)
                 err = np.linalg.norm(theta_star - theta)
                 if prior_ok:
                     counts[n][1] += 1
@@ -797,14 +796,12 @@ class TestFirstOrderStages:
             assert len(rec.stages) == 5
         assert calls == {"_refine_gauss_newton": 0, "hermitian_expm_derivatives": 0}
 
-    @pytest.mark.parametrize("refine", [True, False])
-    def test_one_channel_refines_once_per_stage(self, refine, monkeypatch):
+    def test_one_channel_refines_once_per_stage(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
-        rec = run_one_channel(FULL2, [0.3, -0.2, 0.1], 0.1, 1.0,
-                              SchemeConstants(refine=refine), seed=4)
-        assert len(rec.stages) == 1 and not rec.stages[0].failed
-        assert calls == {"_refine_gauss_newton": int(refine),
-                         "hermitian_expm_derivatives": int(refine)}
+        for seed in (4, 5):
+            rec = run_one_channel(FULL2, [0.3, -0.2, 0.1], 0.1, 1.0, CONST, seed=seed)
+            assert len(rec.stages) == 1 and not rec.stages[0].failed
+        assert calls == {"_refine_gauss_newton": 2, "hermitian_expm_derivatives": 2}
 
 
 DRIVERS = {"one_channel": run_one_channel, "adaptive": run_adaptive,
