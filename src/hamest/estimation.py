@@ -14,10 +14,11 @@ Three drivers are provided: :func:`run_one_channel` (fixed radius, classical
 T ~ 1/delta^2 scaling), :func:`run_adaptive` (feedback staging, T ~ 1/delta),
 and :func:`run_many_channel` (entangled channels in the symmetric subspace,
 measurement-side counter-rotation, no feedback during evolution).  Each
-driver takes its stages from :func:`_plan` and picks a probe, a d x d stage
-unitary V whose collective MES Sym^r(V) is measured (the MES is r = 1).  All
-three drivers share one stage loop, :func:`_run_stages`, which runs in units
-of E; its stage body takes its frame coefficients from :func:`sym_frame_coefficients`.
+driver checks its inputs and takes its stages from :func:`_plan`.  One stage
+loop, :func:`_run_plan`, runs every scheme's plan in units of E; the runner
+hands it each block's plan directly.  The scheme picks its probe, a d x d stage
+unitary V whose collective MES Sym^r(V) is measured (the MES is r = 1), and the
+stage body takes its frame coefficients from :func:`sym_frame_coefficients`.
 """
 
 from __future__ import annotations
@@ -320,7 +321,7 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
     many_channel: R = 2^n delta too, but every stage keeps the tau of 2^n0 delta and entangles
     r_n = min(2^(n0-n) d, r_max) channels instead; a stage is capped where r_n < 2^(n0-n) d.
 
-    The stages run in units of E (:func:`_run_stages`), so only delta / E decides whether a
+    The stages run in units of E (:func:`_run_plan`), so only delta / E decides whether a
     plan can run.  First, delta / E >= 2^-40 = 2^12 ulp(1): theta / E lies in the unit ball
     and theta* / E, a sum of increments clipped to the radii, below 4, so a float grid of
     spacing <= 2^-51 moves the error by at most sqrt(m) 2^-11 delta; near ulp(1) (delta =
@@ -415,17 +416,18 @@ def _run_stage(model, stage: _Stage, probe, theta_star, rng):
     return increment, rate
 
 
-def _run_stages(scheme, make_probe, model, theta_true, delta, e_radius, constants, rng, seed):
-    """Check the inputs, plan the scheme, and run its stages in units of E on make_probe.
+def _run_plan(scheme, plan, model, theta_true, delta, e_radius, constants, rng, seed):
+    """Run the scheme's ``plan`` on a checked theta_true in units of E, on the scheme's probe.
 
     A stage sees theta / E, tau E and its search radius / E, so every norm a trial takes is
     O(1) for any E.  A failed stage is recorded and skipped.  An increment longer than the
     stage's search radius is projected onto that ball, so that no stage throws theta* out
     of the region the later stages search; one_channel's estimate stays in the E-ball.
     """
-    theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
-    plan = _plan(scheme, model, delta, e_radius, constants)
-    probe, theta_star, records = make_probe(theta_true / e_radius), np.zeros(theta_true.size), []
+    theta = theta_true / e_radius
+    probe = (_symmetric_probe(model, theta) if scheme == "many_channel" else
+             _mes_probe(model, theta, constants.trotter_slices if scheme == "adaptive" else 0))
+    theta_star, records = np.zeros(theta_true.size), []
     for stage in plan:
         unit = stage._replace(tau=stage.tau * e_radius, radius=stage.radius / e_radius)
         try:
@@ -443,6 +445,13 @@ def _run_stages(scheme, make_probe, model, theta_true, delta, e_radius, constant
                                   e_radius=e_radius)
 
 
+def _run_checked(scheme, model, theta_true, delta, e_radius, constants, rng, seed):
+    """The drivers' entry: check the inputs, plan the scheme, and run the plan."""
+    theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
+    return _run_plan(scheme, _plan(scheme, model, delta, e_radius, constants), model,
+                     theta_true, delta, e_radius, constants, rng, seed)
+
+
 def run_one_channel(model: HamiltonianModel, theta_true, delta: float,
                     e_radius: float, constants: SchemeConstants = DEFAULT_CONSTANTS,
                     rng: np.random.Generator | None = None,
@@ -454,8 +463,7 @@ def run_one_channel(model: HamiltonianModel, theta_true, delta: float,
     estimate is projected onto the ball of radius E, and a failed stage is recorded, not
     raised: theta_hat = 0.  A delta / E below 2^-40 raises before any draw.
     """
-    return _run_stages("one_channel", lambda theta: _mes_probe(model, theta, 0),
-                       model, theta_true, delta, e_radius, constants, rng, seed)
+    return _run_checked("one_channel", model, theta_true, delta, e_radius, constants, rng, seed)
 
 
 def run_adaptive(model: HamiltonianModel, theta_true, delta: float,
@@ -468,8 +476,7 @@ def run_adaptive(model: HamiltonianModel, theta_true, delta: float,
     driven Hamiltonian is H_{theta-theta*} (kicks between slices when ``trotter_slices``
     > 0).  Stage failures are recorded, not raised; a delta / E below 2^-40 raises.
     """
-    return _run_stages("adaptive", lambda theta: _mes_probe(model, theta, constants.trotter_slices),
-                       model, theta_true, delta, e_radius, constants, rng, seed)
+    return _run_checked("adaptive", model, theta_true, delta, e_radius, constants, rng, seed)
 
 
 def run_many_channel(model: HamiltonianModel, theta_true, delta: float,
@@ -482,5 +489,4 @@ def run_many_channel(model: HamiltonianModel, theta_true, delta: float,
     estimate enters only as the measurement-side counter-rotation exp(+i tau {H_theta*}_r).
     Stage failures are recorded, not raised; a delta / E below 2^-40 raises.
     """
-    return _run_stages("many_channel", lambda theta: _symmetric_probe(model, theta),
-                       model, theta_true, delta, e_radius, constants, rng, seed)
+    return _run_checked("many_channel", model, theta_true, delta, e_radius, constants, rng, seed)

@@ -18,7 +18,6 @@ import numpy as np
 from . import estimation
 from .config import ExperimentConfig
 from .errors import HamestError, ValidationError
-from .estimation import run_adaptive, run_many_channel, run_one_channel
 from .model import HamiltonianModel, make_model
 
 __all__ = [
@@ -35,12 +34,6 @@ CSV_HEADER = "trial,seed,scheme,d,m,delta,E,theta_err,total_time,success,stages"
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-_SCHEME_RUNNERS = {
-    "one_channel": run_one_channel,
-    "adaptive": run_adaptive,
-    "many_channel": run_many_channel,
-}
 
 
 def _splitmix64(x: int) -> int:
@@ -75,18 +68,18 @@ def _format_stages(stages) -> str:
                     for s in stages)
 
 
-def _run_trial(cfg: ExperimentConfig, model: HamiltonianModel, master: int, index: int) -> dict:
+def _run_trial(cfg: ExperimentConfig, model: HamiltonianModel, plan: list, master: int,
+               index: int) -> dict:
     seed = trial_seed(master, index)
     rng = trial_rng(seed)
     theta = _sample_theta(model.m, cfg.e_radius, cfg.worst_case_grid, rng)
-    runner = _SCHEME_RUNNERS[cfg.scheme]
     row = {
         "trial": index, "seed": seed, "scheme": cfg.scheme, "d": cfg.d,
         "m": model.m, "delta": cfg.delta, "E": cfg.e_radius,
     }
     try:
-        rec = runner(model, theta, cfg.delta, cfg.e_radius, cfg.constants,
-                     rng=rng, seed=seed)
+        rec = estimation._run_plan(cfg.scheme, plan, model, theta, cfg.delta, cfg.e_radius,
+                                   cfg.constants, rng, seed)
         row.update(theta_err=rec.error, total_time=rec.total_time,
                    success=rec.success, stages=_format_stages(rec.stages),
                    error=None)
@@ -105,14 +98,14 @@ def _run_block(cfg: ExperimentConfig, model: HamiltonianModel, plan: list, maste
                jobs: int) -> tuple[list[dict], dict]:
     """The cfg.trials rows at cfg.delta, in trial order, and their summary.
 
-    One model serves every trial, on min(jobs, trials, usable CPUs) processes;
+    One model and one plan serve every trial, on min(jobs, trials, usable CPUs) processes;
     only more than one imports and starts a process pool.  jobs < 1 is rejected.
     ``total_time`` is the plan's T, which every completed trial carries, and
     ``capped_stages`` counts the stages of ``plan`` whose r the r_max cap holds back.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    trial = functools.partial(_run_trial, cfg, model, master)
+    trial = functools.partial(_run_trial, cfg, model, plan, master)
     workers = min(jobs, cfg.trials, estimation._usable_cpus())
     if workers == 1:
         rows = [trial(i) for i in range(cfg.trials)]

@@ -66,14 +66,14 @@ def failing_adaptive(monkeypatch):
 
     Every delta fails unless the test adds deltas to the returned set; then only those do.
     """
-    only, adaptive = set(), runner._SCHEME_RUNNERS["adaptive"]
+    only, run_plan = set(), estimation._run_plan
 
-    def fail(model, theta, delta, *args, **kwargs):
-        if only and delta not in only:
-            return adaptive(model, theta, delta, *args, **kwargs)
+    def fail(scheme, plan, model, theta, delta, *args):
+        if scheme != "adaptive" or (only and delta not in only):
+            return run_plan(scheme, plan, model, theta, delta, *args)
         raise InversionUnstableError("|c_0| below the inversion threshold")
 
-    monkeypatch.setitem(runner._SCHEME_RUNNERS, "adaptive", fail)
+    monkeypatch.setattr(estimation, "_run_plan", fail)
     return only
 
 
@@ -240,7 +240,7 @@ class TestRunner:
         assert built == [("full", 2)]
 
     def test_one_plan_per_block(self, monkeypatch):
-        # one plan per delta before any trial, then one inside each trial's driver
+        # one plan per delta before any trial, which every trial of that delta runs
         calls, plan = [], estimation._plan
 
         def counting_plan(*args):
@@ -249,10 +249,28 @@ class TestRunner:
 
         monkeypatch.setattr(estimation, "_plan", counting_plan)
         run_experiment(parse_config_text(MINI.format(trials=3)), jobs=1)
-        assert calls == [0.1] * 4
+        assert calls == [0.1]
         calls.clear()
         run_sweep(parse_config_text(MINI.format(trials=2)), [0.2, 0.15, 0.1], jobs=1)
-        assert calls == [0.2, 0.15, 0.1] + [0.2] * 2 + [0.15] * 2 + [0.1] * 2
+        assert calls == [0.2, 0.15, 0.1]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers inherit the patched plan only when forked")
+    def test_workers_do_not_plan(self, monkeypatch):
+        # a plan made in a pool worker would raise there and error its trial's row
+        parent, plan = os.getpid(), estimation._plan
+
+        def parent_only_plan(*args):
+            if os.getpid() != parent:
+                raise ValidationError("planned in a worker")
+            return plan(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setattr(estimation, "_plan", parent_only_plan)
+        rows, summary = run_experiment(parse_config_text(MINI.format(trials=4)), jobs=2)
+        assert [r["error"] for r in rows] == [None] * 4 and summary["n_errors"] == 0
+        rows, _ = run_sweep(parse_config_text(MINI.format(trials=2)), [0.2, 0.15, 0.1], jobs=2)
+        assert [r["error"] for r in rows] == [None] * 6
 
     def test_pickled_model_stays_read_only(self):
         model = pickle.loads(pickle.dumps(make_model("full", 3)))
@@ -260,24 +278,24 @@ class TestRunner:
             model.generators[0, 0, 0] = 1.0
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers inherit the patched scheme table only when forked")
+                        reason="workers inherit the patched stage loop only when forked")
     def test_worker_model_read_only(self, monkeypatch):
-        def report_writeable(model, *args, **kwargs):
+        def report_writeable(scheme, plan, model, *args):
             raise ValidationError(f"writeable={model.generators.flags.writeable}")
 
-        monkeypatch.setitem(runner._SCHEME_RUNNERS, "adaptive", report_writeable)
+        monkeypatch.setattr(estimation, "_run_plan", report_writeable)
         rows, _ = run_experiment(parse_config_text(MINI.format(trials=3)), jobs=2)
         assert [r["error"] for r in rows] == ["ValidationError: writeable=False"] * 3
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers inherit the patched scheme table only when forked")
+                        reason="workers inherit the patched stage loop only when forked")
     def test_workers_share_the_cpus(self, monkeypatch):
         # on 4 CPUs: 2 jobs fold a stage's chunks on 2 threads each, 4 jobs on 1
         def report_threads(*args, **kwargs):
             raise ValidationError(f"threads={estimation._pool_workers()}")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        monkeypatch.setitem(runner._SCHEME_RUNNERS, "adaptive", report_threads)
+        monkeypatch.setattr(estimation, "_run_plan", report_threads)
         for jobs, threads in ((2, 2), (4, 1)):
             rows, _ = run_experiment(parse_config_text(MINI.format(trials=4)), jobs=jobs)
             assert [r["error"] for r in rows] == [f"ValidationError: threads={threads}"] * 4

@@ -17,7 +17,7 @@ from hamest.constants import SchemeConstants
 from hamest.errors import (DegenerateProjectionError, InversionUnstableError,
                            PostselectionStarvedError, ValidationError)
 from hamest.estimation import (_TOMOGRAPHY_CHUNK as STAGE_CHUNK, EstimationRecord,
-                               _mes_probe, _outcome_projector_mean, _plan,
+                               _check_run_inputs, _mes_probe, _outcome_projector_mean, _plan,
                                _refine_gauss_newton, _Stage,
                                _stage_estimate, invert_theta,
                                reconstruct_from_projector_mean,
@@ -559,12 +559,14 @@ class TestRunOneChannel:
         # the phase golden's kappa = 2.5 stage overshoots E from near the boundary
         estimates = []
 
-        def recording(*args, **kwargs):
-            rec = run_one_channel(*args, **kwargs)
+        run_plan = estimation._run_plan
+
+        def recording(*args):
+            rec = run_plan(*args)
             estimates.append(np.linalg.norm(rec.theta_hat))
             return rec
 
-        monkeypatch.setitem(runner._SCHEME_RUNNERS, "one_channel", recording)
+        monkeypatch.setattr(estimation, "_run_plan", recording)
         cfg = parse_config(GOLDEN / "one_channel_phase_failed_stage.cfg")
         _, summary = run_experiment(replace(cfg, worst_case_grid=True))
         assert max(estimates) <= cfg.e_radius * (1 + 1e-12), estimates
@@ -984,6 +986,43 @@ class TestUnitsOfE:
                 unit = self.scaled_run(scheme, model, 1.0, index)
                 for k in (-250, -100, -10, 10, 100, 250):
                     assert self.scaled_run(scheme, model, 4.0 ** k, index) == unit, (index, k)
+
+
+
+class TestRunnerEntry:
+    """The runner hands its block's plan and its sampled theta straight to the stage loop.
+
+    So a ``run_experiment`` row must equal the public driver's record for the same theta and
+    generator, and every theta the runner samples must pass the drivers' input check.
+    """
+
+    @pytest.mark.parametrize("worst_case", [False, True], ids=["uniform", "worst_case"])
+    @pytest.mark.parametrize("kind, d", [("full", 2), ("offdiag", 3)])
+    @pytest.mark.parametrize("scheme", DRIVERS)
+    def test_row_matches_driver_record(self, scheme, kind, d, worst_case):
+        cfg = ExperimentConfig(model_kind=kind, d=d, scheme=scheme, delta=0.3, e_radius=2.0,
+                               trials=3, master_seed=23, worst_case_grid=worst_case)
+        model = make_model(kind, d)
+        rows, _ = run_experiment(cfg)
+        for row in rows:
+            rng = runner.trial_rng(row["seed"])
+            theta = runner._sample_theta(model.m, cfg.e_radius, worst_case, rng)
+            rec = DRIVERS[scheme](model, theta, cfg.delta, cfg.e_radius, cfg.constants,
+                                  rng=rng, seed=row["seed"])
+            assert row["error"] is None
+            assert ((row["theta_err"], row["total_time"], row["success"], row["stages"])
+                    == (rec.error, rec.total_time, rec.success,
+                        runner._format_stages(rec.stages))), row["trial"]
+
+    @pytest.mark.parametrize("kind, d", [("phase", 2), ("full", 2), ("full", 3), ("full", 4)],
+                             ids=["m=1", "m=3", "m=8", "m=15"])
+    def test_sampled_theta_passes_input_check(self, kind, d):
+        model, rng = make_model(kind, d), np.random.default_rng(d)
+        for e_radius in (4.0 ** -100, 1.0, 4.0 ** 100):
+            for worst_case in (False, True):
+                for _ in range(1000):
+                    theta = runner._sample_theta(model.m, e_radius, worst_case, rng)
+                    _check_run_inputs(model, theta, e_radius / 10, e_radius, rng, 0)
 
 
 class TestRecord:

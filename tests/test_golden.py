@@ -1,11 +1,14 @@
-"""Golden records: `hamest run` must reproduce the CSVs stored with each config.
+"""Golden records: `hamest run` must reproduce the CSVs and summaries stored with each config.
 
-Each ``data/golden/<name>.cfg`` has a ``<name>.csv`` written by
-``hamest run --config <name>.cfg``.  Integer, string and boolean cells, and
-each stage's n, copies and failed flag, compare exactly.  Float cells compare
-to a relative 1e-9, so that BLAS rounding on other hosts does not fail.
+Each ``data/golden/<name>.cfg`` has a ``<name>.csv`` and a ``<name>.summary.json``
+written by ``hamest run --config <name>.cfg --out <name>.csv``.  Integer, string
+and boolean cells, each stage's n, copies and failed flag, and the summary's keys
+and integer values compare exactly.  Float cells and summary values compare to a
+relative 1e-9, so that BLAS rounding on other hosts does not fail.
 """
 
+import functools
+import json
 import math
 from pathlib import Path
 
@@ -40,13 +43,28 @@ def parse_stages(cell):
     return stages
 
 
+def same_summary_value(got, want) -> bool:
+    if isinstance(want, float):
+        return isinstance(got, float) and same_float(got, want)
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and got.keys() == want.keys()
+                and all(same_summary_value(got[k], want[k]) for k in want))
+    return type(got) is type(want) and got == want
+
+
 def golden_rows(name):
     return parse_csv((GOLDEN / f"{name}.csv").read_text())
 
 
+@functools.cache
+def golden_run(name):
+    """run_experiment's rows and summary for the golden config, once per name."""
+    return run_experiment(parse_config(GOLDEN / f"{name}.cfg"))
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_run_reproduces_golden_csv(name):
-    rows, _ = run_experiment(parse_config(GOLDEN / f"{name}.cfg"))
+    rows, _ = golden_run(name)
     got, want = parse_csv(rows_to_csv(rows)), golden_rows(name)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -62,6 +80,13 @@ def test_run_reproduces_golden_csv(name):
                 in zip(g_stages, w_stages):
             assert (gn, gcopies, gfailed) == (wn, wcopies, wfailed), (*where, wn)
             assert same_float(gtau, wtau) and same_float(grate, wrate), (*where, wn)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_run_reproduces_golden_summary(name):
+    _, got = golden_run(name)
+    want = json.loads((GOLDEN / f"{name}.summary.json").read_text())
+    assert same_summary_value(got, want), (name, got, want)
 
 
 def test_golden_set_covers_failed_stage():
