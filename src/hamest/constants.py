@@ -38,6 +38,13 @@ class Tolerances:
 
 TOL = Tolerances()
 
+# Per-slice phase sigma of sliced adaptive feedback: estimation._plan slices each stage so that
+# s ||H_theta|| <= sigma.  At theta* = theta a residual drives X_j averaged over the slice,
+# (1/s) int_{-s/2}^{s/2} e^{iuH} X_j e^{-iuH} du: H's eigen-units |a><b| scale by sinc(s w_ab / 2),
+# |w_ab| <= 2 ||H||.  The first-order increment's Jacobian is that average compressed onto
+# span{X_j}, so its singular values lie in [sin(sigma) / sigma, 1], about 1 - sigma^2 / 6.
+SLICE_PHASE = 0.5
+
 
 @dataclass(frozen=True)
 class SchemeConstants:
@@ -57,9 +64,9 @@ class SchemeConstants:
             The default bounds a plan's series length r d: the frame series
             cost O(d r) per call, but lifting the cap needs a plan-time
             memory rule first (ROADMAP item 11).
-    trotter_slices  adaptive only.  0 = exact feedback, V = exp(-i tau H_{theta-theta*});
-            k > 0 = kicks exp(+i s H_theta*) between k slices exp(-i s H_theta),
-            s = tau / k, in the symmetric d x d splitting (error O(tau^3 / k^2)).
+    trotter_slices  adaptive only.  False = exact feedback, V = exp(-i tau H_{theta-theta*});
+            True = kicks exp(+i s H_theta*) between slices exp(-i s H_theta) in the symmetric
+            d x d splitting, with s ||H_theta|| <= SLICE_PHASE in the slices _plan derives.
     """
 
     kappa: float = 0.5
@@ -67,7 +74,7 @@ class SchemeConstants:
     beta: float = 1.0
     p_crit: float = 0.05
     r_max: int | None = None
-    trotter_slices: int = 0
+    trotter_slices: bool = False
 
     def __post_init__(self):
         for name, ok, need in (
@@ -75,8 +82,9 @@ class SchemeConstants:
                 ("alpha", 0 < self.alpha < math.inf, "finite and > 0"),
                 ("beta", 0 <= self.beta < math.inf, "finite and >= 0"),
                 ("p_crit", 0 < self.p_crit < 1, "in (0, 1)"),
-                ("r_max", self.r_max is None or self.r_max >= 1, "None or >= 1"),
-                ("trotter_slices", self.trotter_slices >= 0, ">= 0")):
+                ("r_max", self.r_max is None or type(self.r_max) is int and self.r_max >= 1,
+                 "None or an integer >= 1"),
+                ("trotter_slices", type(self.trotter_slices) is bool, "a bool")):
             if not ok:
                 raise ValidationError(f"{name} must be {need}, got {getattr(self, name)!r}")
 

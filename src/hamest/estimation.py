@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, TOL, SchemeConstants
+from .constants import DEFAULT_CONSTANTS, SLICE_PHASE, TOL, SchemeConstants
 from .errors import (DegenerateProjectionError, InversionUnstableError,
                      PostselectionStarvedError, ValidationError)
 from .linalg import hermitian_expm, hermitian_expm_derivatives
@@ -298,8 +298,8 @@ def _stage_estimate(reduced_exact, p, copies, rng: np.random.Generator):
     return reconstruct_from_projector_mean(mean), rate
 
 
-# r: entangled channels; radius: the search ball; capped: r_max holds r below 2^(n0-n) d
-_Stage = namedtuple("_Stage", "n tau r copies radius capped", defaults=(math.inf, False))
+# r: channels; radius: the search ball; capped: r_max holds r < 2^(n0-n) d; slices: 0 = exact
+_Stage = namedtuple("_Stage", "n tau r copies radius capped slices", defaults=(math.inf, False, 0))
 
 
 def _total_time(plan) -> float:
@@ -317,7 +317,8 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
     noise at scale delta.  Staged: n = n0 .. 1, n0 = max(1, ceil(log2(E / delta))),
     N_n = ceil(alpha m (1 + beta n)); the (1 + beta n) is meant to cover a
     per-stage failure budget p_crit / 2^n, but N_n does not read p_crit yet.
-    adaptive: r = 1 and R = 2^n delta, so tau grows as the radius shrinks.
+    adaptive: r = 1 and R = 2^n delta, so tau grows as the radius shrinks; ``trotter_slices``
+    gives stage n k_n = ceil(tau_n max_energy(E) / SLICE_PHASE) feedback slices, at any delta.
     many_channel: R = 2^n delta too, but every stage keeps the tau of 2^n0 delta and entangles
     r_n = min(2^(n0-n) d, r_max) channels instead; a stage is capped where r_n < 2^(n0-n) d.
 
@@ -326,9 +327,9 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
     and theta* / E, a sum of increments clipped to the radii, below 4, so a float grid of
     spacing <= 2^-51 moves the error by at most sqrt(m) 2^-11 delta; near ulp(1) (delta =
     1e-17 at E = 1) theta* snaps to the float nearest theta and success is vacuous.  Each
-    stage then needs a finite tau > 0 and N < 2^63 (an N past the float range counts as
-    inf), and the plan a finite T (tau and T are physical).  Last, no norm a trial takes may
-    overflow.  The longest vector is a stage's unclipped increment (norm_factor / tau E)
+    stage then needs a finite tau > 0, N < 2^63 (an N past the float range counts as inf) and
+    k_n < 2^63, and the plan a finite T (tau and T are physical).  Last, no norm a trial takes
+    may overflow.  The longest vector is a stage's unclipped increment (norm_factor / tau E)
     Im(c_j / c_0) in units of E: |c_0| >= TOL.min_c0 = 0.1 and |c| = 1 bound Im(c / c_0) by
     10, norm_factor <= sqrt(d), and 1 / (tau E) = sqrt(c) (R / E) / kappa with R < 2E.  So it
     is at most 20 sqrt(d c) / kappa, whose square stays finite while that is below 2^512.
@@ -336,13 +337,17 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
     if not delta / e_radius >= 2.0 ** -40:
         raise ValidationError(f"delta/E must be at least 2^-40, got delta/E={delta / e_radius!r}")
     r_max = constants.effective_r_max(model.d)
+    sliced = scheme == "adaptive" and constants.trotter_slices
 
     def stage(n, radius, tau_radius, doubling, copies):
         tau = constants.kappa / max_energy(model, tau_radius)
-        if not (0 < tau < math.inf and copies < 2 ** 63):
+        slices = tau * max_energy(model, e_radius) / SLICE_PHASE if sliced else 0
+        if not (0 < tau < math.inf and copies < 2 ** 63 and slices < 2 ** 63):
             raise ValidationError(f"stage {n} cannot run: need 0 < tau < inf and fewer than "
-                                  f"2^63 copies, got tau={tau!r}, copies={copies!r}")
-        return _Stage(n, tau, min(doubling, r_max), math.ceil(copies), radius, r_max < doubling)
+                                  f"2^63 copies and slices, got tau={tau!r}, "
+                                  f"copies={copies!r}, slices={slices!r}")
+        return _Stage(n, tau, min(doubling, r_max), math.ceil(copies), radius, r_max < doubling,
+                      math.ceil(slices))
 
     if scheme == "one_channel":
         plan = [stage(0, e_radius, e_radius, 1,
@@ -363,20 +368,20 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
     return plan
 
 
-def _mes_probe(model: HamiltonianModel, theta_true: np.ndarray, trotter_slices: int):
+def _mes_probe(model: HamiltonianModel, theta_true: np.ndarray):
     """(stage, theta*) -> V_true of the MES (r = 1), V = exp(-i tau H_{theta - theta*}).
 
-    With k = trotter_slices > 0, V_true is the symmetric splitting half (U_s full)^(k-1)
-    U_s half, s = tau / k, half = exp(+i (s/2) H*), full = half^2, U_s =
-    exp(-i s H_theta): feedback kicks between slices, error O(tau^3 / k^2).
+    A stage the plan slices, k = stage.slices > 0, has V_true = half (U_s full)^(k-1) U_s half,
+    s = tau / k, half = exp(+i (s/2) H*), full = half^2, U_s = exp(-i s H_theta): feedback
+    kicks between slices; ``constants.SLICE_PHASE`` bounds the first-order response.
     """
     def probe(stage: _Stage, theta_star: np.ndarray):
-        if trotter_slices == 0:
+        if stage.slices == 0:
             return hermitian_expm(hamiltonian(model, theta_true - theta_star), stage.tau)
-        s = stage.tau / trotter_slices
+        s = stage.tau / stage.slices
         half = hermitian_expm(hamiltonian(model, theta_star), -0.5 * s)
         u_s = hermitian_expm(hamiltonian(model, theta_true), s)
-        steps = np.linalg.matrix_power(u_s @ half @ half, trotter_slices - 1)
+        steps = np.linalg.matrix_power(u_s @ half @ half, stage.slices - 1)
         return half @ steps @ u_s @ half
 
     return probe
@@ -416,7 +421,7 @@ def _run_stage(model, stage: _Stage, probe, theta_star, rng):
     return increment, rate
 
 
-def _run_plan(scheme, plan, model, theta_true, delta, e_radius, constants, rng, seed):
+def _run_plan(scheme, plan, model, theta_true, delta, e_radius, rng, seed):
     """Run the scheme's ``plan`` on a checked theta_true in units of E, on the scheme's probe.
 
     A stage sees theta / E, tau E and its search radius / E, so every norm a trial takes is
@@ -425,8 +430,7 @@ def _run_plan(scheme, plan, model, theta_true, delta, e_radius, constants, rng, 
     of the region the later stages search; one_channel's estimate stays in the E-ball.
     """
     theta = theta_true / e_radius
-    probe = (_symmetric_probe(model, theta) if scheme == "many_channel" else
-             _mes_probe(model, theta, constants.trotter_slices if scheme == "adaptive" else 0))
+    probe = (_symmetric_probe if scheme == "many_channel" else _mes_probe)(model, theta)
     theta_star, records = np.zeros(theta_true.size), []
     for stage in plan:
         unit = stage._replace(tau=stage.tau * e_radius, radius=stage.radius / e_radius)
@@ -449,7 +453,7 @@ def _run_checked(scheme, model, theta_true, delta, e_radius, constants, rng, see
     """The drivers' entry: check the inputs, plan the scheme, and run the plan."""
     theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
     return _run_plan(scheme, _plan(scheme, model, delta, e_radius, constants), model,
-                     theta_true, delta, e_radius, constants, rng, seed)
+                     theta_true, delta, e_radius, rng, seed)
 
 
 def run_one_channel(model: HamiltonianModel, theta_true, delta: float,
@@ -473,8 +477,8 @@ def run_adaptive(model: HamiltonianModel, theta_true, delta: float,
     """Feedback-staged estimation: halve the search radius each stage.
 
     Stage n drives the MES with the simulated external field -H_theta*, so the
-    driven Hamiltonian is H_{theta-theta*} (kicks between slices when ``trotter_slices``
-    > 0).  Stage failures are recorded, not raised; a delta / E below 2^-40 raises.
+    driven Hamiltonian is H_{theta-theta*} (kicks between planned slices if ``trotter_slices``
+    is on).  Stage failures are recorded, not raised; a delta / E below 2^-40 raises.
     """
     return _run_checked("adaptive", model, theta_true, delta, e_radius, constants, rng, seed)
 

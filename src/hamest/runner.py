@@ -79,7 +79,7 @@ def _run_trial(cfg: ExperimentConfig, model: HamiltonianModel, plan: list, maste
     }
     try:
         rec = estimation._run_plan(cfg.scheme, plan, model, theta, cfg.delta, cfg.e_radius,
-                                   cfg.constants, rng, seed)
+                                   rng, seed)
         row.update(theta_err=rec.error, total_time=rec.total_time,
                    success=rec.success, stages=_format_stages(rec.stages),
                    error=None)

@@ -21,14 +21,14 @@ import numpy as np
 
 from . import bounds as bd
 from .config import ExperimentConfig
-from .constants import TOL
+from .constants import SLICE_PHASE, TOL, SchemeConstants
 from .errors import (AuditFailure, BranchCutError, DegenerateProjectionError,
                      ResourceLimitError, ValidationError)
-from .estimation import (_aligned_basis, _aligned_outcomes, _outcome_chunks,
+from .estimation import (_aligned_basis, _aligned_outcomes, _mes_probe, _outcome_chunks, _plan,
                          _refine_gauss_newton, invert_theta)
 from .linalg import (PureState, assert_hermitian, assert_unitary, haar_state, haar_unitary,
                      hermitian_expm, hs_inner, unitary_eig)
-from .model import HamiltonianModel, hamiltonian, make_model
+from .model import HamiltonianModel, hamiltonian, make_model, max_energy
 from .probe import Schedule, _qfi_from_tangents, evolve, growth_audit, mes, qfi_matrix
 from .runner import _sample_theta, rows_to_csv, run_experiment
 from .symmetric import f2_coeff, sym_frame_coefficients
@@ -568,6 +568,33 @@ def check_estimator_consistency(seed: int = 55):
             assert np.linalg.norm(est2 - theta) <= 1e-3, (kind, d)
 
 
+def check_sliced_feedback_response(seed: int = 56):
+    """Every sliced adaptive stage answers a residual within the SLICE_PHASE bound.
+
+    At random theta in the E-ball and theta* = theta, the Jacobian of a planned stage's
+    first-order increment in theta has singular values in [sin(sigma) / sigma, 1], sigma =
+    SLICE_PHASE, as the derivation at ``constants.SLICE_PHASE`` states.
+    """
+    rng = np.random.default_rng(seed)
+    sliced, low = SchemeConstants(trotter_slices=True), math.sin(SLICE_PHASE) / SLICE_PHASE
+    for kind, d in product(("full", "phase", "offdiag"), (2, 3, 4)):
+        model = make_model(kind, d)
+        norm_factor = 1.0 / math.sqrt(f2_coeff(d, 1))
+        for delta in (0.1, 0.01, 0.001):
+            for stage in _plan("adaptive", model, delta, 1.0, sliced):
+                theta = _sample_theta(model.m, 1.0, False, rng)
+
+                def increment(t):
+                    c = sym_frame_coefficients(_mes_probe(model, t)(stage, theta),
+                                               model.generators, 1)
+                    return invert_theta(c / np.linalg.norm(c), stage.tau, norm_factor)
+
+                step = 1e-3 / (stage.tau * max_energy(model, 1.0))
+                sv = np.linalg.svd(richardson_derivative(increment, theta, step), compute_uv=False)
+                assert low - 1e-8 <= sv.min() and sv.max() <= 1 + 1e-8, (
+                    kind, d, delta, stage.n, stage.slices, sv.min(), sv.max())
+
+
 def check_first_order_frame_distance(seed: int = 66):
     """Exact reduced state vs first-order prediction: quadratic in tau*E."""
     rng = np.random.default_rng(seed)
@@ -707,6 +734,7 @@ SUITES = {
         ("phase_model_closed_form", check_phase_closed_form),
         ("resolution_ratio_window", check_resolution_ratio_window),
         ("estimator_consistency", check_estimator_consistency),
+        ("sliced_feedback_response", check_sliced_feedback_response),
         ("first_order_frame_distance", check_first_order_frame_distance),
         ("linearized_state_distance", check_linearized_state_distance),
     ],

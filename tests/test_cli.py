@@ -36,7 +36,7 @@ seed = 4242
 
 # A non-default value for every field of SchemeConstants.
 CONSTANT_OVERRIDES = {"kappa": "0.3", "alpha": "10", "beta": "0.5", "p_crit": "0.1",
-                      "r_max": "7", "trotter_slices": "2"}
+                      "r_max": "7", "trotter_slices": "true"}
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -110,7 +110,7 @@ class TestConfig:
         text = MINI.format(trials=1) + "".join(
             f"{f.name}={CONSTANT_OVERRIDES[f.name]}\n" for f in fields(SchemeConstants))
         assert parse_config_text(text).constants == SchemeConstants(
-            kappa=0.3, alpha=10.0, beta=0.5, p_crit=0.1, r_max=7, trotter_slices=2)
+            kappa=0.3, alpha=10.0, beta=0.5, p_crit=0.1, r_max=7, trotter_slices=True)
 
     def test_constants_overrides(self):
         cfg = parse_config_text(MINI.format(trials=1) + "kappa=0.4\nalpha=32\n"
@@ -120,8 +120,9 @@ class TestConfig:
         assert cfg.constants.r_max == 16
 
     @pytest.mark.parametrize("override", ["kappa=0", "alpha=0", "beta=-1", "p_crit=0",
-                                          "p_crit=1", "r_max=0", "r_max=-3",
-                                          "trotter_slices=-1", "delta=0.05",
+                                          "p_crit=1", "r_max=0", "r_max=-3", "r_max=2.5",
+                                          "trotter_slices=-1", "trotter_slices=8",
+                                          "trotter_slices=2.5", "delta=0.05",
                                           "kappa=inf", "alpha=inf", "beta=inf"])
     def test_bad_constants_rejected_before_any_trial(self, override, tmp_path, capsys):
         field = override.split("=")[0]
@@ -132,6 +133,21 @@ class TestConfig:
                      "--out", str(tmp_path / "res.csv")]) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "res.csv").exists()
+
+    @pytest.mark.parametrize("field, value", [("r_max", 2.5), ("r_max", True),
+                                              ("trotter_slices", 2.5), ("trotter_slices", 8),
+                                              ("trotter_slices", 1)])
+    def test_constants_check_their_types(self, field, value):
+        # a non-integer r_max would plan and then fail every many_channel stage, and a
+        # non-bool trotter_slices would reach matrix_power as a slice count
+        with pytest.raises(ValidationError, match=f"^{field} must be"):
+            SchemeConstants(**{field: value})
+
+    def test_trotter_slices_reads_on_or_off(self):
+        for value, on in (("true", True), ("1", True), ("yes", True), ("false", False),
+                          ("0", False), ("no", False)):
+            cfg = parse_config_text(MINI.format(trials=1) + f"trotter_slices = {value}\n")
+            assert cfg.constants.trotter_slices is on
 
     def test_repeated_key_names_both_lines(self):
         # MINI sets delta on line 5; a later value must not silently win

@@ -13,7 +13,7 @@ import scipy.stats
 import hamest.estimation as estimation
 from hamest import runner
 from hamest.config import ExperimentConfig, parse_config
-from hamest.constants import SchemeConstants
+from hamest.constants import SLICE_PHASE, SchemeConstants
 from hamest.errors import (DegenerateProjectionError, InversionUnstableError,
                            PostselectionStarvedError, ValidationError)
 from hamest.estimation import (_TOMOGRAPHY_CHUNK as STAGE_CHUNK, EstimationRecord,
@@ -23,7 +23,7 @@ from hamest.estimation import (_TOMOGRAPHY_CHUNK as STAGE_CHUNK, EstimationRecor
                                reconstruct_from_projector_mean,
                                run_adaptive, run_many_channel, run_one_channel)
 from hamest.linalg import haar_state, hermitian_expm
-from hamest.model import hamiltonian, make_model
+from hamest.model import hamiltonian, make_model, max_energy
 from hamest.probe import Schedule, evolve, mes
 from hamest.runner import run_experiment
 from hamest.symmetric import sym_frame_coefficients
@@ -442,7 +442,7 @@ class TestInvertTheta:
         theta = rng.standard_normal(model.m)
         theta /= np.linalg.norm(theta)
         star = theta + 0.2 * rng.standard_normal(model.m)
-        v = _mes_probe(model, theta, 0)(_Stage(1, 0.3 / r, r, 0), star)
+        v = _mes_probe(model, theta)(_Stage(1, 0.3 / r, r, 0), star)
         c = sym_frame_coefficients(v, model.generators, r)
         reduced = np.exp(0.7j) * c / np.linalg.norm(c)
         u = rng.standard_normal(model.m)
@@ -670,9 +670,25 @@ class TestRunAdaptive:
         assert worst <= bound * (1 + 1e-12), worst
 
     def test_trotter_mode_succeeds(self):
-        const = SchemeConstants(trotter_slices=128)
+        const = SchemeConstants(trotter_slices=True)
         rec = run_adaptive(FULL2, [0.25, 0.1, -0.3], 0.1, 1.0, const, seed=9)
         assert rec.success
+
+    @pytest.mark.parametrize("kind, d", [("full", 2), ("offdiag", 4)])
+    def test_sliced_feedback_keeps_success_at_small_delta(self, kind, d):
+        # tau_n grows like 1 / delta, and the planned slices keep s ||H_theta|| <= SLICE_PHASE,
+        # so slicing on the unsliced run's trials loses no success as delta shrinks
+        for delta in (0.1, 0.01, 0.001):
+            rates = []
+            for sliced in (False, True):
+                cfg = ExperimentConfig(model_kind=kind, d=d, scheme="adaptive", delta=delta,
+                                       e_radius=1.0, trials=100, master_seed=5,
+                                       constants=SchemeConstants(trotter_slices=sliced))
+                rates.append(run_experiment(cfg)[1]["success_rate"])
+            unsliced, sliced = rates
+            if unsliced >= 1 - CONST.p_crit:
+                assert sliced >= 1 - CONST.p_crit, (delta, rates)
+            assert sliced >= unsliced - 0.03, (delta, rates)
 
     def test_reproducible_record(self):
         a = run_adaptive(FULL2, [0.2, 0.0, 0.1], 0.1, 1.0, CONST, seed=10)
@@ -765,17 +781,18 @@ class TestFirstOrderStages:
             assert not any(s.failed for s in rec.stages)
             assert rec.error <= 1e-12 * delta, (worst_case, rec.error)
 
-    @pytest.mark.parametrize("slices", [1, 8])
-    def test_exact_mean_sliced_adaptive_is_exact(self, slices, monkeypatch):
+    @pytest.mark.parametrize("delta", [0.1, 0.01, 0.001])
+    def test_exact_mean_sliced_adaptive_is_exact(self, delta, monkeypatch):
+        # up to 500 slices a stage at delta = 0.001: the planned slices keep the stages exact
         monkeypatch.setattr(estimation, "_outcome_projector_mean", self.exact_mean)
-        const = SchemeConstants(trotter_slices=slices)
-        rng = np.random.default_rng((28, slices))
-        for kind, d in [("full", 2), ("full", 3), ("offdiag", 4)]:
+        const = SchemeConstants(trotter_slices=True)
+        rng = np.random.default_rng((28, round(-math.log10(delta))))
+        for kind, d in [("full", 2), ("full", 3), ("offdiag", 4), ("phase", 4)]:
             model = make_model(kind, d)
             for worst_case in (False, True):
                 theta = runner._sample_theta(model.m, 1.0, worst_case, rng)
-                rec = run_adaptive(model, theta, 0.1, 1.0, const, rng=rng)
-                assert rec.error <= 1e-12 * 0.1, (kind, d, worst_case, rec.error)
+                rec = run_adaptive(model, theta, delta, 1.0, const, rng=rng)
+                assert rec.error <= 1e-12 * delta, (kind, d, worst_case, rec.error)
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -787,8 +804,8 @@ class TestFirstOrderStages:
             monkeypatch.setattr(estimation, name, counted)
         return calls
 
-    @pytest.mark.parametrize("const", [CONST, SchemeConstants(trotter_slices=2)],
-                             ids=["default", "trotter_slices=2"])
+    @pytest.mark.parametrize("const", [CONST, SchemeConstants(trotter_slices=True)],
+                             ids=["default", "trotter_slices=true"])
     @pytest.mark.parametrize("driver", [run_adaptive, run_many_channel])
     def test_staged_run_never_refines(self, driver, const, monkeypatch):
         calls = self.count_calls(monkeypatch)
@@ -929,6 +946,39 @@ class TestPlan:
             unit.error, unit.total_time, unit.success)
         assert ([(s.tau * e, s.copies, s.accept_rate, s.failed) for s in big.stages]
                 == [(s.tau, s.copies, s.accept_rate, s.failed) for s in unit.stages])
+
+    @pytest.mark.parametrize("kind", ["full", "phase", "offdiag"])
+    def test_slices_follow_closed_form(self, kind):
+        # k_n = ceil(kappa E / (2^n delta SLICE_PHASE)) = ceil(tau_n max_energy(E) / SLICE_PHASE)
+        # for sliced adaptive stages, the fewest with s ||H_theta|| <= SLICE_PHASE; 0 otherwise
+        for d in (2, 3, 4):
+            model = make_model(kind, d)
+            for delta, e_radius in ((0.1, 1.0), (0.01, 1.0), (0.001, 1.0), (0.3, 2.0)):
+                for scheme in DRIVERS:
+                    for sliced in (False, True):
+                        plan = _plan(scheme, model, delta, e_radius,
+                                     SchemeConstants(trotter_slices=sliced))
+                        if not (sliced and scheme == "adaptive"):
+                            assert [s.slices for s in plan] == [0] * len(plan)
+                            continue
+                        for s in plan:
+                            x = CONST.kappa * e_radius / (2.0 ** s.n * delta * SLICE_PHASE)
+                            assert math.ceil(x * (1 - 1e-12)) <= s.slices <= math.ceil(
+                                x * (1 + 1e-12)), (d, delta, s)
+                            phase = s.tau * max_energy(model, e_radius)
+                            assert (s.slices - 1) * SLICE_PHASE < phase <= s.slices * SLICE_PHASE
+        plan = _plan("adaptive", FULL2, 0.001, 1.0, SchemeConstants(trotter_slices=True))
+        assert [s.slices for s in plan] == [1, 2, 4, 8, 16, 32, 63, 125, 250, 500]
+
+    def test_rejects_slices_past_2_to_63(self):
+        # kappa = 1e300 keeps tau and T finite, but k_n reaches 2^63 before any draw
+        const = SchemeConstants(kappa=1e300, trotter_slices=True)
+        assert _plan("adaptive", FULL2, 0.1, 1.0, replace(const, trotter_slices=False))
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match=r"stage 4 cannot run: .*slices=\d"):
+            run_adaptive(FULL2, [0.3, -0.2, 0.1], 0.1, 1.0, const, rng=rng)
+        assert rng.bit_generator.state == state
 
     def test_rejects_infinite_planned_time(self):
         # tau and T are physical: at E = 2^-1012 every stage's tau = kappa / max_energy(R)

@@ -220,8 +220,8 @@ def kick_schedule(model, theta_star, tau, slices):
 
 def trotter_unitary(model, theta, theta_star, tau, slices):
     """Stage unitary of the adaptive scheme's MES probe with split feedback."""
-    probe = _mes_probe(model, np.asarray(theta), slices)
-    return probe(_Stage(n=1, tau=tau, r=1, copies=0), np.asarray(theta_star))
+    probe = _mes_probe(model, np.asarray(theta))
+    return probe(_Stage(n=1, tau=tau, r=1, copies=0, slices=slices), np.asarray(theta_star))
 
 
 class TestTrotter:
