@@ -135,15 +135,13 @@ def bound_report(model: HamiltonianModel, delta: float, e_radius: float,
                  constants: SchemeConstants = DEFAULT_CONSTANTS) -> BoundReport:
     """Assemble the bound values at the evolution time tau of the one_channel plan.
 
-    ``qfi_upper`` (4 c tau^2) and ``time_lower`` take the growth-law constant
-    c alone; a spherical model has c = m/d.  ``copies_lower`` reads delta tau, free
-    of E.  ``preferred_upper`` names the few-parameter bound only where it holds,
-    for spherical models, and only where it is the tighter of the two.  tau scales
-    as 1 / E, so a ``qfi_upper`` below the smallest normal float (E above about
-    1e154 at c = 1) raises rather than reading as a subnormal or 0.
+    That plan admits (delta, E) by ``estimation._admit``.  ``qfi_upper`` (4 c tau^2) and
+    ``time_lower`` take the growth-law constant c alone; a spherical model has c = m/d.
+    ``copies_lower`` reads delta tau, free of E.  ``preferred_upper`` names the few-parameter
+    bound only where it holds, for spherical models, and only where it is the tighter of the
+    two.  tau scales as 1 / E, so a ``qfi_upper`` below the smallest normal float (E above
+    about 1e154 at c = 1) raises rather than reading as a subnormal or 0.
     """
-    if not (0 < delta < math.inf and 0 < e_radius < math.inf):
-        raise ValidationError(f"delta and E must be positive and finite, got {delta}, {e_radius}")
     m, d = model.m, model.d
     tau = _plan("one_channel", model, delta, e_radius, constants)[0].tau
     qfi_upper = 4.0 * model.c * tau ** 2

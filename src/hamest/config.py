@@ -7,17 +7,16 @@ canonical example per scheme ships in ``configs/``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .constants import DEFAULT_CONSTANTS, SchemeConstants
 from .errors import ValidationError
+from .estimation import _admit
 from .model import MODEL_KINDS
 
-__all__ = ["ExperimentConfig", "SCHEMES", "parse_config", "parse_config_text"]
+__all__ = ["ExperimentConfig", "parse_config", "parse_config_text"]
 
-SCHEMES = ("one_channel", "adaptive", "many_channel")
 _CONFIG_MODELS = tuple(k for k in MODEL_KINDS if k != "custom")
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True,
@@ -26,6 +25,8 @@ _BOOL_STRINGS = {"true": True, "1": True, "yes": True,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; its (scheme, delta, e_radius) must lie in ``estimation._admit``'s domain."""
+
     model_kind: str
     d: int
     scheme: str
@@ -40,16 +41,11 @@ class ExperimentConfig:
         if self.model_kind not in _CONFIG_MODELS:    # a config cannot supply generators
             raise ValidationError(f"model {self.model_kind!r} cannot run from a config; "
                                   f"valid models: {', '.join(_CONFIG_MODELS)}")
-        if self.scheme not in SCHEMES:
-            raise ValidationError(
-                f"unknown scheme {self.scheme!r}; valid schemes: {', '.join(SCHEMES)}")
+        _admit(self.scheme, self.delta, self.e_radius)
         if self.d < 2:
             raise ValidationError(f"d must be >= 2, got {self.d}")
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if not (0 < self.delta <= self.e_radius / 5 * (1 + 1e-12) < math.inf):
-            raise ValidationError(f"delta/E must lie in (0, 1/5] with E finite, "
-                                  f"got delta={self.delta}, E={self.e_radius}")
         if not (0 <= self.master_seed < 2 ** 64):
             raise ValidationError("master_seed must be a 64-bit unsigned integer")
 
@@ -84,10 +80,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         line_of[key] = lineno
         caster = _CONFIG_KEYS[key]
         try:
-            if caster is bool:
-                values[key] = _BOOL_STRINGS[val.lower()]
-            else:
-                values[key] = caster(val)
+            values[key] = _BOOL_STRINGS[val.lower()] if caster is bool else caster(val)
         except (KeyError, ValueError) as exc:
             raise ValidationError(f"{source}:{lineno}: bad value for {key}: {val!r}") from exc
 

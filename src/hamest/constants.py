@@ -10,6 +10,7 @@ arguments.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -77,11 +78,14 @@ class SchemeConstants:
     trotter_slices: bool = False
 
     def __post_init__(self):
+        def number(x):
+            return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
         for name, ok, need in (
-                ("kappa", 0 < self.kappa < math.inf, "finite and > 0"),
-                ("alpha", 0 < self.alpha < math.inf, "finite and > 0"),
-                ("beta", 0 <= self.beta < math.inf, "finite and >= 0"),
-                ("p_crit", 0 < self.p_crit < 1, "in (0, 1)"),
+                ("kappa", number(self.kappa) and 0 < self.kappa < math.inf, "a finite number > 0"),
+                ("alpha", number(self.alpha) and 0 < self.alpha < math.inf, "a finite number > 0"),
+                ("beta", number(self.beta) and 0 <= self.beta < math.inf, "a finite number >= 0"),
+                ("p_crit", number(self.p_crit) and 0 < self.p_crit < 1, "a number in (0, 1)"),
                 ("r_max", self.r_max is None or type(self.r_max) is int and self.r_max >= 1,
                  "None or an integer >= 1"),
                 ("trotter_slices", type(self.trotter_slices) is bool, "a bool")):

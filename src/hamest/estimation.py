@@ -273,17 +273,13 @@ class EstimationRecord:
         )
 
 
-def _check_run_inputs(model, theta_true, delta, e_radius, rng, seed):
+def _check_run_inputs(model, theta_true, e_radius, rng, seed):
     """Validated theta_true as a flat array, and the run's generator; ||theta / E|| <= 1."""
     theta_true = np.asarray(theta_true, dtype=float).reshape(-1)
     if theta_true.size != model.m:
         raise ValidationError(f"theta_true has length {theta_true.size}, m = {model.m}")
-    if not (np.isfinite(theta_true).all() and math.isfinite(delta) and math.isfinite(e_radius)):
-        raise ValidationError(f"theta_true, delta, E must be finite: delta={delta}, E={e_radius}")
-    if np.linalg.norm(theta_true / e_radius) > 1 + 1e-12:
-        raise ValidationError("theta_true lies outside the search radius")
-    if delta <= 0 or delta > e_radius / 5 * (1 + 1e-12):
-        raise ValidationError(f"need 0 < delta <= E/5, got delta={delta}, E={e_radius}")
+    if not np.linalg.norm(theta_true / e_radius) <= 1 + 1e-12:    # NaN and inf fail too
+        raise ValidationError("theta_true must be finite and lie in the search radius")
     return theta_true, np.random.default_rng(seed) if rng is None else rng
 
 
@@ -300,6 +296,25 @@ def _stage_estimate(reduced_exact, p, copies, rng: np.random.Generator):
 
 # r: channels; radius: the search ball; capped: r_max holds r < 2^(n0-n) d; slices: 0 = exact
 _Stage = namedtuple("_Stage", "n tau r copies radius capped slices", defaults=(math.inf, False, 0))
+SCHEMES = ("one_channel", "adaptive", "many_channel")    # the schemes _plan dispatches on
+
+
+def _admit(scheme: str, delta: float, e_radius: float) -> None:
+    """The run domain, one message per rule; :func:`_plan` and ``ExperimentConfig`` admit here.
+
+    scheme in SCHEMES; delta, E finite, E > 0; 2^-40 <= delta / E <= 1/5 (1e-12 slack on 1/5,
+    a fixed domain choice of the initial commit).  The floor is 2^12 ulp(1): in units of E,
+    theta lies in the unit ball and theta*, a sum of increments clipped to the radii, below 4,
+    so a float grid of spacing <= 2^-51 moves the error by at most sqrt(m) 2^-11 delta; near
+    ulp(1) (delta = 1e-17 at E = 1) theta* snaps to the float nearest theta: vacuous success.
+    """
+    if scheme not in SCHEMES:
+        raise ValidationError(f"unknown scheme {scheme!r}; valid schemes: {', '.join(SCHEMES)}")
+    if not 0 < delta <= e_radius / 5 * (1 + 1e-12) < math.inf:
+        raise ValidationError(f"delta/E must lie in (0, 1/5] with E finite, "
+                              f"got delta={delta}, E={e_radius}")
+    if not delta / e_radius >= 2.0 ** -40:
+        raise ValidationError(f"delta/E must be at least 2^-40, got delta/E={delta / e_radius!r}")
 
 
 def _total_time(plan) -> float:
@@ -314,7 +329,7 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
     A stage searching radius R (its ``radius``) evolves for tau = kappa / max_energy(R),
     so tau ||H_theta|| <= kappa on that ball.  one_channel: one stage n = 0, R = E,
     r = 1, N = ceil(alpha m d / (delta / E)^2) copies to resolve the tomography
-    noise at scale delta.  Staged: n = n0 .. 1, n0 = max(1, ceil(log2(E / delta))),
+    noise at scale delta.  Staged: n = n0 .. 1, n0 = ceil(log2(E / delta)) >= 3,
     N_n = ceil(alpha m (1 + beta n)); the (1 + beta n) is meant to cover a
     per-stage failure budget p_crit / 2^n, but N_n does not read p_crit yet.
     adaptive: r = 1 and R = 2^n delta, so tau grows as the radius shrinks; ``trotter_slices``
@@ -322,11 +337,7 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
     many_channel: R = 2^n delta too, but every stage keeps the tau of 2^n0 delta and entangles
     r_n = min(2^(n0-n) d, r_max) channels instead; a stage is capped where r_n < 2^(n0-n) d.
 
-    The stages run in units of E (:func:`_run_plan`), so only delta / E decides whether a
-    plan can run.  First, delta / E >= 2^-40 = 2^12 ulp(1): theta / E lies in the unit ball
-    and theta* / E, a sum of increments clipped to the radii, below 4, so a float grid of
-    spacing <= 2^-51 moves the error by at most sqrt(m) 2^-11 delta; near ulp(1) (delta =
-    1e-17 at E = 1) theta* snaps to the float nearest theta and success is vacuous.  Each
+    First, :func:`_admit` rejects a (scheme, delta, E) outside the domain it states.  Each
     stage then needs a finite tau > 0, N < 2^63 (an N past the float range counts as inf) and
     k_n < 2^63, and the plan a finite T (tau and T are physical).  Last, no norm a trial takes
     may overflow.  The longest vector is a stage's unclipped increment (norm_factor / tau E)
@@ -334,8 +345,7 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
     10, norm_factor <= sqrt(d), and 1 / (tau E) = sqrt(c) (R / E) / kappa with R < 2E.  So it
     is at most 20 sqrt(d c) / kappa, whose square stays finite while that is below 2^512.
     """
-    if not delta / e_radius >= 2.0 ** -40:
-        raise ValidationError(f"delta/E must be at least 2^-40, got delta/E={delta / e_radius!r}")
+    _admit(scheme, delta, e_radius)
     r_max = constants.effective_r_max(model.d)
     sliced = scheme == "adaptive" and constants.trotter_slices
 
@@ -353,8 +363,8 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
         plan = [stage(0, e_radius, e_radius, 1,
                       constants.alpha * model.m * model.d / (delta / e_radius) ** 2)]
     else:
-        many = {"adaptive": False, "many_channel": True}[scheme]
-        n0 = max(1, math.ceil(math.log2(e_radius / delta)))
+        many = scheme == "many_channel"
+        n0 = math.ceil(math.log2(e_radius / delta))
         plan = [stage(n, 2.0 ** n * delta, 2.0 ** (n0 if many else n) * delta,
                       2 ** (n0 - n) * model.d if many else 1,
                       constants.alpha * model.m * (1.0 + constants.beta * n))
@@ -450,10 +460,10 @@ def _run_plan(scheme, plan, model, theta_true, delta, e_radius, rng, seed):
 
 
 def _run_checked(scheme, model, theta_true, delta, e_radius, constants, rng, seed):
-    """The drivers' entry: check the inputs, plan the scheme, and run the plan."""
-    theta_true, rng = _check_run_inputs(model, theta_true, delta, e_radius, rng, seed)
-    return _run_plan(scheme, _plan(scheme, model, delta, e_radius, constants), model,
-                     theta_true, delta, e_radius, rng, seed)
+    """The drivers' entry: plan the scheme (admitting delta and E), check theta, run."""
+    plan = _plan(scheme, model, delta, e_radius, constants)
+    theta_true, rng = _check_run_inputs(model, theta_true, e_radius, rng, seed)
+    return _run_plan(scheme, plan, model, theta_true, delta, e_radius, rng, seed)
 
 
 def run_one_channel(model: HamiltonianModel, theta_true, delta: float,
@@ -465,7 +475,7 @@ def run_one_channel(model: HamiltonianModel, theta_true, delta: float,
     No feedback, so T = N tau ~ 1 / delta^2.  The first-order estimate always gets one
     Gauss-Newton step, since no later stage measures its O(kappa^2) bias away.  The
     estimate is projected onto the ball of radius E, and a failed stage is recorded, not
-    raised: theta_hat = 0.  A delta / E below 2^-40 raises before any draw.
+    raised: theta_hat = 0.  Inputs outside :func:`_admit`'s domain raise before any draw.
     """
     return _run_checked("one_channel", model, theta_true, delta, e_radius, constants, rng, seed)
 
@@ -478,7 +488,7 @@ def run_adaptive(model: HamiltonianModel, theta_true, delta: float,
 
     Stage n drives the MES with the simulated external field -H_theta*, so the
     driven Hamiltonian is H_{theta-theta*} (kicks between planned slices if ``trotter_slices``
-    is on).  Stage failures are recorded, not raised; a delta / E below 2^-40 raises.
+    is on).  Stage failures are recorded, not raised; inputs outside :func:`_admit`'s domain raise.
     """
     return _run_checked("adaptive", model, theta_true, delta, e_radius, constants, rng, seed)
 
@@ -491,6 +501,6 @@ def run_many_channel(model: HamiltonianModel, theta_true, delta: float,
 
     Stage n entangles r_n channels through the symmetric subspace, and the preceding
     estimate enters only as the measurement-side counter-rotation exp(+i tau {H_theta*}_r).
-    Stage failures are recorded, not raised; a delta / E below 2^-40 raises.
+    Stage failures are recorded, not raised; inputs outside :func:`_admit`'s domain raise.
     """
     return _run_checked("many_channel", model, theta_true, delta, e_radius, constants, rng, seed)

@@ -55,10 +55,7 @@ def _sample_theta(m: int, e_radius: float, worst_case: bool,
                   rng: np.random.Generator) -> np.ndarray:
     u = rng.standard_normal(m)
     u /= np.linalg.norm(u)
-    if worst_case:
-        radius = e_radius * (1.0 - 0.02 * rng.random())
-    else:
-        radius = e_radius * rng.random() ** (1.0 / m)
+    radius = e_radius * (1.0 - 0.02 * rng.random() if worst_case else rng.random() ** (1.0 / m))
     return u * radius
 
 
@@ -135,11 +132,10 @@ def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict],
         raise ValidationError("sweep needs at least 3 delta values")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValidationError("delta values must be strictly decreasing")
-    # one model serves every delta; each delta's config check and plan come before any trial
-    model = make_model(cfg.model_kind, cfg.d)
+    # admit every delta before the one model is built, and plan every delta before any trial
     cfgs = [dataclasses.replace(cfg, delta=delta) for delta in deltas]
-    plans = [estimation._plan(cfg.scheme, model, delta, cfg.e_radius, cfg.constants)
-             for delta in deltas]
+    model = make_model(cfg.model_kind, cfg.d)
+    plans = [estimation._plan(c.scheme, model, c.delta, c.e_radius, c.constants) for c in cfgs]
     rows, per_delta = [], []
     for di, (block_cfg, plan) in enumerate(zip(cfgs, plans)):
         block, stats = _run_block(block_cfg, model, plan, trial_seed(cfg.master_seed, di), jobs)

@@ -181,7 +181,8 @@ class TestReport:
 
     @pytest.mark.parametrize("delta, e_radius", [(math.nan, 1.0), (0.1, math.inf), (0.0, 1.0)])
     def test_rejects_bad_delta_or_radius(self, delta, e_radius):
-        with pytest.raises(ValidationError, match="positive and finite"):
+        with pytest.raises(ValidationError,
+                           match=r"delta/E must lie in \(0, 1/5\] with E finite, got delta="):
             bound_report(make_model("full", 2), delta, e_radius)
 
     @pytest.mark.parametrize("delta, e_radius", [(1e199, 1e200), (1e-170, 1.0),

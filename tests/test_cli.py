@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -12,10 +13,12 @@ import numpy as np
 import pytest
 
 from hamest import estimation, runner
+from hamest.bounds import bound_report
 from hamest.cli import main
 from hamest.config import ExperimentConfig, parse_config, parse_config_text
 from hamest.constants import SchemeConstants
 from hamest.errors import InversionUnstableError, ValidationError
+from hamest.estimation import run_adaptive, run_many_channel, run_one_channel
 from hamest.model import make_model
 from hamest.runner import (CSV_HEADER, rows_to_csv, run_experiment, run_sweep,
                            trial_seed)
@@ -136,10 +139,14 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [("r_max", 2.5), ("r_max", True),
                                               ("trotter_slices", 2.5), ("trotter_slices", 8),
-                                              ("trotter_slices", 1)])
+                                              ("trotter_slices", 1),
+                                              *[(field, value)
+                                                for field in ("kappa", "alpha", "beta", "p_crit")
+                                                for value in ("0.5", None, True)]])
     def test_constants_check_their_types(self, field, value):
-        # a non-integer r_max would plan and then fail every many_channel stage, and a
-        # non-bool trotter_slices would reach matrix_power as a slice count
+        # a non-integer r_max would plan and then fail every many_channel stage, a non-bool
+        # trotter_slices would reach matrix_power as a slice count, a str or None float field
+        # would reach a comparison as a bare TypeError, and a bool one would plan as 0 or 1
         with pytest.raises(ValidationError, match=f"^{field} must be"):
             SchemeConstants(**{field: value})
 
@@ -155,6 +162,66 @@ class TestConfig:
             parse_config_text(MINI.format(trials=1) + "delta = 0.05\n")
         with pytest.raises(ValidationError, match="'e' given twice, on lines 6 and 9"):
             parse_config_text(MINI.format(trials=1) + "e = 2.0\n")
+
+
+# (scheme, delta, E) outside the run domain, each with the one message every entry point gives
+RANGE = "delta/E must lie in (0, 1/5] with E finite, got delta={}, E={}"
+REJECTED = {
+    "delta/E=0.3": ("adaptive", 0.3, 1.0, RANGE.format(0.3, 1.0)),
+    "delta/E=0.9": ("adaptive", 0.9, 1.0, RANGE.format(0.9, 1.0)),
+    "E=inf": ("adaptive", 0.1, math.inf, RANGE.format(0.1, math.inf)),
+    "E=0": ("adaptive", 0.1, 0.0, RANGE.format(0.1, 0.0)),
+    "E=-1": ("adaptive", 0.1, -1.0, RANGE.format(0.1, -1.0)),
+    "delta=nan": ("adaptive", math.nan, 1.0, RANGE.format(math.nan, 1.0)),
+    "delta/E=2^-41": ("adaptive", 2.0 ** -41, 1.0,
+                      f"delta/E must be at least 2^-40, got delta/E={2.0 ** -41!r}"),
+    "scheme=adaptve": ("adaptve", 0.1, 1.0, "unknown scheme 'adaptve'; valid schemes: "
+                                            "one_channel, adaptive, many_channel"),
+}
+FULL2, CONSTANTS = make_model("full", 2), SchemeConstants()
+# the library entry points, called as (scheme, delta, E); the drivers and bound_report fix
+# their scheme
+ENTRY_POINTS = {
+    "_plan": lambda scheme, delta, e: estimation._plan(scheme, FULL2, delta, e, CONSTANTS),
+    "run_one_channel": lambda scheme, delta, e: run_one_channel(FULL2, [0.0] * 3, delta, e),
+    "run_adaptive": lambda scheme, delta, e: run_adaptive(FULL2, [0.0] * 3, delta, e),
+    "run_many_channel": lambda scheme, delta, e: run_many_channel(FULL2, [0.0] * 3, delta, e),
+    "bound_report": lambda scheme, delta, e: bound_report(FULL2, delta, e),
+    "ExperimentConfig": lambda scheme, delta, e: ExperimentConfig("full", 4096, scheme, delta, e,
+                                                                  trials=1),
+}
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("entry, case", [
+        pytest.param(entry, case, id=f"{entry}-{case}")
+        for entry in [*ENTRY_POINTS, "run", "sweep"] for case in REJECTED
+        if case != "scheme=adaptve" or entry in ("_plan", "ExperimentConfig", "run", "sweep")])
+    def test_every_entry_point_gives_the_one_message(self, tmp_path, capsys, monkeypatch,
+                                                     entry, case):
+        # hamest run and sweep reject at d = 4096 before any model is built; where only delta is
+        # bad, a sweep's config holds a valid delta and its --delta-list the bad one
+        scheme, delta, e_radius, message = REJECTED[case]
+        if entry in ENTRY_POINTS:
+            with pytest.raises(ValidationError) as info:
+                ENTRY_POINTS[entry](scheme, delta, e_radius)
+            assert str(info.value) == message
+            return
+
+        def no_model(*args):
+            pytest.fail("a model was built")
+
+        monkeypatch.setattr(runner, "make_model", no_model)
+        in_list = entry == "sweep" and (scheme, e_radius) == ("adaptive", 1.0)
+        text = (f"model = full\nd = 4096\nscheme = {scheme}\n"
+                f"delta = {0.1 if in_list else delta!r}\nE = {e_radius!r}\ntrials = 1\n")
+        cfg_path, out = write_cfg(tmp_path, text), tmp_path / "res.csv"
+        argv = [entry, "--config", cfg_path, "--out", str(out)]
+        if entry == "sweep":
+            argv += ["--delta-list", f"{delta!r},{delta / 2!r},{delta / 4!r}"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and not (tmp_path / "res.summary.json").exists()
 
 
 class TestRunner:

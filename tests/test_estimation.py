@@ -593,10 +593,12 @@ class TestRunOneChannel:
 
 class TestRunAdaptive:
     def test_degenerate_staging_depth(self):
-        # E comparable to delta still gets one stage (radius 2*delta)
-        assert len(_plan("adaptive", FULL2, 1.0, 1.0, CONST)) == 1
-        assert len(_plan("adaptive", FULL2, 0.6, 1.0, CONST)) == 1
+        # the ceiling delta / E = 1/5 plans n0 = 3 stages; a delta / E above it plans none
+        assert len(_plan("adaptive", FULL2, 0.2, 1.0, CONST)) == 3
         assert len(_plan("adaptive", FULL2, 0.1, 1.0, CONST)) == 4
+        for delta in (0.6, 1.0):
+            with pytest.raises(ValidationError, match=r"delta/E must lie in \(0, 1/5\]"):
+                _plan("adaptive", FULL2, delta, 1.0, CONST)
 
     def test_stage_structure(self):
         delta, e_radius = 0.1, 1.0
@@ -844,12 +846,13 @@ class TestPlan:
             assert failed, "alpha = 0.2 starves late stages; their copies still count in T"
 
     @pytest.mark.parametrize("scheme", DRIVERS)
-    @pytest.mark.parametrize("theta, delta, e_radius",
-                             [([math.nan, 0, 0], 0.1, 1.0), ([0, 0, 0], math.nan, 1.0),
-                              ([0, 0, 0], 0.1, math.inf)],
-                             ids=["nan_theta", "nan_delta", "inf_E"])
-    def test_rejects_non_finite_inputs(self, scheme, theta, delta, e_radius):
-        with pytest.raises(ValidationError, match="must be finite"):
+    @pytest.mark.parametrize("theta, delta, e_radius, message", [
+        ([math.nan, 0, 0], 0.1, 1.0, "theta_true must be finite"),
+        ([0, 0, 0], math.nan, 1.0, r"delta/E must lie in \(0, 1/5\] with E finite, got delta=nan"),
+        ([0, 0, 0], 0.1, math.inf, r"delta/E must lie in \(0, 1/5\] with E finite, .*E=inf"),
+    ], ids=["nan_theta", "nan_delta", "inf_E"])
+    def test_rejects_non_finite_inputs(self, scheme, theta, delta, e_radius, message):
+        with pytest.raises(ValidationError, match=message):
             DRIVERS[scheme](FULL2, theta, delta, e_radius, CONST)
 
     @pytest.mark.parametrize("scheme", DRIVERS)
@@ -1072,7 +1075,7 @@ class TestRunnerEntry:
             for worst_case in (False, True):
                 for _ in range(1000):
                     theta = runner._sample_theta(model.m, e_radius, worst_case, rng)
-                    _check_run_inputs(model, theta, e_radius / 10, e_radius, rng, 0)
+                    _check_run_inputs(model, theta, e_radius, rng, 0)
 
 
 class TestRecord:
