@@ -2,9 +2,9 @@
 
 Order relations are frozen into explicit constants so that simulation output
 can be audited numerically: the covariance chain carries its 1/4, the time
-lower bound its 1/2, and the upper bounds the kappa/alpha/beta constants of
-the estimation schemes.  All constants in force are echoed in
-``BoundReport.constants_used``.
+lower bound its 1/2, and the upper bounds the prefactor 3 alpha kappa of the
+estimation schemes, where 3 = sum_{n>=1} (1 + n) / 2^n sums the staged copy
+growth.  All constants in force are echoed in ``BoundReport.constants_used``.
 """
 
 from __future__ import annotations
@@ -34,14 +34,18 @@ EQ_CHAIN_CONSTANT = 0.25   # Tr V >= m d / (4 N tau^2)
 EQ_TIME_CONSTANT = 0.5     # T >= d sqrt(c) / (2 delta)
 
 
+def _require_finite_positive(function: str, *args) -> None:
+    if not all(0 < x < math.inf for x in args):
+        raise ValidationError(f"{function} requires finite arguments > 0, got {args!r}")
+
+
 def qcr_chain(m: int, d: int, delta: float, tau: float, n_copies: int) -> dict:
     """Covariance lower bound m d / (4 N tau^2) and the time-energy trade-off.
 
     ``tradeoff_ok`` records whether N tau^2 >= m d / (4 delta^2), i.e. whether
     the budget is large enough that delta^2 can dominate the covariance bound.
     """
-    if min(m, d, delta, tau, n_copies) <= 0:
-        raise ValidationError("qcr_chain requires positive arguments")
+    _require_finite_positive("qcr_chain", m, d, delta, tau, n_copies)
     return {
         "trV_lower": EQ_CHAIN_CONSTANT * m * d / (n_copies * tau * tau),
         "tradeoff_ok": bool(n_copies * tau * tau >= EQ_CHAIN_CONSTANT * m * d / (delta * delta)),
@@ -56,28 +60,26 @@ def nonspherical_time_lower(c: float, d: int, delta: float) -> float:
     exponent is 1 by that consistency requirement; a delta^-2 variant of this
     bound circulates but does not reduce to the spherical value.
     """
-    if min(c, d, delta) <= 0:
-        raise ValidationError("nonspherical_time_lower requires positive arguments")
+    _require_finite_positive("nonspherical_time_lower", c, d, delta)
     return EQ_TIME_CONSTANT * d * math.sqrt(c) / delta
 
 
 def time_upper_general(m: int, d: int, delta: float,
                        constants: SchemeConstants = DEFAULT_CONSTANTS) -> float:
-    """Adaptive-scheme upper bound: alpha kappa (1 + 2 beta) m d / delta.
+    """Adaptive-scheme upper bound: 3 alpha kappa m d / delta.
 
-    The constant is the infinite-stage sum of the artifact's per-stage time
-    alpha m (1 + beta n) * kappa / (2^n delta * scale), evaluated at the
-    generic scale normalization.
+    The constant is the infinite-stage sum of the per-stage time
+    alpha m (1 + n) * kappa / (2^n delta * scale), with sum_{n>=1} (1 + n) / 2^n = 3,
+    evaluated at the generic scale normalization.
     """
-    if min(m, d, delta) <= 0:
-        raise ValidationError("time_upper_general requires positive arguments")
-    prefactor = constants.alpha * constants.kappa * (1.0 + 2.0 * constants.beta)
+    _require_finite_positive("time_upper_general", m, d, delta)
+    prefactor = constants.alpha * constants.kappa * 3.0
     return prefactor * m * d / delta
 
 
 def fewparam_time_upper(m: int, d: int, delta: float,
                         constants: SchemeConstants = DEFAULT_CONSTANTS) -> float:
-    """Spherical few-parameter upper bound: alpha kappa (1 + 2 beta) m^{3/2} sqrt(d) / delta.
+    """Spherical few-parameter upper bound: 3 alpha kappa m^{3/2} sqrt(d) / delta.
 
     Valid for spherical models.  They have c = m / d, so the stage time
     tau = kappa sqrt(d) / (sqrt(m) E) equals kappa / (E sqrt(c)), the tau
@@ -87,9 +89,8 @@ def fewparam_time_upper(m: int, d: int, delta: float,
     Tighter than :func:`time_upper_general` only for m <= d; callers should
     prefer the general bound when this one exceeds it.
     """
-    if min(m, d, delta) <= 0:
-        raise ValidationError("fewparam_time_upper requires positive arguments")
-    prefactor = constants.alpha * constants.kappa * (1.0 + 2.0 * constants.beta)
+    _require_finite_positive("fewparam_time_upper", m, d, delta)
+    prefactor = constants.alpha * constants.kappa * 3.0
     return prefactor * m ** 1.5 * math.sqrt(d) / delta
 
 
@@ -161,7 +162,6 @@ def bound_report(model: HamiltonianModel, delta: float, e_radius: float,
             "time_constant": EQ_TIME_CONSTANT,
             "kappa": constants.kappa,
             "alpha": constants.alpha,
-            "beta": constants.beta,
             "tau": tau,
             "spherical": model.spherical,
             "preferred_upper": "fewparam" if model.spherical and few < upper else "general",

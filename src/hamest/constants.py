@@ -55,8 +55,7 @@ class SchemeConstants:
             tau ||H|| <= kappa over its search ball (``estimation._plan``).
             Calibrated so the first-order frame expansion stays accurate
             while tomography noise remains resolvable.
-    alpha   copy-budget prefactor of every stage (``estimation._plan``).
-    beta    per-stage copy growth at stage n (``estimation._plan``).
+    alpha   copy prefactor: alpha m d / (delta/E)^2, staged alpha m (1 + n) (``estimation._plan``).
     p_crit  tolerated overall failure probability of a full estimation run;
             validated, but no copy budget reads it yet.
     r_max   cap on the many-channel r_n of ``estimation._plan``; ``None``
@@ -72,7 +71,6 @@ class SchemeConstants:
 
     kappa: float = 0.5
     alpha: float = 96.0
-    beta: float = 1.0
     p_crit: float = 0.05
     r_max: int | None = None
     trotter_slices: bool = False
@@ -84,7 +82,6 @@ class SchemeConstants:
         for name, ok, need in (
                 ("kappa", number(self.kappa) and 0 < self.kappa < math.inf, "a finite number > 0"),
                 ("alpha", number(self.alpha) and 0 < self.alpha < math.inf, "a finite number > 0"),
-                ("beta", number(self.beta) and 0 <= self.beta < math.inf, "a finite number >= 0"),
                 ("p_crit", number(self.p_crit) and 0 < self.p_crit < 1, "a number in (0, 1)"),
                 ("r_max", self.r_max is None or type(self.r_max) is int and self.r_max >= 1,
                  "None or an integer >= 1"),

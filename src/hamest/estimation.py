@@ -330,8 +330,8 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
     so tau ||H_theta|| <= kappa on that ball.  one_channel: one stage n = 0, R = E,
     r = 1, N = ceil(alpha m d / (delta / E)^2) copies to resolve the tomography
     noise at scale delta.  Staged: n = n0 .. 1, n0 = ceil(log2(E / delta)) >= 3,
-    N_n = ceil(alpha m (1 + beta n)); the (1 + beta n) is meant to cover a
-    per-stage failure budget p_crit / 2^n, but N_n does not read p_crit yet.
+    N_n = ceil(alpha m (1 + n)); the (1 + n) is meant to cover a per-stage failure
+    budget p_crit / 2^n, but N_n does not read p_crit yet (ROADMAP item 1).
     adaptive: r = 1 and R = 2^n delta, so tau grows as the radius shrinks; ``trotter_slices``
     gives stage n k_n = ceil(tau_n max_energy(E) / SLICE_PHASE) feedback slices, at any delta.
     many_channel: R = 2^n delta too, but every stage keeps the tau of 2^n0 delta and entangles
@@ -367,7 +367,7 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
         n0 = math.ceil(math.log2(e_radius / delta))
         plan = [stage(n, 2.0 ** n * delta, 2.0 ** (n0 if many else n) * delta,
                       2 ** (n0 - n) * model.d if many else 1,
-                      constants.alpha * model.m * (1.0 + constants.beta * n))
+                      constants.alpha * model.m * (1.0 + n))
                 for n in range(n0, 0, -1)]
     if not _total_time(plan) < math.inf:
         raise ValidationError(f"the planned T must be finite, got T={_total_time(plan)!r}")

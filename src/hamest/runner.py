@@ -96,12 +96,10 @@ def _run_block(cfg: ExperimentConfig, model: HamiltonianModel, plan: list, maste
     """The cfg.trials rows at cfg.delta, in trial order, and their summary.
 
     One model and one plan serve every trial, on min(jobs, trials, usable CPUs) processes;
-    only more than one imports and starts a process pool.  jobs < 1 is rejected.
+    only more than one imports and starts a process pool.
     ``total_time`` is the plan's T, which every completed trial carries, and
     ``capped_stages`` counts the stages of ``plan`` whose r the r_max cap holds back.
     """
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     trial = functools.partial(_run_trial, cfg, model, plan, master)
     workers = min(jobs, cfg.trials, estimation._usable_cpus())
     if workers == 1:
@@ -116,6 +114,8 @@ def _run_block(cfg: ExperimentConfig, model: HamiltonianModel, plan: list, maste
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[dict], dict]:
+    if jobs < 1:    # before the model is built
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     model = make_model(cfg.model_kind, cfg.d)
     plan = estimation._plan(cfg.scheme, model, cfg.delta, cfg.e_radius, cfg.constants)
     return _run_block(cfg, model, plan, cfg.master_seed, jobs)
@@ -127,6 +127,8 @@ def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict],
     T is each delta's planned time resource, its ``total_time`` in
     ``per_delta``, so the fit needs no completed trial.
     """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     deltas = [float(x) for x in deltas]
     if len(deltas) < 3:
         raise ValidationError("sweep needs at least 3 delta values")

@@ -105,6 +105,29 @@ class TestNonsphericalLower:
             assert rep.trace_J == pytest.approx(rep.bound_4ct2, rel=1e-4)
 
 
+# each bound formula, valid arguments, and the positions of delta and of one other argument
+FORMULAS = {
+    "qcr_chain": (qcr_chain, (3, 2, 0.1, 0.5, 10), (2, 3)),
+    "nonspherical_time_lower": (nonspherical_time_lower, (1.5, 2, 0.1), (2, 0)),
+    "time_upper_general": (time_upper_general, (3, 2, 0.1), (2, 1)),
+    "fewparam_time_upper": (fewparam_time_upper, (3, 2, 0.1), (2, 0)),
+}
+
+
+@pytest.mark.parametrize("name", FORMULAS)
+@pytest.mark.parametrize("which", [0, 1], ids=["delta", "other"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.5],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_formulas_reject_non_finite_or_non_positive_arguments(name, which, bad):
+    # NaN and inf fail no min(...) <= 0 test, yet time_upper_general(3, 2, nan) would read nan
+    # and fewparam_time_upper(3, 2, inf) 0.0
+    function, args, positions = FORMULAS[name]
+    args = list(args)
+    args[positions[which]] = bad
+    with pytest.raises(ValidationError, match=f"^{name} requires finite arguments > 0, got"):
+        function(*args)
+
+
 class TestFewParam:
     def test_single_parameter_matches_lower_scaling(self):
         # m = 1, c = 1/d: upper m^{3/2} sqrt(d) and lower sqrt(md) both scale as sqrt(d)
@@ -161,7 +184,7 @@ class TestReport:
         const = SchemeConstants(kappa=0.4, alpha=50.0)
         rep = bound_report(make_model("phase", 3), 0.1, 2.0, const)
         used = rep.constants_used
-        assert used["kappa"] == 0.4 and used["alpha"] == 50.0
+        assert used["kappa"] == 0.4 and used["alpha"] == 50.0 and "beta" not in used
         assert used["chain_constant"] == 0.25 and used["time_constant"] == 0.5
 
     @pytest.mark.parametrize("scale", [1.0, 3.0])

@@ -38,8 +38,8 @@ seed = 4242
 """
 
 # A non-default value for every field of SchemeConstants.
-CONSTANT_OVERRIDES = {"kappa": "0.3", "alpha": "10", "beta": "0.5", "p_crit": "0.1",
-                      "r_max": "7", "trotter_slices": "true"}
+CONSTANT_OVERRIDES = {"kappa": "0.3", "alpha": "10", "p_crit": "0.1", "r_max": "7",
+                      "trotter_slices": "true"}
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -113,7 +113,7 @@ class TestConfig:
         text = MINI.format(trials=1) + "".join(
             f"{f.name}={CONSTANT_OVERRIDES[f.name]}\n" for f in fields(SchemeConstants))
         assert parse_config_text(text).constants == SchemeConstants(
-            kappa=0.3, alpha=10.0, beta=0.5, p_crit=0.1, r_max=7, trotter_slices=True)
+            kappa=0.3, alpha=10.0, p_crit=0.1, r_max=7, trotter_slices=True)
 
     def test_constants_overrides(self):
         cfg = parse_config_text(MINI.format(trials=1) + "kappa=0.4\nalpha=32\n"
@@ -122,12 +122,13 @@ class TestConfig:
         assert cfg.constants.alpha == 32
         assert cfg.constants.r_max == 16
 
-    @pytest.mark.parametrize("override", ["kappa=0", "alpha=0", "beta=-1", "p_crit=0",
+    @pytest.mark.parametrize("override", ["kappa=0", "alpha=0", "p_crit=0",
                                           "p_crit=1", "r_max=0", "r_max=-3", "r_max=2.5",
                                           "trotter_slices=-1", "trotter_slices=8",
                                           "trotter_slices=2.5", "delta=0.05",
-                                          "kappa=inf", "alpha=inf", "beta=inf"])
+                                          "kappa=inf", "alpha=inf", "beta=1"])
     def test_bad_constants_rejected_before_any_trial(self, override, tmp_path, capsys):
+        # beta, the retired staged copy growth, is an unknown key at any value
         field = override.split("=")[0]
         text = MINI.format(trials=1) + override + "\n"
         with pytest.raises(ValidationError, match=field):
@@ -141,7 +142,7 @@ class TestConfig:
                                               ("trotter_slices", 2.5), ("trotter_slices", 8),
                                               ("trotter_slices", 1),
                                               *[(field, value)
-                                                for field in ("kappa", "alpha", "beta", "p_crit")
+                                                for field in ("kappa", "alpha", "p_crit")
                                                 for value in ("0.5", None, True)]])
     def test_constants_check_their_types(self, field, value):
         # a non-integer r_max would plan and then fail every many_channel stage, a non-bool
@@ -524,9 +525,13 @@ class TestCli:
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs_exit_2(self, tmp_path, capsys, monkeypatch, command, jobs):
+        def no_model(*args):
+            pytest.fail("a model was built")
+
         def no_trial(*args):
             pytest.fail("a trial ran")
 
+        monkeypatch.setattr(runner, "make_model", no_model)
         monkeypatch.setattr(runner, "_run_trial", no_trial)
         cfg_path, out = write_cfg(tmp_path, MINI.format(trials=2)), tmp_path / "res.csv"
         argv = [*command, "--config", cfg_path, "--out", str(out), "--jobs", jobs]
@@ -658,10 +663,11 @@ class TestCli:
         assert not missing.exists()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])
-    @pytest.mark.parametrize("key", ["out_csv", "out_json", "refine"])
+    @pytest.mark.parametrize("key", ["out_csv", "out_json", "refine", "beta"])
     def test_output_path_config_key_exit_2(self, tmp_path, capsys, monkeypatch, command, key):
         # the CSV path is --out alone, and the summary goes next to it; one_channel always
-        # refines, so refine is no key either
+        # refines, and staged stage n plans alpha m (1 + n) copies, so refine and beta are
+        # no keys either
         def no_trial(*args):
             pytest.fail("a trial ran")
 

@@ -3,7 +3,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -608,7 +608,7 @@ class TestRunAdaptive:
         for s in rec.stages:
             assert s.tau == pytest.approx(
                 CONST.kappa / (2 ** s.n * delta * math.sqrt(FULL2.c)))
-            assert s.copies == math.ceil(CONST.alpha * 3 * (1 + CONST.beta * s.n))
+            assert s.copies == math.ceil(CONST.alpha * 3 * (1 + s.n))
         assert rec.total_time == pytest.approx(
             sum(s.copies * s.tau for s in rec.stages))
 
@@ -638,7 +638,7 @@ class TestRunAdaptive:
             prior_ok = True
             for n in range(n0, 0, -1):
                 tau = CONST.kappa / (2 ** n * delta * scale)
-                copies = math.ceil(CONST.alpha * 3 * (1 + CONST.beta * n))
+                copies = math.ceil(CONST.alpha * 3 * (1 + n))
                 probe = evolve(FULL2, theta - theta_star,
                                Schedule(r=1, initial=mes(2), steps=((tau, None),)))
                 reduced, p = frame_projection(frame, probe.amplitudes)
@@ -827,9 +827,28 @@ class TestFirstOrderStages:
 
 DRIVERS = {"one_channel": run_one_channel, "adaptive": run_adaptive,
            "many_channel": run_many_channel}
+# a non-default value of each scheme constant, and the stage attribute it changes in some plan:
+# r_max = 4 binds at delta = 0.1, where many_channel's doubling reaches r = 16
+CONSTANT_EFFECTS = {"kappa": (0.3, "tau"), "alpha": (10.0, "copies"), "r_max": (4, "r"),
+                    "trotter_slices": (True, "slices")}
 
 
 class TestPlan:
+    @pytest.mark.parametrize("field", [f.name for f in fields(SchemeConstants)])
+    def test_every_constant_changes_a_plan(self, field):
+        # a constant that changes no plan is a knob that does nothing; p_crit is the one
+        # exception until the staged copy budget derives from it (ROADMAP item 1)
+        assert {*CONSTANT_EFFECTS, "p_crit"} == {f.name for f in fields(SchemeConstants)}
+        value, attr = CONSTANT_EFFECTS.get(field, (0.1, None))
+        changed = replace(CONST, **{field: value})
+        plans = [(_plan(scheme, FULL2, 0.1, 1.0, CONST), _plan(scheme, FULL2, 0.1, 1.0, changed))
+                 for scheme in DRIVERS]
+        if attr is None:
+            assert all(before == after for before, after in plans)
+        else:
+            assert any([getattr(s, attr) for s in before] != [getattr(s, attr) for s in after]
+                       for before, after in plans)
+
     @pytest.mark.parametrize("scheme", DRIVERS)
     @pytest.mark.parametrize("const", [CONST, SchemeConstants(r_max=4), SchemeConstants(alpha=0.2)],
                              ids=["default", "r_max=4", "alpha=0.2"])
