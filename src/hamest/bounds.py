@@ -99,6 +99,7 @@ def biased_cr_rhs(j_matrix, d_matrix, n_copies: int) -> dict:
 
     matrix_bound_trace = Tr[(I+D) J^{-1} (I+D)^T] / N and the weaker scalar
     form (Tr[I+D])^2 / (N Tr J).  D = 0 recovers the unbiased Tr[J^{-1}] / N.
+    N must be finite and >= 1, and J and D finite.
     """
     j = np.asarray(j_matrix, dtype=float)
     m = j.shape[0]
@@ -106,6 +107,9 @@ def biased_cr_rhs(j_matrix, d_matrix, n_copies: int) -> dict:
         else np.asarray(d_matrix, dtype=float)
     if j.shape != (m, m) or d.shape != (m, m):
         raise ValidationError("J and D must be square matrices of equal size")
+    if not (np.all(np.isfinite(j)) and np.all(np.isfinite(d))):
+        raise ValidationError("J and D must have finite entries")
+    _require_finite_positive("biased_cr_rhs", n_copies)
     if n_copies < 1:
         raise ValidationError("need at least one copy")
     eigvals, eigvecs = np.linalg.eigh(0.5 * (j + j.T))

@@ -88,18 +88,19 @@ def _outcome_chunks(dim: int, n: int, rng: np.random.Generator):
     """The chunk plan of n outcomes: (copies, generator) per chunk, in chunk order.
 
     Chunks hold min(8192, 2^17 // (2 dim - 2)) copies, the last one fewer.
-    Chunk 0 draws from ``rng`` itself; chunks 1 .. k-1 draw from generators of
-    ``rng``'s bit-generator class, keyed by k - 1 uint64 integers that ``rng``
-    draws first.  So every chunk's draws are fixed before any chunk is drawn,
-    and a one-chunk plan touches only ``rng``'s normal and exponential draws.
+    Chunk 0 draws from ``rng`` itself; chunks 1 .. k-1 draw from SFC64
+    generators, whatever ``rng``'s bit-generator class, keyed by k - 1 uint64
+    integers that ``rng`` draws first.  SFC64 is the fastest of numpy's bit
+    generators and the class of the runner's trial streams.  So every chunk's
+    draws are fixed before any chunk is drawn, and a one-chunk plan touches
+    only ``rng``'s normal and exponential draws.
     """
     size = min(_TOMOGRAPHY_CHUNK, _CHUNK_NORMALS // max(1, 2 * dim - 2))
     sizes = [min(size, n - done) for done in range(0, n, size)]
     if len(sizes) <= 1:
         return [(k, rng) for k in sizes]
     keys = rng.integers(1 << 64, size=len(sizes) - 1, dtype=np.uint64)
-    child = type(rng.bit_generator)
-    return [(sizes[0], rng)] + [(k, np.random.Generator(child(int(key))))
+    return [(sizes[0], rng)] + [(k, np.random.Generator(np.random.SFC64(int(key))))
                                 for k, key in zip(sizes[1:], keys)]
 
 
@@ -174,9 +175,10 @@ def _outcome_projector_mean(psi: np.ndarray, n_copies: int,
     Each chunk of :func:`_outcome_chunks` is folded into its own real Gram
     of the aligned rows, and the Grams are summed in chunk order, so the
     result depends on (rng state, n_copies, dim) alone, not on the thread
-    count.  :func:`_lane_grams` folds a stage of two or more chunks on two
-    lanes when :func:`_pool_workers` allows, the odd chunks on a helper
-    thread, and any other stage on this thread.  The sum is folded once into
+    count; chunk 0 draws from ``rng`` and every later chunk from an SFC64
+    stream that ``rng`` keys.  :func:`_lane_grams` folds a stage of two or
+    more chunks on two lanes when :func:`_pool_workers` allows, the odd chunks
+    on a helper thread, and any other stage on this thread.  The sum is folded once into
     the complex sum S of o o^dag; the mean is B S B^dag / n.
     """
     dim = psi.size

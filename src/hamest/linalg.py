@@ -41,7 +41,7 @@ def _as_square(a, name="matrix") -> np.ndarray:
 def assert_hermitian(h, atol: float = TOL.hermitian_atol, name="matrix") -> np.ndarray:
     h = _as_square(h, name)
     dev = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
-    if dev > atol:
+    if not dev <= atol:                  # NaN and inf entries fail too
         raise ValidationError(f"{name} is not Hermitian (max deviation {dev:.3e} > {atol:.1e})")
     return h
 
@@ -49,7 +49,7 @@ def assert_hermitian(h, atol: float = TOL.hermitian_atol, name="matrix") -> np.n
 def assert_unitary(u, atol: float = TOL.unitary_atol, name="matrix") -> np.ndarray:
     u = _as_square(u, name)
     dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if dev > atol:
+    if not dev <= atol:
         raise ValidationError(f"{name} is not unitary (max deviation {dev:.3e} > {atol:.1e})")
     return u
 
@@ -71,7 +71,7 @@ class PureState:
             raise ValidationError(
                 f"amplitude length {amps.size} does not match factors {self.factors}")
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > TOL.state_norm_atol:
+        if not abs(nrm - 1.0) <= TOL.state_norm_atol:
             raise ValidationError(f"state norm {nrm} deviates from 1 beyond tolerance")
 
     @property

@@ -47,21 +47,24 @@ class HamiltonianModel:
 
 
 def _validate_generators(gens: np.ndarray, d: int):
-    """Check an (m, d, d) stack: Hermitian, traceless and Hilbert-Schmidt orthonormal."""
+    """Check an (m, d, d) stack: Hermitian, traceless and Hilbert-Schmidt orthonormal.
+
+    Each test is written as ``deviation <= tolerance``, so a NaN or inf entry fails it.
+    """
     if gens.ndim != 3 or gens.shape[1:] != (d, d) or len(gens) == 0:
         raise ValidationError(f"generators have shape {gens.shape}, expected (m >= 1, {d}, {d})")
     herm = np.max(np.abs(gens - gens.conj().transpose(0, 2, 1)), axis=(1, 2))
     trace = np.abs(np.trace(gens, axis1=1, axis2=2))
-    bad = np.flatnonzero((herm > TOL.hermitian_atol) | (trace > TOL.generator_trace_atol))
+    bad = np.flatnonzero(~((herm <= TOL.hermitian_atol) & (trace <= TOL.generator_trace_atol)))
     if bad.size:
         j = bad[0]
         raise ValidationError(f"generator {j} is not Hermitian and traceless "
                               f"(Hermitian deviation {herm[j]:.3e}, |trace| {trace[j]:.3e})")
     gram = np.einsum("jab,kab->jk", gens.conj(), gens)
     dev = np.abs(gram - np.eye(len(gens)))
-    if np.max(dev) > TOL.gram_atol:
+    if not np.max(dev) <= TOL.gram_atol:
         bad = [(int(j), int(k), complex(gram[j, k]))
-               for j, k in zip(*np.nonzero(dev > TOL.gram_atol))]
+               for j, k in zip(*np.nonzero(~(dev <= TOL.gram_atol)))]
         raise ValidationError(f"generators are not orthonormal; offending Gram entries: {bad}")
 
 

@@ -18,6 +18,7 @@ correlation matrix G uses the collective generators sum_slots X_j.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,8 @@ class Schedule:
     Each step applies its feedback unitary (if any) to the total space and
     then evolves the r driven factors for ``interval`` under the model
     Hamiltonian, so steps ``[(t0, None), (t1, V1), ..., (tn, Vn)]`` compose to
-    ``U(tn) Vn ... U(t1) V1 U(t0)``.
+    ``U(tn) Vn ... U(t1) V1 U(t0)``.  ``r`` is an int >= 1 (not a bool) and each
+    interval a finite number >= 0.
     """
 
     r: int
@@ -53,6 +55,8 @@ class Schedule:
     steps: tuple[tuple[float, np.ndarray | None], ...]
 
     def __post_init__(self):
+        if not isinstance(self.r, numbers.Integral) or isinstance(self.r, bool):
+            raise ValidationError(f"channel count must be an int, got {self.r!r}")
         if self.r < 1 or self.r > len(self.initial.factors):
             raise ValidationError(f"channel count {self.r} inconsistent with "
                                   f"factors {self.initial.factors}")
@@ -61,8 +65,8 @@ class Schedule:
             raise ValidationError("driven factors must share one dimension")
         steps = []
         for interval, v in self.steps:
-            if interval < 0:
-                raise ValidationError(f"negative interval {interval}")
+            if not (isinstance(interval, numbers.Real) and 0 <= interval < math.inf):
+                raise ValidationError(f"interval must be a finite number >= 0, got {interval!r}")
             if v is not None:
                 v = assert_unitary(v, name="feedback unitary")
                 if v.shape[0] != self.initial.dim:
@@ -106,9 +110,12 @@ def _propagate(model: HamiltonianModel, theta, schedule: Schedule, tangents: boo
     An evolution step applies U = exp(-i t H_theta) slot by slot; at each slot
     the product rule gives dpsi_k -> U dpsi_k + dU_k psi, where dU_k is the
     Frechet derivative along X_k, so a tangent ends as U^(x)r dpsi_k +
-    sum_slots (dU_k in that slot) psi.
+    sum_slots (dU_k in that slot) psi.  theta is checked here, where every evolution
+    starts, rather than in ``hamiltonian``, which every estimation stage calls.
     """
     _check_schedule(model, schedule)
+    if not np.all(np.isfinite(np.asarray(theta, dtype=float))):
+        raise ValidationError(f"theta must be finite, got {theta!r}")
     h = hamiltonian(model, theta)
     shape = schedule.initial.factors
     psi = schedule.initial.amplitudes.reshape(shape)
@@ -130,7 +137,7 @@ def _propagate(model: HamiltonianModel, theta, schedule: Schedule, tangents: boo
                 psi = _apply_to_slot(u, psi, slot)
     psi = psi.reshape(-1)
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > TOL.state_norm_atol:
+    if not abs(nrm - 1.0) <= TOL.state_norm_atol:     # a NaN norm fails too
         raise ValidationError(f"evolution lost normalization: |psi| = {nrm}")
     return psi / nrm, None if dpsi is None else dpsi.reshape(model.m, -1) / nrm
 
@@ -152,15 +159,15 @@ class QfiReport:
 
     def __post_init__(self):
         j = np.asarray(self.J, dtype=float)
-        if np.max(np.abs(j - j.T)) > TOL.psd_atol:
+        if not np.max(np.abs(j - j.T)) <= TOL.psd_atol:      # NaN and inf entries fail too
             raise ValidationError("QFI matrix is not symmetric within tolerance")
         eigs = np.linalg.eigvalsh(0.5 * (j + j.T))
         if eigs.size and eigs[0] < -TOL.psd_atol:
             raise ValidationError(f"QFI matrix has negative eigenvalue {eigs[0]:.3e}")
         g = np.asarray(self.G)
-        if np.max(np.abs(g - g.conj().T)) > TOL.g_hermitian_atol:
+        if not np.max(np.abs(g - g.conj().T)) <= TOL.g_hermitian_atol:
             raise ValidationError("correlation matrix G is not Hermitian within tolerance")
-        if self.trace_J > self.bound_4ct2 * (1.0 + TOL.trj_bound_slack) + 1e-12:
+        if not self.trace_J <= self.bound_4ct2 * (1.0 + TOL.trj_bound_slack) + 1e-12:
             raise AuditFailure(
                 f"Tr J = {self.trace_J:.6e} exceeds 4 c t_eff^2 = {self.bound_4ct2:.6e}")
 

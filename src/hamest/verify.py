@@ -190,7 +190,8 @@ def sample_haar_outcomes(state, n: int, rng: np.random.Generator) -> np.ndarray:
     The per-outcome reference for the stage's tomography: B times each row
     of the shared draw core :func:`_aligned_outcomes`, with B the basis whose
     first column is ``state``.  It walks the projector sum's chunk plan
-    serially, so it makes the same draws and leaves ``rng`` in the same state.
+    serially (chunk 0 on ``rng``, later chunks on the SFC64 streams ``rng``
+    keys), so it makes the same draws and leaves ``rng`` in the same state.
     """
     psi = np.asarray(state, dtype=complex).reshape(-1)
     outs = [np.column_stack((x0, w.view(complex)))

@@ -128,6 +128,20 @@ def test_formulas_reject_non_finite_or_non_positive_arguments(name, which, bad):
         function(*args)
 
 
+@pytest.mark.parametrize("j, d, n_copies, message", [
+    (np.eye(2), 0, math.nan, "biased_cr_rhs requires finite arguments > 0"),
+    (np.eye(2), 0, math.inf, "biased_cr_rhs requires finite arguments > 0"),
+    (np.diag([1.0, math.nan]), 0, 10, "J and D must have finite entries"),
+    (np.diag([1.0, math.inf]), 0, 10, "J and D must have finite entries"),
+    (np.eye(2), np.diag([0.0, math.nan]), 10, "J and D must have finite entries"),
+    (np.eye(2), np.diag([0.0, -math.inf]), 10, "J and D must have finite entries"),
+], ids=["nan-N", "inf-N", "nan-J", "inf-J", "nan-D", "inf-D"])
+def test_biased_cr_rhs_rejects_non_finite_arguments(j, d, n_copies, message):
+    # unchecked, N = nan gives nan for both bounds, N = inf 0.0, and a NaN in J or D nan
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        biased_cr_rhs(j, d, n_copies)
+
+
 class TestFewParam:
     def test_single_parameter_matches_lower_scaling(self):
         # m = 1, c = 1/d: upper m^{3/2} sqrt(d) and lower sqrt(md) both scale as sqrt(d)

@@ -142,6 +142,27 @@ class TestPostselect:
         assert p == pytest.approx(1.0, abs=1e-4)
 
 
+# The trial generator's bit-generator class: default_rng's PCG64, Philox as perfbench builds
+# it, MT19937 and the runner's SFC64.
+CALLERS = {
+    "PCG64": np.random.default_rng,
+    "Philox": lambda seed: np.random.Generator(np.random.Philox(key=seed)),
+    "MT19937": lambda seed: np.random.Generator(np.random.MT19937(seed)),
+    "SFC64": lambda seed: np.random.Generator(np.random.SFC64(seed)),
+}
+
+
+def over_callers(argnames: str, cases):
+    """Parametrize ``argnames`` and ``caller`` (a CALLERS name) over cases x CALLERS.
+
+    A case's id is its values joined by '-', suffixed by the class name unless it is PCG64.
+    """
+    return pytest.mark.parametrize(f"{argnames},caller", [
+        pytest.param(*case, name,
+                     id="-".join(map(str, case)) + ("" if name == "PCG64" else f"-{name}"))
+        for case in cases for name in CALLERS])
+
+
 class TestTomography:
     def test_needs_enough_copies(self):
         psi = np.eye(3)[0]
@@ -255,14 +276,14 @@ class TestTomography:
         assert np.all(np.isfinite(mean))
         assert abs(np.trace(mean) - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("dim", [2, 4, 9])
-    def test_stage_path_draw_contract(self, dim):
+    @over_callers("dim", [(2,), (4,), (9,)])
+    def test_stage_path_draw_contract(self, dim, caller):
         # k chunks: the trial generator draws k-1 uint64 keys, then chunk 0's
         # (k0, 2D-2) normal and (k0, 2) exponential blocks; chunk i >= 1 draws
-        # the same two blocks from a generator of the trial's class keyed by key i
+        # the same two blocks from an SFC64 generator keyed by key i, whatever the trial's class
         n = 5 * STAGE_CHUNK // 2
         psi = haar_state(dim, np.random.default_rng(65 + dim))
-        rng, twin = np.random.default_rng(66), np.random.default_rng(66)
+        rng, twin = CALLERS[caller](66), CALLERS[caller](66)
         children = []
         real_generator = np.random.Generator
 
@@ -277,15 +298,15 @@ class TestTomography:
         keys = twin.integers(1 << 64, size=len(sizes) - 1, dtype=np.uint64)
         twin.standard_normal((sizes[0], 2 * dim - 2))
         twin.standard_exponential((sizes[0], 2))
-        assert rng.bit_generator.state == twin.bit_generator.state
+        np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
         assert len(children) == len(keys)
         for k, key, child in zip(sizes[1:], keys, children):
-            replay = np.random.PCG64(int(key))
+            replay = np.random.SFC64(int(key))
             replayed = np.random.Generator(replay)
             replayed.standard_normal((k, 2 * dim - 2))
             replayed.standard_exponential((k, 2))
-            assert type(child) is np.random.PCG64
-            assert child.state == replay.state
+            assert type(child) is np.random.SFC64
+            np.testing.assert_equal(child.state, replay.state)
 
     @pytest.mark.parametrize("chunks", [2, 3, 5])
     @pytest.mark.parametrize("dim", [2, 4, 9])
@@ -356,17 +377,17 @@ class TestTomography:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("copies", ["D+1", "chunk", "2.5 chunk"])
-    @pytest.mark.parametrize("dim", [2, 4, 9])
-    def test_stage_path_matches_reference_sampler(self, dim, copies):
+    @over_callers("dim,copies", [(dim, copies) for dim in (2, 4, 9)
+                                 for copies in ("D+1", "chunk", "2.5 chunk")])
+    def test_stage_path_matches_reference_sampler(self, dim, copies, caller):
         # same draws, same generator state: the projector sum is the reference's, summed
         n = {"D+1": dim + 1, "chunk": STAGE_CHUNK, "2.5 chunk": 5 * STAGE_CHUNK // 2}[copies]
         psi = haar_state(dim, np.random.default_rng(60 + dim))
-        stage_rng, ref_rng = np.random.default_rng(61), np.random.default_rng(61)
+        stage_rng, ref_rng = CALLERS[caller](61), CALLERS[caller](61)
         mean = _outcome_projector_mean(psi, n, stage_rng)
         outs = sample_haar_outcomes(psi, n, ref_rng)
         assert np.max(np.abs(mean - outs.T @ outs.conj() / n)) <= 1e-13
-        assert stage_rng.bit_generator.state == ref_rng.bit_generator.state
+        np.testing.assert_equal(stage_rng.bit_generator.state, ref_rng.bit_generator.state)
 
     @pytest.mark.parametrize("dim", [4, 9, 16])
     def test_tomography_memory_is_bounded_by_chunk(self, dim):

@@ -7,9 +7,10 @@ import pytest
 from hamest.constants import TOL
 from hamest.errors import AuditFailure, ValidationError
 from hamest.estimation import _mes_probe, _Stage
-from hamest.linalg import PureState, haar_state, hermitian_expm
+from hamest.linalg import (PureState, assert_hermitian, assert_unitary, haar_state,
+                           hermitian_expm)
 from hamest.model import hamiltonian, make_model
-from hamest.probe import (Schedule, _qfi_from_tangents, evolve, growth_audit, mes,
+from hamest.probe import (QfiReport, Schedule, _qfi_from_tangents, evolve, growth_audit, mes,
                           qfi_matrix)
 from hamest.verify import random_schedule, richardson_derivative
 
@@ -17,6 +18,35 @@ from hamest.verify import random_schedule, richardson_derivative
 def free_schedule(d, tau, r=1, initial=None):
     initial = mes(d) if initial is None else initial
     return Schedule(r=r, initial=initial, steps=((tau, None),))
+
+
+NAN2 = np.full((2, 2), math.nan)
+NAN_GENERATORS = np.array(make_model("full", 2).generators)
+NAN_GENERATORS[1, 0, 1] = math.nan
+
+
+@pytest.mark.parametrize("call", [
+    lambda: assert_hermitian(NAN2),
+    lambda: assert_unitary(NAN2),
+    lambda: hermitian_expm(NAN2, 1.0),
+    lambda: PureState((2,), [math.nan, 0.0]),
+    lambda: QfiReport(J=NAN2, G=np.eye(2), trace_J=0.0, bound_4ct2=1.0),
+    lambda: QfiReport(J=np.eye(2), G=NAN2, trace_J=2.0, bound_4ct2=4.0),
+    lambda: make_model("custom", 2, NAN_GENERATORS),
+    lambda: free_schedule(2, math.nan),
+    lambda: free_schedule(2, math.inf),
+    lambda: free_schedule(2, 0.5, r=1.5),
+    lambda: free_schedule(2, 0.5, r=True),
+    lambda: evolve(make_model("full", 2), [math.nan, 0.0, 0.0], free_schedule(2, 0.0)),
+    lambda: evolve(make_model("full", 2), [10.0, 0.0, 0.0], free_schedule(2, 1e308)),
+], ids=["hermitian", "unitary", "expm", "pure_state", "qfi_J", "qfi_G", "custom_generators",
+        "nan_interval", "inf_interval", "float_r", "bool_r", "nan_theta", "overflowing_phase"])
+def test_validators_reject_nan_and_inf(call):
+    # each check must read "deviation <= tolerance": a `>` test lets NaN through, so a NaN
+    # matrix, state or QFI is accepted, a NaN step skipped, and a NaN theta or an overflowing
+    # phase exp(-i t w) gives NaN amplitudes; that last case computes NaN on purpose
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError):
+        call()
 
 
 class TestMes:
