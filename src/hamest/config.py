@@ -42,12 +42,14 @@ class ExperimentConfig:
             raise ValidationError(f"model {self.model_kind!r} cannot run from a config; "
                                   f"valid models: {', '.join(_CONFIG_MODELS)}")
         _admit(self.scheme, self.delta, self.e_radius)
-        if self.d < 2:
-            raise ValidationError(f"d must be >= 2, got {self.d}")
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if not (0 <= self.master_seed < 2 ** 64):
-            raise ValidationError("master_seed must be a 64-bit unsigned integer")
+        for name, ok, need in (    # type(x) is int: a bool is no count
+                ("d", type(self.d) is int and self.d >= 2, "an int >= 2"),
+                ("trials", type(self.trials) is int and self.trials >= 1, "an int >= 1"),
+                ("master_seed", type(self.master_seed) is int and 0 <= self.master_seed < 2 ** 64,
+                 "a 64-bit unsigned int"),
+                ("worst_case_grid", type(self.worst_case_grid) is bool, "a bool")):
+            if not ok:
+                raise ValidationError(f"{name} must be {need}, got {getattr(self, name)!r}")
 
 
 _CONFIG_KEYS = {

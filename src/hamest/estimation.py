@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
@@ -53,8 +52,6 @@ __all__ = [
 # core's L2 cache while two chunks are in flight.
 _TOMOGRAPHY_CHUNK = 1 << 13
 _CHUNK_NORMALS = 1 << 17
-# Processes sharing the usable CPUs; the runner's pool workers set it to their count.
-_PROCESSES = 1
 
 
 def _aligned_basis(psi: np.ndarray) -> np.ndarray:
@@ -129,33 +126,23 @@ def _chunk_gram(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return gram
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+def _lane_grams(dim: int, chunks) -> list:
+    """The chunks' Grams in chunk order; this thread folds the even chunks, a helper the odd.
 
-
-def _pool_workers() -> int:
-    """Lanes for a multi-chunk stage: two when this process's share of the CPUs allows."""
-    return 2 if _usable_cpus() // _PROCESSES >= 2 else 1
-
-
-def _lane_grams(dim: int, chunks, lanes: int) -> list:
-    """The chunks' Grams in chunk order; lane j folds chunks j, j + lanes, j + 2 lanes, ...
-
-    Lane 0 is this thread, every other lane a daemon helper joined before this
+    A one-chunk list starts no thread.  The helper is a daemon joined before this
     returns or raises; a lane's exception reaches the caller as itself.
     """
     grams, raised = [None] * len(chunks), []
 
     def lane(j):
         try:
-            for i in range(j, len(chunks), lanes):
+            for i in range(j, len(chunks), 2):
                 grams[i] = _chunk_gram(dim, *chunks[i])
         except BaseException as exc:
             raised.append(exc)
 
     # daemon: an interrupt that lands in the join below must not hold up interpreter exit
-    helpers = [threading.Thread(target=lane, args=(j,), daemon=True) for j in range(1, lanes)]
+    helpers = [threading.Thread(target=lane, args=(1,), daemon=True)] if len(chunks) > 1 else []
     for thread in helpers:
         thread.start()
     try:
@@ -177,14 +164,13 @@ def _outcome_projector_mean(psi: np.ndarray, n_copies: int,
     result depends on (rng state, n_copies, dim) alone, not on the thread
     count; chunk 0 draws from ``rng`` and every later chunk from an SFC64
     stream that ``rng`` keys.  :func:`_lane_grams` folds a stage of two or
-    more chunks on two lanes when :func:`_pool_workers` allows, the odd chunks
-    on a helper thread, and any other stage on this thread.  The sum is folded once into
-    the complex sum S of o o^dag; the mean is B S B^dag / n.
+    more chunks on two lanes, whatever the CPU count, and a one-chunk stage on
+    this thread.  The sum is folded once into the complex sum S of o o^dag;
+    the mean is B S B^dag / n.
     """
     dim = psi.size
-    chunks = _outcome_chunks(dim, n_copies, rng)
-    lanes = 2 if len(chunks) > 1 and _pool_workers() > 1 else 1
-    gram = sum(_lane_grams(dim, chunks, lanes), np.zeros((2 * dim, 2 * dim)))
+    gram = sum(_lane_grams(dim, _outcome_chunks(dim, n_copies, rng)),
+               np.zeros((2 * dim, 2 * dim)))
     gram[2:, 0] = gram[0, 2:]
     s = gram[0::2, 0::2] + gram[1::2, 1::2] + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2])
     basis = _aligned_basis(psi)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,14 +80,23 @@ class PureState:
         return self.amplitudes.size
 
 
+def _spectrum(h, t) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the Hermitian H, once every t w and w_a - w_b, so t (w_a - w_b) / 2, is finite."""
+    w, v = np.linalg.eigh(assert_hermitian(h, name="H"))
+    lo, hi = (float(w[0]), float(w[-1])) if w.size else (0.0, 0.0)
+    if not (math.isfinite(float(t) * max(hi, -lo)) and math.isfinite(hi - lo)):  # NaN t too
+        raise ValidationError(f"exp(-i t H) needs finite t w and w_a - w_b, got t={t!r}, "
+                              f"w in [{lo!r}, {hi!r}]")
+    return w, v
+
+
 def hermitian_expm(h, t: float) -> np.ndarray:
     """exp(-i t H) for Hermitian H, via spectral decomposition.
 
     Eigendecomposition keeps the result unitary to machine precision, which
     matters more than speed at the dimensions used here.
     """
-    h = assert_hermitian(h, name="H")
-    w, v = np.linalg.eigh(h)
+    w, v = _spectrum(h, t)
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
@@ -99,8 +109,7 @@ def hermitian_expm_derivatives(h, t: float, directions) -> tuple[np.ndarray, np.
     exponentials, so it stays exact at degenerate and nearly degenerate
     spectra.  ``directions`` is an (m, d, d) stack; dU is too.
     """
-    h = assert_hermitian(h, name="H")
-    w, v = np.linalg.eigh(h)
+    w, v = _spectrum(h, t)
     phases = np.exp(-0.5j * t * w)
     x = 0.5 * t * np.subtract.outer(w, w)
     sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
@@ -138,8 +147,8 @@ def su_basis(d: int) -> list[np.ndarray]:
     then the diagonal ladder.  For d = 2 this returns the Pauli matrices
     divided by sqrt(2).
     """
-    if d < 2:
-        raise ValidationError(f"su basis requires d >= 2, got {d}")
+    if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 2:
+        raise ValidationError(f"su basis requires an int d >= 2, got {d!r}")
     basis = []
     for j in range(d):
         for k in range(j + 1, d):

@@ -11,6 +11,7 @@ with the cached sum of squares ``X_sum = sum X_j^2`` and its operator norm
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,8 +80,8 @@ def make_model(kind: str, d: int, custom_generators=None) -> HamiltonianModel:
              standard nonspherical example with c = (d - 1)/2 for d >= 3.
     custom   caller-supplied generators, validated for orthonormality.
     """
-    if d < 2:
-        raise ValidationError(f"model dimension must be >= 2, got {d}")
+    if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 2:
+        raise ValidationError(f"model dimension must be an int >= 2, got {d!r}")
     if kind == "full":
         gens = np.array(su_basis(d))
     elif kind == "phase":
@@ -122,6 +123,6 @@ def max_energy(model: HamiltonianModel, e_radius: float) -> float:
     Follows from ||H_theta||^2 = ||H_theta^2|| <= E^2 ||sum X_j^2||; spherical
     models give E * sqrt(m/d).
     """
-    if e_radius < 0:
-        raise ValidationError("search radius must be nonnegative")
+    if not 0 <= e_radius < math.inf:
+        raise ValidationError(f"search radius must be finite and >= 0, got {e_radius!r}")
     return float(e_radius) * math.sqrt(model.c)

@@ -85,8 +85,8 @@ class Schedule:
 
 def mes(d: int) -> PureState:
     """Maximally entangled state d^{-1/2} sum_j |e_j> (x) |e_j> on two d-dim factors."""
-    if d < 2:
-        raise ValidationError(f"MES requires d >= 2, got {d}")
+    if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 2:
+        raise ValidationError(f"MES requires an int d >= 2, got {d!r}")
     amps = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
     return PureState(factors=(d, d), amplitudes=amps)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 from collections import Counter
 
 import numpy as np
@@ -86,9 +87,9 @@ def _run_trial(cfg: ExperimentConfig, model: HamiltonianModel, plan: list, maste
     return row
 
 
-def _share_cpus(workers: int) -> None:
-    """Pool-worker initializer: a worker folds a stage's chunks on its share of the CPUs only."""
-    estimation._PROCESSES = workers
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _run_block(cfg: ExperimentConfig, model: HamiltonianModel, plan: list, master: int,
@@ -101,13 +102,12 @@ def _run_block(cfg: ExperimentConfig, model: HamiltonianModel, plan: list, maste
     ``capped_stages`` counts the stages of ``plan`` whose r the r_max cap holds back.
     """
     trial = functools.partial(_run_trial, cfg, model, plan, master)
-    workers = min(jobs, cfg.trials, estimation._usable_cpus())
+    workers = min(jobs, cfg.trials, _usable_cpus())
     if workers == 1:
         rows = [trial(i) for i in range(cfg.trials)]
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers, initializer=_share_cpus,
-                                 initargs=(workers,)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(trial, range(cfg.trials), chunksize=1))
     return rows, dict(summarize(rows), total_time=estimation._total_time(plan),
                       capped_stages=sum(s.capped for s in plan))

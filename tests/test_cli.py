@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import pickle
 import re
+import threading
 import time
 from dataclasses import fields, replace
 from pathlib import Path
@@ -372,18 +373,28 @@ class TestRunner:
         assert [r["error"] for r in rows] == ["ValidationError: writeable=False"] * 3
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers inherit the patched stage loop only when forked")
-    def test_workers_share_the_cpus(self, monkeypatch):
-        # on 4 CPUs: 2 jobs fold a stage's chunks on 2 threads each, 4 jobs on 1
-        def report_threads(*args, **kwargs):
-            raise ValidationError(f"threads={estimation._pool_workers()}")
+                        reason="workers inherit the patched chunk fold only when forked")
+    def test_workers_fold_on_two_lanes(self, monkeypatch, tmp_path):
+        # 2 workers on 2 CPUs: each worker that runs a trial folds its multi-chunk one_channel
+        # stage on its calling thread and one helper, and the rows are the --jobs 1 rows
+        parent, log, gram = os.getpid(), tmp_path / "lanes", estimation._chunk_gram
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        monkeypatch.setattr(estimation, "_run_plan", report_threads)
-        for jobs, threads in ((2, 2), (4, 1)):
-            rows, _ = run_experiment(parse_config_text(MINI.format(trials=4)), jobs=jobs)
-            assert [r["error"] for r in rows] == [f"ValidationError: threads={threads}"] * 4
-        assert estimation._pool_workers() == 2
+        def logged_gram(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {threading.current_thread() is threading.main_thread()}\n")
+            return gram(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
+        monkeypatch.setattr(estimation, "_chunk_gram", logged_gram)
+        cfg = parse_config_text(MINI.replace("adaptive", "one_channel").format(trials=4))
+        rows, _ = run_experiment(cfg, jobs=2)
+        lanes = {}
+        for line in log.read_text().splitlines():
+            pid, main_thread = line.split()
+            lanes.setdefault(int(pid), set()).add(main_thread)
+        assert lanes and parent not in lanes      # one worker may take every trial
+        assert all(seen == {"True", "False"} for seen in lanes.values())
+        assert rows_to_csv(rows) == rows_to_csv(run_experiment(cfg, jobs=1)[0])
 
     @pytest.mark.parametrize("jobs, trials, cpus, workers", [
         (64, 3, 8, 3), (64, 10, 2, 2), (3, 10, 8, 3), (8, 10, 1, None), (2, 1, 8, None)])
@@ -392,8 +403,8 @@ class TestRunner:
         started = []
 
         class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                started.append((max_workers, initializer, initargs))
+            def __init__(self, max_workers):
+                started.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -408,8 +419,7 @@ class TestRunner:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         cfg = parse_config_text(MINI.format(trials=trials))
         rows, _ = run_experiment(cfg, jobs=jobs)
-        assert started == ([] if workers is None else
-                           [(workers, runner._share_cpus, (workers,))])
+        assert started == ([] if workers is None else [workers])
         assert rows_to_csv(rows) == rows_to_csv(run_experiment(cfg, jobs=1)[0])
 
     def test_trial_seeds_distinct(self):

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -311,18 +312,41 @@ class TestTomography:
     @pytest.mark.parametrize("chunks", [2, 3, 5])
     @pytest.mark.parametrize("dim", [2, 4, 9])
     def test_stage_path_is_independent_of_thread_count(self, dim, chunks, monkeypatch):
-        # two or more chunks fold on two lanes; the Grams sum in chunk order either way
+        # on 1 CPU or 8, the calling thread folds the even chunks and one helper the odd
+        # ones, and the mean and the generator state are a serial chunk-order fold's
         n = chunks * STAGE_CHUNK
-        assert len(estimation._outcome_chunks(dim, n, np.random.default_rng(0))) == chunks
         psi = haar_state(dim, np.random.default_rng(67 + dim))
-        means, nexts = [], []
-        for workers in (1, 2):
-            monkeypatch.setattr(estimation, "_pool_workers", lambda: workers)
-            rng = np.random.Generator(np.random.SFC64(68))
-            means.append(_outcome_projector_mean(psi, n, rng))
-            nexts.append(rng.bit_generator.random_raw(4).tolist())
-        assert means[0].tobytes() == means[1].tobytes()
-        assert nexts[0] == nexts[1]
+        plan, folded = [], []
+        real_chunks, real_gram = estimation._outcome_chunks, estimation._chunk_gram
+
+        def recorded_chunks(*args):
+            plan[:] = real_chunks(*args)
+            return plan
+
+        def recorded_gram(dim, n, gen):
+            folded.append((gen, threading.current_thread()))
+            return real_gram(dim, n, gen)
+
+        def stage_path(rng):
+            return _outcome_projector_mean(psi, n, rng), rng.bit_generator.random_raw(4).tolist()
+
+        with monkeypatch.context() as mp:
+            mp.setattr(estimation, "_lane_grams",
+                       lambda dim, chunks: [real_gram(dim, *chunk) for chunk in chunks])
+            serial_mean, serial_next = stage_path(np.random.Generator(np.random.SFC64(68)))
+        monkeypatch.setattr(estimation, "_outcome_chunks", recorded_chunks)
+        monkeypatch.setattr(estimation, "_chunk_gram", recorded_gram)
+        for cpus in (1, 8):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            folded.clear()
+            mean, after = stage_path(np.random.Generator(np.random.SFC64(68)))
+            assert mean.tobytes() == serial_mean.tobytes()
+            assert after == serial_next
+            assert len(plan) == len(folded) == chunks
+            lanes = [next(thread for g, thread in folded if g is gen) for _, gen in plan]
+            assert set(lanes[0::2]) == {threading.main_thread()}
+            assert len(set(lanes[1::2])) == 1 and lanes[1] is not threading.main_thread()
 
     @pytest.mark.parametrize("where", ["chunk 1", "chunk 2", "helper lane"])
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
@@ -346,7 +370,6 @@ class TestTomography:
                 raise error("lane failed")
             return real_gram(dim, n, gen)
 
-        monkeypatch.setattr(estimation, "_pool_workers", lambda: 2)
         monkeypatch.setattr(estimation, "_outcome_chunks", recorded_chunks)
         monkeypatch.setattr(estimation, "_chunk_gram", failing_gram)
         psi = haar_state(4, np.random.default_rng(69))
@@ -371,7 +394,7 @@ class TestTomography:
         try:
             for _ in range(50):
                 folded.clear()
-                grams = estimation._lane_grams(1, [(i, None) for i in range(64)], 2)
+                grams = estimation._lane_grams(1, [(i, None) for i in range(64)])
                 assert sorted(folded) == list(range(64))
                 assert [g[0, 0] for g in grams] == list(range(64))
         finally:

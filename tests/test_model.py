@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from hamest.config import ExperimentConfig
 from hamest.errors import ValidationError
 from hamest.linalg import hs_inner, su_basis
 from hamest.model import hamiltonian, make_model, max_energy
@@ -11,6 +12,32 @@ from hamest.probe import Schedule, mes, qfi_matrix
 from hamest.verify import sym_space
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+def _config(**field):
+    return ExperimentConfig(**dict(dict(model_kind="full", d=2, scheme="adaptive", delta=0.1,
+                                        e_radius=1.0, trials=2), **field))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _config(d=2.5),
+    lambda: _config(trials=2.5),
+    lambda: _config(trials=True),
+    lambda: _config(master_seed=1.5),
+    lambda: _config(worst_case_grid=1),
+    lambda: make_model("full", 2.5),
+    lambda: mes(2.5),
+    lambda: su_basis(3.0),
+    lambda: max_energy(make_model("full", 2), math.nan),
+    lambda: max_energy(make_model("full", 2), math.inf),
+], ids=["config_d_float", "trials_float", "trials_bool", "seed_float",
+        "worst_case_grid_int", "model_d_float", "mes_d_float", "su_basis_d_float",
+        "max_energy_nan", "max_energy_inf"])
+def test_counts_are_ints_and_radii_finite(call):
+    # a float or bool count used to pass, then raise a bare TypeError or run a wrong count;
+    # a NaN or inf radius gave a NaN or inf energy bound
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_full_d2():

@@ -8,7 +8,7 @@ from hamest.constants import TOL
 from hamest.errors import AuditFailure, ValidationError
 from hamest.estimation import _mes_probe, _Stage
 from hamest.linalg import (PureState, assert_hermitian, assert_unitary, haar_state,
-                           hermitian_expm)
+                           hermitian_expm, hermitian_expm_derivatives)
 from hamest.model import hamiltonian, make_model
 from hamest.probe import (QfiReport, Schedule, _qfi_from_tangents, evolve, growth_audit, mes,
                           qfi_matrix)
@@ -23,6 +23,8 @@ def free_schedule(d, tau, r=1, initial=None):
 NAN2 = np.full((2, 2), math.nan)
 NAN_GENERATORS = np.array(make_model("full", 2).generators)
 NAN_GENERATORS[1, 0, 1] = math.nan
+HUGE = np.diag([1e300, -1e300])
+DIRECTIONS = make_model("full", 2).generators
 
 
 @pytest.mark.parametrize("call", [
@@ -39,13 +41,23 @@ NAN_GENERATORS[1, 0, 1] = math.nan
     lambda: free_schedule(2, 0.5, r=True),
     lambda: evolve(make_model("full", 2), [math.nan, 0.0, 0.0], free_schedule(2, 0.0)),
     lambda: evolve(make_model("full", 2), [10.0, 0.0, 0.0], free_schedule(2, 1e308)),
+    lambda: hermitian_expm(HUGE, 1e10),
+    lambda: hermitian_expm(np.eye(2), math.inf),
+    lambda: hermitian_expm(np.eye(2), math.nan),
+    lambda: hermitian_expm_derivatives(HUGE, 1e10, DIRECTIONS),
+    lambda: hermitian_expm_derivatives(np.eye(2), math.inf, DIRECTIONS),
+    lambda: hermitian_expm_derivatives(np.eye(2), math.nan, DIRECTIONS),
+    lambda: hermitian_expm_derivatives(np.diag([1e308, -1e308]), 1e-10, DIRECTIONS),
 ], ids=["hermitian", "unitary", "expm", "pure_state", "qfi_J", "qfi_G", "custom_generators",
-        "nan_interval", "inf_interval", "float_r", "bool_r", "nan_theta", "overflowing_phase"])
+        "nan_interval", "inf_interval", "float_r", "bool_r", "nan_theta", "overflowing_phase",
+        "expm_overflowing_phase", "expm_inf_t", "expm_nan_t", "derivatives_overflowing_phase",
+        "derivatives_inf_t", "derivatives_nan_t", "derivatives_overflowing_gap"])
 def test_validators_reject_nan_and_inf(call):
     # each check must read "deviation <= tolerance": a `>` test lets NaN through, so a NaN
-    # matrix, state or QFI is accepted, a NaN step skipped, and a NaN theta or an overflowing
-    # phase exp(-i t w) gives NaN amplitudes; that last case computes NaN on purpose
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError):
+    # matrix, state or QFI is accepted, a NaN step skipped, and a NaN theta gives NaN
+    # amplitudes; exp(-i t H) checks t w and the gaps of w before it forms a phase, so no
+    # case may warn
+    with pytest.raises(ValidationError):
         call()
 
 
