@@ -54,8 +54,8 @@ class ExperimentConfig:
 
 _CONFIG_KEYS = {
     "model": str, "d": int, "scheme": str, "delta": float, "e": float,
-    "trials": int, "seed": int, "kappa": float, "alpha": float, "p_crit": float,
-    "r_max": int, "trotter_slices": bool, "worst_case_grid": bool,
+    "trials": int, "seed": int, "kappa": float, "alpha": float, "r_max": int,
+    "trotter_slices": bool, "worst_case_grid": bool,
 }
 # Keys named otherwise in ExperimentConfig; SchemeConstants' own fields go to `constants`.
 _FIELD_OF_KEY = {"model": "model_kind", "e": "e_radius", "seed": "master_seed"}

@@ -2,9 +2,9 @@
 
 Every tolerance used by both the library and its tests lives in ``TOL`` so
 the two can never drift apart.  Estimation-scheme constants (evolution-time
-scale, copy budgets, staging factors) live in :class:`SchemeConstants`;
-callers override them through one record rather than scattered keyword
-arguments.
+scale, copy prefactor, many-channel cap, feedback slicing) live in
+:class:`SchemeConstants`; callers override them through one record rather than
+scattered keyword arguments.  ``SLICE_PHASE`` and ``P_CRIT`` are fixed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class Tolerances:
     state_norm_atol: float = 1e-10     # deviation of a pure state from unit norm
     generator_trace_atol: float = 1e-10  # model generators: |Tr X_j|
     gram_atol: float = 1e-8            # model generator Gram matrix vs identity
-    spherical_atol: float = 1e-8       # max-abs of X_sum - (m/d) I
+    spherical_atol: float = 1e-8       # max-abs of sum X_j^2 - (m/d) I
     branch_cut_atol: float = 1e-8      # eigenphase distance from -pi
     psd_atol: float = 1e-8             # QFI matrix positive semidefiniteness
     g_hermitian_atol: float = 1e-10    # correlation matrix Hermiticity
@@ -46,18 +46,25 @@ TOL = Tolerances()
 # span{X_j}, so its singular values lie in [sin(sigma) / sigma, 1], about 1 - sigma^2 / 6.
 SLICE_PHASE = 0.5
 
+# Failure budget of a staged run: the success claim is stated against 1 - P_CRIT.  No copy
+# budget reads it yet; ROADMAP item 1 derives the staged copies from it (see estimation._plan).
+P_CRIT = 0.05
+
+
+def is_real(x) -> bool:
+    """Whether x is a real number; a bool is none."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
 
 @dataclass(frozen=True)
 class SchemeConstants:
-    """Tunable constants of the estimation procedures.
+    """Tunable constants of the estimation procedures; the failure budget ``P_CRIT`` is fixed.
 
     kappa   dimensionless evolution-time budget: each stage's tau keeps
             tau ||H|| <= kappa over its search ball (``estimation._plan``).
             Calibrated so the first-order frame expansion stays accurate
             while tomography noise remains resolvable.
     alpha   copy prefactor: alpha m d / (delta/E)^2, staged alpha m (1 + n) (``estimation._plan``).
-    p_crit  tolerated overall failure probability of a full estimation run;
-            validated, but no copy budget reads it yet.
     r_max   cap on the many-channel r_n of ``estimation._plan``; ``None``
             means 2048 // d.  A cap below the plan's largest r keeps every
             later stage at the cap, so those stages stop sharpening the estimate.
@@ -71,18 +78,13 @@ class SchemeConstants:
 
     kappa: float = 0.5
     alpha: float = 96.0
-    p_crit: float = 0.05
     r_max: int | None = None
     trotter_slices: bool = False
 
     def __post_init__(self):
-        def number(x):
-            return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
         for name, ok, need in (
-                ("kappa", number(self.kappa) and 0 < self.kappa < math.inf, "a finite number > 0"),
-                ("alpha", number(self.alpha) and 0 < self.alpha < math.inf, "a finite number > 0"),
-                ("p_crit", number(self.p_crit) and 0 < self.p_crit < 1, "a number in (0, 1)"),
+                ("kappa", is_real(self.kappa) and 0 < self.kappa < math.inf, "a finite number > 0"),
+                ("alpha", is_real(self.alpha) and 0 < self.alpha < math.inf, "a finite number > 0"),
                 ("r_max", self.r_max is None or type(self.r_max) is int and self.r_max >= 1,
                  "None or an integer >= 1"),
                 ("trotter_slices", type(self.trotter_slices) is bool, "a bool")):

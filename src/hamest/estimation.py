@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, SLICE_PHASE, TOL, SchemeConstants
+from .constants import DEFAULT_CONSTANTS, SLICE_PHASE, TOL, SchemeConstants, is_real
 from .errors import (DegenerateProjectionError, InversionUnstableError,
                      PostselectionStarvedError, ValidationError)
 from .linalg import hermitian_expm, hermitian_expm_derivatives
@@ -209,12 +209,17 @@ def invert_theta(reduced, tau: float, norm_factor: float) -> np.ndarray:
     ``norm_factor`` is 1/sqrt(F2(d, r)) of the probe's frame, sqrt(d) for a
     single channel.  After fixing the phase of c_0 to be real positive,
     theta_j = -(norm_factor / tau) Im(c_j / c_0), exact to first order in
-    tau * ||theta||.
+    tau * ||theta||.  tau and norm_factor must be finite and > 0, reduced finite.
     """
+    if not (0 < tau < math.inf and 0 < norm_factor < math.inf):
+        raise ValidationError(f"invert_theta needs finite tau > 0 and norm_factor > 0, "
+                              f"got tau={tau!r}, norm_factor={norm_factor!r}")
     c = np.asarray(reduced, dtype=complex).reshape(-1)
     if c.size < 2:
         raise ValidationError(f"reduced state has dimension {c.size}; "
                               "need c_0 and at least one c_j")
+    if not np.isfinite(c).all():
+        raise ValidationError("reduced state must have finite entries")
     c0 = c[0]
     if abs(c0) < TOL.min_c0:
         raise InversionUnstableError(
@@ -262,7 +267,14 @@ class EstimationRecord:
 
 
 def _check_run_inputs(model, theta_true, e_radius, rng, seed):
-    """Validated theta_true as a flat array, and the run's generator; ||theta / E|| <= 1."""
+    """Validated theta_true as a flat array, and the run's generator; ||theta / E|| <= 1.
+
+    seed is an int in [0, 2^64) as ``ExperimentConfig.master_seed``, rng None or a Generator.
+    """
+    if not (type(seed) is int and 0 <= seed < 2 ** 64):
+        raise ValidationError(f"seed must be a 64-bit unsigned int, got {seed!r}")
+    if not (rng is None or isinstance(rng, np.random.Generator)):
+        raise ValidationError(f"rng must be None or a numpy Generator, got {rng!r}")
     theta_true = np.asarray(theta_true, dtype=float).reshape(-1)
     if theta_true.size != model.m:
         raise ValidationError(f"theta_true has length {theta_true.size}, m = {model.m}")
@@ -290,15 +302,17 @@ SCHEMES = ("one_channel", "adaptive", "many_channel")    # the schemes _plan dis
 def _admit(scheme: str, delta: float, e_radius: float) -> None:
     """The run domain, one message per rule; :func:`_plan` and ``ExperimentConfig`` admit here.
 
-    scheme in SCHEMES; delta, E finite, E > 0; 2^-40 <= delta / E <= 1/5 (1e-12 slack on 1/5,
-    a fixed domain choice of the initial commit).  The floor is 2^12 ulp(1): in units of E,
-    theta lies in the unit ball and theta*, a sum of increments clipped to the radii, below 4,
-    so a float grid of spacing <= 2^-51 moves the error by at most sqrt(m) 2^-11 delta; near
-    ulp(1) (delta = 1e-17 at E = 1) theta* snaps to the float nearest theta: vacuous success.
+    scheme in SCHEMES; delta, E finite real numbers, not bools, E > 0; 2^-40 <= delta / E
+    <= 1/5 (1e-12 slack on 1/5, a fixed domain choice of the initial commit).  The floor is
+    2^12 ulp(1): in units of E, theta lies in the unit ball and theta*, a sum of increments
+    clipped to the radii, below 4, so a float grid of spacing <= 2^-51 moves the error by at
+    most sqrt(m) 2^-11 delta; near ulp(1) (delta = 1e-17 at E = 1) theta* snaps to the float
+    nearest theta: vacuous success.
     """
     if scheme not in SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}; valid schemes: {', '.join(SCHEMES)}")
-    if not 0 < delta <= e_radius / 5 * (1 + 1e-12) < math.inf:
+    if not (is_real(delta) and is_real(e_radius) and 0 < delta <= e_radius / 5 * (1 + 1e-12)
+            < math.inf):
         raise ValidationError(f"delta/E must lie in (0, 1/5] with E finite, "
                               f"got delta={delta}, E={e_radius}")
     if not delta / e_radius >= 2.0 ** -40:
@@ -319,7 +333,7 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
     r = 1, N = ceil(alpha m d / (delta / E)^2) copies to resolve the tomography
     noise at scale delta.  Staged: n = n0 .. 1, n0 = ceil(log2(E / delta)) >= 3,
     N_n = ceil(alpha m (1 + n)); the (1 + n) is meant to cover a per-stage failure
-    budget p_crit / 2^n, but N_n does not read p_crit yet (ROADMAP item 1).
+    budget ``constants.P_CRIT`` / 2^n, but N_n does not read P_CRIT yet (ROADMAP item 1).
     adaptive: r = 1 and R = 2^n delta, so tau grows as the radius shrinks; ``trotter_slices``
     gives stage n k_n = ceil(tau_n max_energy(E) / SLICE_PHASE) feedback slices, at any delta.
     many_channel: R = 2^n delta too, but every stage keeps the tau of 2^n0 delta and entangles
@@ -334,6 +348,8 @@ def _plan(scheme: str, model: HamiltonianModel, delta: float, e_radius: float,
     is at most 20 sqrt(d c) / kappa, whose square stays finite while that is below 2^512.
     """
     _admit(scheme, delta, e_radius)
+    if not isinstance(constants, SchemeConstants):
+        raise ValidationError(f"constants must be a SchemeConstants, got {constants!r}")
     r_max = constants.effective_r_max(model.d)
     sliced = scheme == "adaptive" and constants.trotter_slices
 

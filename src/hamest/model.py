@@ -2,17 +2,16 @@
 
 A model is a set of m orthonormal traceless Hermitian generators on a
 d-level system, stacked once into a read-only (m, d, d) array, together
-with the cached sum of squares ``X_sum = sum X_j^2`` and its operator norm
-``c``.  ``c`` controls the Fisher-information growth bound; models with
-``X_sum`` proportional to the identity are *spherical* and obey the tighter
-``4 m tau^2 / d`` bound.
+with ``c``, the operator norm of sum X_j^2.  ``c`` controls the
+Fisher-information growth bound; models whose sum X_j^2 is proportional to
+the identity are *spherical* and obey the tighter ``4 m tau^2 / d`` bound.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,6 @@ class HamiltonianModel:
     kind: str
     d: int
     generators: np.ndarray               # (m, d, d), read-only
-    x_sum: np.ndarray = field(repr=False)  # read-only
     c: float
     spherical: bool
 
@@ -44,7 +42,7 @@ class HamiltonianModel:
 
     def __setstate__(self, state):       # an unpickled array comes back writeable
         self.__dict__.update(state)
-        self.generators.flags.writeable = self.x_sum.flags.writeable = False
+        self.generators.flags.writeable = False
 
 
 def _validate_generators(gens: np.ndarray, d: int):
@@ -104,9 +102,8 @@ def make_model(kind: str, d: int, custom_generators=None) -> HamiltonianModel:
     c = float(np.linalg.norm(x_sum, 2))
     m = len(gens)
     spherical = bool(np.max(np.abs(x_sum - (m / d) * np.eye(d))) <= TOL.spherical_atol)
-    gens.flags.writeable = x_sum.flags.writeable = False
-    return HamiltonianModel(kind=kind, d=d, generators=gens,
-                            x_sum=x_sum, c=c, spherical=spherical)
+    gens.flags.writeable = False
+    return HamiltonianModel(kind=kind, d=d, generators=gens, c=c, spherical=spherical)
 
 
 def hamiltonian(model: HamiltonianModel, theta) -> np.ndarray:

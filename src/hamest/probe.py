@@ -232,8 +232,8 @@ def growth_audit(model: HamiltonianModel, theta, schedule: Schedule,
     quadratic bound or the discrete increment bound
     sqrt(TrJ)(t+dt) - sqrt(TrJ)(t) <= sqrt(4 max TrG) * dt_eff is violated.
     """
-    if n_steps < 2:
-        raise ValidationError("growth audit needs at least 2 grid points")
+    if not isinstance(n_steps, numbers.Integral) or isinstance(n_steps, bool) or n_steps < 2:
+        raise ValidationError(f"growth audit needs an int n_steps >= 2, got {n_steps!r}")
     grid = np.linspace(0.0, schedule.total_time, n_steps)
     rows = []
     for t in grid:

@@ -39,8 +39,10 @@ seed = 4242
 """
 
 # A non-default value for every field of SchemeConstants.
-CONSTANT_OVERRIDES = {"kappa": "0.3", "alpha": "10", "p_crit": "0.1", "r_max": "7",
-                      "trotter_slices": "true"}
+CONSTANT_OVERRIDES = {"kappa": "0.3", "alpha": "10", "r_max": "7", "trotter_slices": "true"}
+# The 12 config keys, as the unknown-key message lists them: 6 required, 6 optional.
+VALID_KEYS = ("alpha, d, delta, e, kappa, model, r_max, scheme, seed, trials, trotter_slices, "
+              "worst_case_grid")
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -114,7 +116,7 @@ class TestConfig:
         text = MINI.format(trials=1) + "".join(
             f"{f.name}={CONSTANT_OVERRIDES[f.name]}\n" for f in fields(SchemeConstants))
         assert parse_config_text(text).constants == SchemeConstants(
-            kappa=0.3, alpha=10.0, p_crit=0.1, r_max=7, trotter_slices=True)
+            kappa=0.3, alpha=10.0, r_max=7, trotter_slices=True)
 
     def test_constants_overrides(self):
         cfg = parse_config_text(MINI.format(trials=1) + "kappa=0.4\nalpha=32\n"
@@ -129,7 +131,8 @@ class TestConfig:
                                           "trotter_slices=2.5", "delta=0.05",
                                           "kappa=inf", "alpha=inf", "beta=1"])
     def test_bad_constants_rejected_before_any_trial(self, override, tmp_path, capsys):
-        # beta, the retired staged copy growth, is an unknown key at any value
+        # beta, the retired staged copy growth, and p_crit, the retired failure budget, are
+        # unknown keys at any value
         field = override.split("=")[0]
         text = MINI.format(trials=1) + override + "\n"
         with pytest.raises(ValidationError, match=field):
@@ -143,7 +146,7 @@ class TestConfig:
                                               ("trotter_slices", 2.5), ("trotter_slices", 8),
                                               ("trotter_slices", 1),
                                               *[(field, value)
-                                                for field in ("kappa", "alpha", "p_crit")
+                                                for field in ("kappa", "alpha")
                                                 for value in ("0.5", None, True)]])
     def test_constants_check_their_types(self, field, value):
         # a non-integer r_max would plan and then fail every many_channel stage, a non-bool
@@ -179,7 +182,14 @@ REJECTED = {
                       f"delta/E must be at least 2^-40, got delta/E={2.0 ** -41!r}"),
     "scheme=adaptve": ("adaptve", 0.1, 1.0, "unknown scheme 'adaptve'; valid schemes: "
                                             "one_channel, adaptive, many_channel"),
+    # a bool or a str is no delta or E; a config casts both to float, so only the library
+    # entry points meet these
+    "delta=True": ("adaptive", True, 10.0, RANGE.format(True, 10.0)),
+    "delta=str": ("adaptive", "0.1", 1.0, RANGE.format("0.1", 1.0)),
+    "E=True": ("adaptive", 0.1, True, RANGE.format(0.1, True)),
+    "E=str": ("adaptive", 0.1, "1.0", RANGE.format(0.1, "1.0")),
 }
+TYPE_CASES = ("delta=True", "delta=str", "E=True", "E=str")
 FULL2, CONSTANTS = make_model("full", 2), SchemeConstants()
 # the library entry points, called as (scheme, delta, E); the drivers and bound_report fix
 # their scheme
@@ -198,7 +208,8 @@ class TestAdmission:
     @pytest.mark.parametrize("entry, case", [
         pytest.param(entry, case, id=f"{entry}-{case}")
         for entry in [*ENTRY_POINTS, "run", "sweep"] for case in REJECTED
-        if case != "scheme=adaptve" or entry in ("_plan", "ExperimentConfig", "run", "sweep")])
+        if (case != "scheme=adaptve" or entry in ("_plan", "ExperimentConfig", "run", "sweep"))
+        and (case not in TYPE_CASES or entry in ENTRY_POINTS)])
     def test_every_entry_point_gives_the_one_message(self, tmp_path, capsys, monkeypatch,
                                                      entry, case):
         # hamest run and sweep reject at d = 4096 before any model is built; where only delta is
@@ -673,20 +684,24 @@ class TestCli:
         assert not missing.exists()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])
-    @pytest.mark.parametrize("key", ["out_csv", "out_json", "refine", "beta"])
-    def test_output_path_config_key_exit_2(self, tmp_path, capsys, monkeypatch, command, key):
+    @pytest.mark.parametrize("key, value", [
+        *[pytest.param(key, "{out}", id=key) for key in ("out_csv", "out_json", "refine", "beta")],
+        pytest.param("p_crit", "0.1", id="p_crit")])
+    def test_output_path_config_key_exit_2(self, tmp_path, capsys, monkeypatch, command, key,
+                                           value):
         # the CSV path is --out alone, and the summary goes next to it; one_channel always
-        # refines, and staged stage n plans alpha m (1 + n) copies, so refine and beta are
-        # no keys either
+        # refines, staged stage n plans alpha m (1 + n) copies, and the failure budget is
+        # constants.P_CRIT, so refine, beta and p_crit are no keys either
         def no_trial(*args):
             pytest.fail("a trial ran")
 
         monkeypatch.setattr(runner, "_run_trial", no_trial)
         monkeypatch.chdir(tmp_path)
-        text = MINI.format(trials=2) + f"{key} = {tmp_path / 'x.csv'}\n"
+        text = MINI.format(trials=2) + f"{key} = {value.format(out=tmp_path / 'x.csv')}\n"
         cfg_path = write_cfg(tmp_path, text)
         assert main([*command, "--config", cfg_path]) == 2
-        assert f"{cfg_path}:9: unknown key {key!r}; valid keys: " in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {cfg_path}:9: unknown key {key!r}; valid keys: "
+                                           f"{VALID_KEYS}\n")
         assert list(tmp_path.iterdir()) == [Path(cfg_path)]
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--delta-list", "0.2,0.15,0.1"]])

@@ -14,7 +14,7 @@ import scipy.stats
 import hamest.estimation as estimation
 from hamest import runner
 from hamest.config import ExperimentConfig, parse_config
-from hamest.constants import SLICE_PHASE, SchemeConstants
+from hamest.constants import P_CRIT, SLICE_PHASE, SchemeConstants
 from hamest.errors import (DegenerateProjectionError, InversionUnstableError,
                            PostselectionStarvedError, ValidationError)
 from hamest.estimation import (_TOMOGRAPHY_CHUNK as STAGE_CHUNK, EstimationRecord,
@@ -444,6 +444,22 @@ class TestTomography:
 
 
 class TestInvertTheta:
+    @pytest.mark.parametrize("reduced, tau, norm_factor", [
+        (np.eye(4)[0], 0.0, 2.0), (np.eye(4)[0], math.nan, 2.0), (np.eye(4)[0], -1.0, 2.0),
+        (np.eye(4)[0], math.inf, 2.0), (np.eye(4)[0], 0.3, math.inf),
+        (np.eye(4)[0], 0.3, 0.0), (np.eye(4)[0], 0.3, math.nan),
+        ([1.0, math.nan, 0.0, 0.0], 0.3, 2.0), ([math.nan, 0.0, 0.0, 0.0], 0.3, 2.0),
+        ([1.0, 0.0, complex(0, math.inf), 0.0], 0.3, 2.0),
+    ], ids=["tau=0", "tau=nan", "tau=-1", "tau=inf", "norm_factor=inf", "norm_factor=0",
+            "norm_factor=nan", "nan_c1", "nan_c0", "inf_c2"])
+    def test_rejects_bad_input(self, reduced, tau, norm_factor):
+        # tau = 0 raised ZeroDivisionError, a NaN tau or entry returned NaN, tau < 0 was taken,
+        # and an infinite norm_factor warned, then returned inf and NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                invert_theta(reduced, tau, norm_factor)
+
     def test_unperturbed_probe(self):
         frame = postselection_frame(FULL2)
         theta = invert_theta(np.eye(4)[0], 0.3, frame.norm_factor)
@@ -668,7 +684,7 @@ class TestRunAdaptive:
 
     def test_staging_contract(self):
         # conditioned on stage n's prior holding, the new estimate lands
-        # within 2^(n-1) delta with frequency >= 1 - 0.05 / 2^n
+        # within 2^(n-1) delta with frequency >= 1 - P_CRIT / 2^n
         delta, e_radius, trials = 0.05, 1.0, 150
         n0 = math.ceil(math.log2(e_radius / delta))
         frame = postselection_frame(FULL2)
@@ -697,7 +713,7 @@ class TestRunAdaptive:
                         prior_ok = False
         for n, (hit, tot) in counts.items():
             assert tot > 0
-            assert hit / tot >= 1 - 0.05 / 2 ** n - 0.01, (n, hit, tot)
+            assert hit / tot >= 1 - P_CRIT / 2 ** n - 0.01, (n, hit, tot)
 
     @pytest.mark.parametrize("driver", [run_adaptive, run_many_channel])
     def test_starved_run_stays_in_stage_balls(self, driver):
@@ -732,8 +748,8 @@ class TestRunAdaptive:
                                        constants=SchemeConstants(trotter_slices=sliced))
                 rates.append(run_experiment(cfg)[1]["success_rate"])
             unsliced, sliced = rates
-            if unsliced >= 1 - CONST.p_crit:
-                assert sliced >= 1 - CONST.p_crit, (delta, rates)
+            if unsliced >= 1 - P_CRIT:
+                assert sliced >= 1 - P_CRIT, (delta, rates)
             assert sliced >= unsliced - 0.03, (delta, rates)
 
     def test_reproducible_record(self):
@@ -880,18 +896,14 @@ CONSTANT_EFFECTS = {"kappa": (0.3, "tau"), "alpha": (10.0, "copies"), "r_max": (
 class TestPlan:
     @pytest.mark.parametrize("field", [f.name for f in fields(SchemeConstants)])
     def test_every_constant_changes_a_plan(self, field):
-        # a constant that changes no plan is a knob that does nothing; p_crit is the one
-        # exception until the staged copy budget derives from it (ROADMAP item 1)
-        assert {*CONSTANT_EFFECTS, "p_crit"} == {f.name for f in fields(SchemeConstants)}
-        value, attr = CONSTANT_EFFECTS.get(field, (0.1, None))
+        # a constant that changes no plan is a knob that does nothing
+        assert set(CONSTANT_EFFECTS) == {f.name for f in fields(SchemeConstants)}
+        value, attr = CONSTANT_EFFECTS[field]
         changed = replace(CONST, **{field: value})
         plans = [(_plan(scheme, FULL2, 0.1, 1.0, CONST), _plan(scheme, FULL2, 0.1, 1.0, changed))
                  for scheme in DRIVERS]
-        if attr is None:
-            assert all(before == after for before, after in plans)
-        else:
-            assert any([getattr(s, attr) for s in before] != [getattr(s, attr) for s in after]
-                       for before, after in plans)
+        assert any([getattr(s, attr) for s in before] != [getattr(s, attr) for s in after]
+                   for before, after in plans)
 
     @pytest.mark.parametrize("scheme", DRIVERS)
     @pytest.mark.parametrize("const", [CONST, SchemeConstants(r_max=4), SchemeConstants(alpha=0.2)],
@@ -917,6 +929,23 @@ class TestPlan:
     def test_rejects_non_finite_inputs(self, scheme, theta, delta, e_radius, message):
         with pytest.raises(ValidationError, match=message):
             DRIVERS[scheme](FULL2, theta, delta, e_radius, CONST)
+
+    @pytest.mark.parametrize("scheme", DRIVERS)
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": 2.5, "rng": np.random.default_rng(0)}, "^seed must be"),
+        ({"seed": -7, "rng": np.random.default_rng(0)}, "^seed must be"),
+        ({"seed": -1}, "^seed must be"),
+        ({"seed": 2 ** 64}, "^seed must be"),
+        ({"seed": True}, "^seed must be"),
+        ({"rng": 5}, "^rng must be"),
+        ({"constants": None}, "^constants must be"),
+    ], ids=["float_seed", "negative_seed_with_rng", "negative_seed", "seed=2^64", "bool_seed",
+            "int_rng", "no_constants"])
+    def test_rejects_malformed_library_input(self, scheme, kwargs, message):
+        # a float or negative seed used to be recorded as int(seed), rng = 5 and
+        # constants = None failed mid-run with an AttributeError
+        with pytest.raises(ValidationError, match=message):
+            DRIVERS[scheme](FULL2, [0.3, -0.2, 0.1], 0.1, 1.0, **kwargs)
 
     @pytest.mark.parametrize("scheme", DRIVERS)
     @pytest.mark.parametrize("delta, e_radius, const, bad", [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -12,6 +13,11 @@ from hamest.probe import Schedule, mes, qfi_matrix
 from hamest.verify import sym_space
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+def square_sum(model):
+    """sum_j X_j^2 of the model's generators."""
+    return np.einsum("jab,jbc->ac", model.generators, model.generators)
 
 
 def _config(**field):
@@ -43,7 +49,7 @@ def test_counts_are_ints_and_radii_finite(call):
 def test_full_d2():
     model = make_model("full", 2)
     assert model.m == 3
-    assert np.allclose(model.x_sum, 1.5 * np.eye(2), atol=1e-12)
+    assert np.allclose(square_sum(model), 1.5 * np.eye(2), atol=1e-12)
     assert abs(model.c - 1.5) < 1e-12
     assert model.spherical
 
@@ -64,7 +70,7 @@ def test_phase_d2():
     model = make_model("phase", 2)
     assert model.m == 1
     assert np.allclose(model.generators[0], SZ / math.sqrt(2), atol=1e-12)
-    assert np.allclose(model.x_sum, 0.5 * np.eye(2), atol=1e-12)
+    assert np.allclose(square_sum(model), 0.5 * np.eye(2), atol=1e-12)
     assert model.spherical
 
 
@@ -112,14 +118,16 @@ def test_generator_stack_read_only():
     assert model.generators.shape == (3, 2, 2)
     with pytest.raises(ValueError):
         model.generators[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):      # an unpickled array comes back writeable
+        pickle.loads(pickle.dumps(model)).generators[0, 0, 0] = 1.0
 
 
-def test_x_sum_read_only():
+def test_model_holds_no_square_sum():
+    # sum X_j^2 is a local of make_model: c and spherical are what a run reads
     model = make_model("offdiag", 3)
-    with pytest.raises(ValueError):
-        model.x_sum[0, 0] = 5
-    with pytest.raises(ValueError):
-        pickle.loads(pickle.dumps(model)).x_sum[0, 0] = 5
+    assert [f.name for f in dataclasses.fields(model)] == [
+        "kind", "d", "generators", "c", "spherical"]
+    assert abs(np.linalg.norm(square_sum(model), 2) - model.c) < 1e-12
 
 
 def test_hamiltonian_length_mismatch():
@@ -152,7 +160,7 @@ def test_gram_identity_all_builtin(kind, d):
 def test_spherical_proportionality(kind, d):
     model = make_model(kind, d)
     if model.spherical:
-        assert np.max(np.abs(model.x_sum - model.m / d * np.eye(d))) <= 1e-8
+        assert np.max(np.abs(square_sum(model) - model.m / d * np.eye(d))) <= 1e-8
 
 
 @pytest.mark.parametrize("kind,d", [("full", 2), ("offdiag", 3), ("phase", 4)])

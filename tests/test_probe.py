@@ -239,6 +239,12 @@ class TestGrowthAudit:
         with pytest.raises(ValidationError):
             growth_audit(make_model("full", 2), np.zeros(3), free_schedule(2, 1.0), 1)
 
+    @pytest.mark.parametrize("n_steps", [2.5, 3.0])
+    def test_needs_an_int_point_count(self, n_steps):
+        # a float count used to reach np.linspace and raise a bare TypeError
+        with pytest.raises(ValidationError, match="n_steps"):
+            growth_audit(make_model("full", 2), np.zeros(3), free_schedule(2, 1.0), n_steps)
+
     def test_violation_carries_grid_time(self):
         # the MES saturates Tr J = 4 c t^2, so a model claiming c / 4 fails at
         # the first grid time t > 0 of the grid 0, 1/3, 2/3, 1
