@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, SchemeConstants
+from .constants import DEFAULT_CONSTANTS, SchemeConstants, is_real
 from .errors import ValidationError
 from .estimation import _plan
 from .model import HamiltonianModel
@@ -35,7 +35,7 @@ EQ_TIME_CONSTANT = 0.5     # T >= d sqrt(c) / (2 delta)
 
 
 def _require_finite_positive(function: str, *args) -> None:
-    if not all(0 < x < math.inf for x in args):
+    if not all(is_real(x) and 0 < x < math.inf for x in args):
         raise ValidationError(f"{function} requires finite arguments > 0, got {args!r}")
 
 

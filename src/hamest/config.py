@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .constants import DEFAULT_CONSTANTS, SchemeConstants
+from .constants import DEFAULT_CONSTANTS, SchemeConstants, is_int
 from .errors import ValidationError
 from .estimation import _admit
 from .model import MODEL_KINDS
@@ -42,11 +42,12 @@ class ExperimentConfig:
             raise ValidationError(f"model {self.model_kind!r} cannot run from a config; "
                                   f"valid models: {', '.join(_CONFIG_MODELS)}")
         _admit(self.scheme, self.delta, self.e_radius)
-        for name, ok, need in (    # type(x) is int: a bool is no count
-                ("d", type(self.d) is int and self.d >= 2, "an int >= 2"),
-                ("trials", type(self.trials) is int and self.trials >= 1, "an int >= 1"),
-                ("master_seed", type(self.master_seed) is int and 0 <= self.master_seed < 2 ** 64,
+        for name, ok, need in (    # is_int: a bool or a numpy integer is no count
+                ("d", is_int(self.d) and self.d >= 2, "an int >= 2"),
+                ("trials", is_int(self.trials) and self.trials >= 1, "an int >= 1"),
+                ("master_seed", is_int(self.master_seed) and 0 <= self.master_seed < 2 ** 64,
                  "a 64-bit unsigned int"),
+                ("constants", isinstance(self.constants, SchemeConstants), "a SchemeConstants"),
                 ("worst_case_grid", type(self.worst_case_grid) is bool, "a bool")):
             if not ok:
                 raise ValidationError(f"{name} must be {need}, got {getattr(self, name)!r}")

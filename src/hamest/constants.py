@@ -1,10 +1,10 @@
 """Central numeric tolerances and overridable scheme constants.
 
-Every tolerance used by both the library and its tests lives in ``TOL`` so
-the two can never drift apart.  Estimation-scheme constants (evolution-time
-scale, copy prefactor, many-channel cap, feedback slicing) live in
-:class:`SchemeConstants`; callers override them through one record rather than
-scattered keyword arguments.  ``SLICE_PHASE`` and ``P_CRIT`` are fixed.
+Every tolerance used by both the library and its tests lives in ``TOL`` so the two can never
+drift apart.  Estimation-scheme constants (evolution-time scale, copy prefactor, many-channel
+cap, feedback slicing) live in :class:`SchemeConstants`; callers override them through one
+record rather than scattered keyword arguments.  ``SLICE_PHASE`` and ``P_CRIT`` are fixed.
+Every public entry checks a count with :func:`is_int` and a real number with :func:`is_real`.
 """
 
 from __future__ import annotations
@@ -56,6 +56,11 @@ def is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def is_int(x) -> bool:
+    """Whether x is a count: a Python int, so no bool and no numpy integer."""
+    return type(x) is int
+
+
 @dataclass(frozen=True)
 class SchemeConstants:
     """Tunable constants of the estimation procedures; the failure budget ``P_CRIT`` is fixed.
@@ -85,7 +90,7 @@ class SchemeConstants:
         for name, ok, need in (
                 ("kappa", is_real(self.kappa) and 0 < self.kappa < math.inf, "a finite number > 0"),
                 ("alpha", is_real(self.alpha) and 0 < self.alpha < math.inf, "a finite number > 0"),
-                ("r_max", self.r_max is None or type(self.r_max) is int and self.r_max >= 1,
+                ("r_max", self.r_max is None or is_int(self.r_max) and self.r_max >= 1,
                  "None or an integer >= 1"),
                 ("trotter_slices", type(self.trotter_slices) is bool, "a bool")):
             if not ok:

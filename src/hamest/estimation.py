@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, SLICE_PHASE, TOL, SchemeConstants, is_real
+from .constants import DEFAULT_CONSTANTS, SLICE_PHASE, TOL, SchemeConstants, is_int, is_real
 from .errors import (DegenerateProjectionError, InversionUnstableError,
                      PostselectionStarvedError, ValidationError)
 from .linalg import hermitian_expm, hermitian_expm_derivatives
@@ -211,7 +211,7 @@ def invert_theta(reduced, tau: float, norm_factor: float) -> np.ndarray:
     theta_j = -(norm_factor / tau) Im(c_j / c_0), exact to first order in
     tau * ||theta||.  tau and norm_factor must be finite and > 0, reduced finite.
     """
-    if not (0 < tau < math.inf and 0 < norm_factor < math.inf):
+    if not all(is_real(x) and 0 < x < math.inf for x in (tau, norm_factor)):
         raise ValidationError(f"invert_theta needs finite tau > 0 and norm_factor > 0, "
                               f"got tau={tau!r}, norm_factor={norm_factor!r}")
     c = np.asarray(reduced, dtype=complex).reshape(-1)
@@ -271,7 +271,7 @@ def _check_run_inputs(model, theta_true, e_radius, rng, seed):
 
     seed is an int in [0, 2^64) as ``ExperimentConfig.master_seed``, rng None or a Generator.
     """
-    if not (type(seed) is int and 0 <= seed < 2 ** 64):
+    if not (is_int(seed) and 0 <= seed < 2 ** 64):
         raise ValidationError(f"seed must be a 64-bit unsigned int, got {seed!r}")
     if not (rng is None or isinstance(rng, np.random.Generator)):
         raise ValidationError(f"rng must be None or a numpy Generator, got {rng!r}")

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import TOL
+from .constants import TOL, is_int, is_real
 from .errors import ValidationError
 
 __all__ = [
@@ -64,10 +63,10 @@ class PureState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        object.__setattr__(self, "factors", tuple(int(f) for f in self.factors))
+        object.__setattr__(self, "factors", tuple(self.factors))
         object.__setattr__(self, "amplitudes", amps)
-        if any(f < 1 for f in self.factors):
-            raise ValidationError(f"factor dimensions must be positive: {self.factors}")
+        if not all(is_int(f) and f >= 1 for f in self.factors):
+            raise ValidationError(f"factor dimensions must be ints >= 1: {self.factors}")
         if math.prod(self.factors) != amps.size:
             raise ValidationError(
                 f"amplitude length {amps.size} does not match factors {self.factors}")
@@ -84,7 +83,7 @@ def _spectrum(h, t) -> tuple[np.ndarray, np.ndarray]:
     """eigh of the Hermitian H, once every t w and w_a - w_b, so t (w_a - w_b) / 2, is finite."""
     w, v = np.linalg.eigh(assert_hermitian(h, name="H"))
     lo, hi = (float(w[0]), float(w[-1])) if w.size else (0.0, 0.0)
-    if not (math.isfinite(float(t) * max(hi, -lo)) and math.isfinite(hi - lo)):  # NaN t too
+    if not (is_real(t) and math.isfinite(float(t) * max(hi, -lo)) and math.isfinite(hi - lo)):
         raise ValidationError(f"exp(-i t H) needs finite t w and w_a - w_b, got t={t!r}, "
                               f"w in [{lo!r}, {hi!r}]")
     return w, v
@@ -147,7 +146,7 @@ def su_basis(d: int) -> list[np.ndarray]:
     then the diagonal ladder.  For d = 2 this returns the Pauli matrices
     divided by sqrt(2).
     """
-    if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 2:
+    if not (is_int(d) and d >= 2):
         raise ValidationError(f"su basis requires an int d >= 2, got {d!r}")
     basis = []
     for j in range(d):

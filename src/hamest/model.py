@@ -10,12 +10,11 @@ the identity are *spherical* and obey the tighter ``4 m tau^2 / d`` bound.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import TOL
+from .constants import TOL, is_int, is_real
 from .errors import ValidationError
 from .linalg import su_basis
 
@@ -78,7 +77,7 @@ def make_model(kind: str, d: int, custom_generators=None) -> HamiltonianModel:
              standard nonspherical example with c = (d - 1)/2 for d >= 3.
     custom   caller-supplied generators, validated for orthonormality.
     """
-    if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 2:
+    if not (is_int(d) and d >= 2):
         raise ValidationError(f"model dimension must be an int >= 2, got {d!r}")
     if kind == "full":
         gens = np.array(su_basis(d))
@@ -120,6 +119,6 @@ def max_energy(model: HamiltonianModel, e_radius: float) -> float:
     Follows from ||H_theta||^2 = ||H_theta^2|| <= E^2 ||sum X_j^2||; spherical
     models give E * sqrt(m/d).
     """
-    if not 0 <= e_radius < math.inf:
+    if not (is_real(e_radius) and 0 <= e_radius < math.inf):
         raise ValidationError(f"search radius must be finite and >= 0, got {e_radius!r}")
     return float(e_radius) * math.sqrt(model.c)

@@ -18,12 +18,11 @@ correlation matrix G uses the collective generators sum_slots X_j.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import TOL
+from .constants import TOL, is_int, is_real
 from .errors import AuditFailure, ValidationError
 from .linalg import (PureState, assert_unitary, hermitian_expm,
                      hermitian_expm_derivatives)
@@ -55,17 +54,15 @@ class Schedule:
     steps: tuple[tuple[float, np.ndarray | None], ...]
 
     def __post_init__(self):
-        if not isinstance(self.r, numbers.Integral) or isinstance(self.r, bool):
-            raise ValidationError(f"channel count must be an int, got {self.r!r}")
-        if self.r < 1 or self.r > len(self.initial.factors):
-            raise ValidationError(f"channel count {self.r} inconsistent with "
-                                  f"factors {self.initial.factors}")
+        if not (is_int(self.r) and 1 <= self.r <= len(self.initial.factors)):
+            raise ValidationError(f"channel count must be an int in [1, number of factors], "
+                                  f"got {self.r!r} for factors {self.initial.factors}")
         driven = set(self.initial.factors[:self.r])
         if len(driven) != 1:
             raise ValidationError("driven factors must share one dimension")
         steps = []
         for interval, v in self.steps:
-            if not (isinstance(interval, numbers.Real) and 0 <= interval < math.inf):
+            if not (is_real(interval) and 0 <= interval < math.inf):
                 raise ValidationError(f"interval must be a finite number >= 0, got {interval!r}")
             if v is not None:
                 v = assert_unitary(v, name="feedback unitary")
@@ -85,7 +82,7 @@ class Schedule:
 
 def mes(d: int) -> PureState:
     """Maximally entangled state d^{-1/2} sum_j |e_j> (x) |e_j> on two d-dim factors."""
-    if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 2:
+    if not (is_int(d) and d >= 2):
         raise ValidationError(f"MES requires an int d >= 2, got {d!r}")
     amps = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
     return PureState(factors=(d, d), amplitudes=amps)
@@ -232,7 +229,7 @@ def growth_audit(model: HamiltonianModel, theta, schedule: Schedule,
     quadratic bound or the discrete increment bound
     sqrt(TrJ)(t+dt) - sqrt(TrJ)(t) <= sqrt(4 max TrG) * dt_eff is violated.
     """
-    if not isinstance(n_steps, numbers.Integral) or isinstance(n_steps, bool) or n_steps < 2:
+    if not (is_int(n_steps) and n_steps >= 2):
         raise ValidationError(f"growth audit needs an int n_steps >= 2, got {n_steps!r}")
     grid = np.linspace(0.0, schedule.total_time, n_steps)
     rows = []

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import estimation
 from .config import ExperimentConfig
+from .constants import is_int
 from .errors import HamestError, ValidationError
 from .model import HamiltonianModel, make_model
 
@@ -114,8 +115,8 @@ def _run_block(cfg: ExperimentConfig, model: HamiltonianModel, plan: list, maste
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[dict], dict]:
-    if jobs < 1:    # before the model is built
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    if not (is_int(jobs) and jobs >= 1):    # before the model is built
+        raise ValidationError(f"jobs must be >= 1, got {jobs!r}")
     model = make_model(cfg.model_kind, cfg.d)
     plan = estimation._plan(cfg.scheme, model, cfg.delta, cfg.e_radius, cfg.constants)
     return _run_block(cfg, model, plan, cfg.master_seed, jobs)
@@ -127,15 +128,14 @@ def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict],
     T is each delta's planned time resource, its ``total_time`` in
     ``per_delta``, so the fit needs no completed trial.
     """
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    deltas = [float(x) for x in deltas]
-    if len(deltas) < 3:
-        raise ValidationError("sweep needs at least 3 delta values")
-    if any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValidationError("delta values must be strictly decreasing")
-    # admit every delta before the one model is built, and plan every delta before any trial
+    if not (is_int(jobs) and jobs >= 1):
+        raise ValidationError(f"jobs must be >= 1, got {jobs!r}")
+    # admit each delta as given before the one model is built; plan them all before any trial
     cfgs = [dataclasses.replace(cfg, delta=delta) for delta in deltas]
+    if len(cfgs) < 3:
+        raise ValidationError("sweep needs at least 3 delta values")
+    if any(b.delta >= a.delta for a, b in zip(cfgs, cfgs[1:])):
+        raise ValidationError("delta values must be strictly decreasing")
     model = make_model(cfg.model_kind, cfg.d)
     plans = [estimation._plan(c.scheme, model, c.delta, c.e_radius, c.constants) for c in cfgs]
     rows, per_delta = [], []
@@ -144,8 +144,8 @@ def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict],
         rows.extend(block)
         per_delta.append(dict(stats, delta=block_cfg.delta))
 
-    x = np.log(np.asarray(deltas))
-    y = np.log(np.asarray([s["total_time"] for s in per_delta]))
+    x = np.log([s["delta"] for s in per_delta])
+    y = np.log([s["total_time"] for s in per_delta])
     slope, intercept = np.polyfit(x, y, 1)
     residuals = (y - (slope * x + intercept)).tolist()
     summary = summarize(rows)
@@ -157,6 +157,8 @@ def run_sweep(cfg: ExperimentConfig, deltas, jobs: int = 1) -> tuple[list[dict],
 
 def summarize(rows) -> dict:
     """Success rate over all trials, errors by type, and failed stages of the completed ones."""
+    if not rows:
+        raise ValidationError("summarize needs at least one trial row")
     errors = Counter(r["error"].split(":", 1)[0] for r in rows if r.get("error"))
     completed = [r for r in rows if not r.get("error")]
     return {
@@ -171,8 +173,8 @@ def summarize(rows) -> dict:
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):    # a numpy float too
+        return repr(float(value))
     return str(value)
 
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
+from .constants import is_int
 from .errors import ValidationError
 from .linalg import unitary_eig
 
@@ -43,7 +43,7 @@ def sym_frame_coefficients(v, ops, r: int) -> np.ndarray:
     At r = 1, Sym^1(V) = V is the single-channel MES probe, and the trace form
     c_0 = Tr V / d, c_j = Tr(X_j V) / sqrt(d) skips the eigenbasis.  r is an integer >= 1.
     """
-    if not isinstance(r, numbers.Integral) or r < 1:
+    if not (is_int(r) and r >= 1):
         raise ValidationError(f"r must be an integer >= 1, got {r!r}")
     v, ops = np.asarray(v, dtype=complex), np.asarray(ops)
     if r == 1:

@@ -116,11 +116,12 @@ FORMULAS = {
 
 @pytest.mark.parametrize("name", FORMULAS)
 @pytest.mark.parametrize("which", [0, 1], ids=["delta", "other"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.5],
-                         ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.5, True, "0.1"],
+                         ids=["nan", "inf", "zero", "negative", "bool", "str"])
 def test_formulas_reject_non_finite_or_non_positive_arguments(name, which, bad):
     # NaN and inf fail no min(...) <= 0 test, yet time_upper_general(3, 2, nan) would read nan
-    # and fewparam_time_upper(3, 2, inf) 0.0
+    # and fewparam_time_upper(3, 2, inf) 0.0; a bool ran as 1 (time_upper_general(True, 2, 0.1)
+    # read 2880.0) and a str raised a bare TypeError
     function, args, positions = FORMULAS[name]
     args = list(args)
     args[positions[which]] = bad

@@ -7,6 +7,7 @@ import pickle
 import re
 import threading
 import time
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -154,6 +155,19 @@ class TestConfig:
         # would reach a comparison as a bare TypeError, and a bool one would plan as 0 or 1
         with pytest.raises(ValidationError, match=f"^{field} must be"):
             SchemeConstants(**{field: value})
+
+    @pytest.mark.parametrize("constants", [None, {"kappa": 0.5}, "kappa = 0.5"],
+                             ids=["None", "dict", "str"])
+    def test_constants_must_be_scheme_constants(self, monkeypatch, constants):
+        # a config used to take any constants, and run_experiment then built the model before
+        # _plan rejected them
+        def no_model(*args):
+            pytest.fail("a model was built")
+
+        monkeypatch.setattr(runner, "make_model", no_model)
+        with pytest.raises(ValidationError, match="^constants must be a SchemeConstants, got"):
+            run_experiment(ExperimentConfig("full", 2, "adaptive", 0.1, 1.0, trials=1,
+                                            constants=constants))
 
     def test_trotter_slices_reads_on_or_off(self):
         for value, on in (("true", True), ("1", True), ("yes", True), ("false", False),
@@ -432,6 +446,14 @@ class TestRunner:
         rows, _ = run_experiment(cfg, jobs=jobs)
         assert started == ([] if workers is None else [workers])
         assert rows_to_csv(rows) == rows_to_csv(run_experiment(cfg, jobs=1)[0])
+
+    def test_summarize_needs_a_row(self):
+        # no rows used to warn "Mean of empty slice" and give a NaN success rate, which
+        # write_outputs refuses with a bare ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="at least one trial row"):
+                runner.summarize([])
 
     def test_trial_seeds_distinct(self):
         seeds = {trial_seed(4242, i) for i in range(1000)}

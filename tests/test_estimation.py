@@ -450,11 +450,15 @@ class TestInvertTheta:
         (np.eye(4)[0], 0.3, 0.0), (np.eye(4)[0], 0.3, math.nan),
         ([1.0, math.nan, 0.0, 0.0], 0.3, 2.0), ([math.nan, 0.0, 0.0, 0.0], 0.3, 2.0),
         ([1.0, 0.0, complex(0, math.inf), 0.0], 0.3, 2.0),
+        (np.eye(4)[0], True, 2.0), (np.eye(4)[0], "0.3", 2.0),
+        (np.eye(4)[0], 0.3, True), (np.eye(4)[0], 0.3, "2.0"),
     ], ids=["tau=0", "tau=nan", "tau=-1", "tau=inf", "norm_factor=inf", "norm_factor=0",
-            "norm_factor=nan", "nan_c1", "nan_c0", "inf_c2"])
+            "norm_factor=nan", "nan_c1", "nan_c0", "inf_c2", "tau=True", "tau=str",
+            "norm_factor=True", "norm_factor=str"])
     def test_rejects_bad_input(self, reduced, tau, norm_factor):
         # tau = 0 raised ZeroDivisionError, a NaN tau or entry returned NaN, tau < 0 was taken,
-        # and an infinite norm_factor warned, then returned inf and NaN
+        # and an infinite norm_factor warned, then returned inf and NaN; a bool ran as 1 and a
+        # str raised a bare TypeError
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError):

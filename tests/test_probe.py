@@ -48,15 +48,26 @@ DIRECTIONS = make_model("full", 2).generators
     lambda: hermitian_expm_derivatives(np.eye(2), math.inf, DIRECTIONS),
     lambda: hermitian_expm_derivatives(np.eye(2), math.nan, DIRECTIONS),
     lambda: hermitian_expm_derivatives(np.diag([1e308, -1e308]), 1e-10, DIRECTIONS),
+    lambda: free_schedule(2, True),
+    lambda: free_schedule(2, "0.5"),
+    lambda: hermitian_expm(np.eye(2), True),
+    lambda: hermitian_expm(np.eye(2), "1"),
+    lambda: hermitian_expm_derivatives(np.eye(2), True, DIRECTIONS),
+    lambda: hermitian_expm_derivatives(np.eye(2), "1", DIRECTIONS),
+    lambda: PureState((2.5,), [1.0, 0.0]),
+    lambda: PureState((True, 2), [1.0, 0.0]),
 ], ids=["hermitian", "unitary", "expm", "pure_state", "qfi_J", "qfi_G", "custom_generators",
         "nan_interval", "inf_interval", "float_r", "bool_r", "nan_theta", "overflowing_phase",
         "expm_overflowing_phase", "expm_inf_t", "expm_nan_t", "derivatives_overflowing_phase",
-        "derivatives_inf_t", "derivatives_nan_t", "derivatives_overflowing_gap"])
+        "derivatives_inf_t", "derivatives_nan_t", "derivatives_overflowing_gap",
+        "bool_interval", "str_interval", "expm_bool_t", "expm_str_t", "derivatives_bool_t",
+        "derivatives_str_t", "float_factor", "bool_factor"])
 def test_validators_reject_nan_and_inf(call):
     # each check must read "deviation <= tolerance": a `>` test lets NaN through, so a NaN
     # matrix, state or QFI is accepted, a NaN step skipped, and a NaN theta gives NaN
     # amplitudes; exp(-i t H) checks t w and the gaps of w before it forms a phase, so no
-    # case may warn
+    # case may warn.  A bool or str time, interval or factor used to run as 0 or 1, raise a
+    # bare TypeError or, for a factor of 2.5, be cast to 2
     with pytest.raises(ValidationError):
         call()
 
